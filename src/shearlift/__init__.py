@@ -13,7 +13,7 @@ from .families import (FAMILY_NAMES, FamilyParams, PartialFractionCoeffs,
                        coeffs_f1n, coeffs_f2n, evaluate)
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, grid_points,
                     sample_grid, shear_at)
-from .special import F1Params, appell_f1, gauss_2f1, pochhammer
+from .special import F1Params, appell_f1, gauss_2f1, hyp2f1_1c, pochhammer
 from .surface import GridSpec, SurfaceMesh, SurfaceSample, build_mesh, lift_sample
 from .verify import VerificationReport, run_checks
 
@@ -29,7 +29,7 @@ __all__ = [
     "coeffs_f1n", "coeffs_f2n", "evaluate",
     "DilatationSpec", "MapSample", "PrevertexSpec", "grid_points",
     "sample_grid", "shear_at",
-    "F1Params", "appell_f1", "gauss_2f1", "pochhammer",
+    "F1Params", "appell_f1", "gauss_2f1", "hyp2f1_1c", "pochhammer",
     "GridSpec", "SurfaceMesh", "SurfaceSample", "build_mesh", "lift_sample",
     "VerificationReport", "run_checks",
 ]

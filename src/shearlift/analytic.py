@@ -7,6 +7,7 @@ part on the open unit disk, so no branch tracking is needed anywhere.
 """
 
 import cmath
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,18 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+# Grids build their points as r*exp(i*theta); the rounded modulus of such a
+# point can exceed r by a few ulps, which the near-boundary cutoff forgives.
+_ROUNDING_SLACK = 1.0 + 8.0 * sys.float_info.epsilon
+
+
 def require_disk_point(z, r_max=0.999):
-    """Validate |z| < 1 (and below the near-boundary cutoff) and return z
-    as a complex number."""
+    """Validate |z| < 1 (and below the near-boundary cutoff, up to a few
+    ulps of rounding) and return z as a complex number."""
     z = complex(z)
     if not (abs(z) < 1.0):
         raise DomainError(f"point {z} is not inside the unit disk")
-    if abs(z) > r_max:
+    if abs(z) > r_max * _ROUNDING_SLACK:
         raise DomainError(
             f"point {z} is too close to the boundary (|z| > {r_max})")
     return z

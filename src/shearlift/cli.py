@@ -1,14 +1,15 @@
 """Command-line interface: map figures, surface meshes, verification
 reports, and partial-fraction coefficient dumps.
 
-Exit codes: 0 ok, 1 a verification check failed, 2 usage or domain error.
+Exit codes: 0 ok, 1 a verification check failed, 2 usage or domain error
+(including a quadrature that did not converge at some point).
 """
 
 import argparse
 import sys
 
 from . import __version__, families, render, verify
-from .errors import DilatationNotSquareError, DomainError
+from .errors import ConvergenceError, DilatationNotSquareError, DomainError
 from .surface import GridSpec, build_mesh
 
 EXIT_OK = 0
@@ -151,7 +152,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, DilatationNotSquareError, ValueError) as exc:
+    except (DomainError, DilatationNotSquareError, ValueError,
+            ConvergenceError) as exc:
         print(f"shearlift {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

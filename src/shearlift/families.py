@@ -15,21 +15,25 @@ Families:
 * f_0n   -- phi = k_0, omega = z^n (strip images)
 * f_1n   -- phi = k_1, omega = z^n (wave planes)
 * f_2n   -- phi = k_2, omega = z^n (slit planes)
-* f_cn   -- phi = k_c, omega = z^n, via Appell F1
+* f_cn   -- phi = k_c, omega = z^n, through one Gauss 2F1(1, c; c+1; x)
+           per n-th root of unity (the paper writes h with Appell F1,
+           which special.appell_f1 keeps as the reference form)
 """
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .analytic import DEFAULT_QUADRATURE, require_disk_point
-from .errors import (ConvergenceError, DomainError, UnsupportedDomainError,
-                     UnsupportedParameterError)
+from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, koebe_phi,
-                    koebe_phi_prime, shear_at)
-from .special import DEFAULT_SERIES, F1Params, appell_f1
+                    shear_at)
+from .special import DEFAULT_SERIES, cexpm1, hyp2f1_1c
+# Bound here only so that perfbench/spans.py can wrap families.appell_f1;
+# f_cn no longer calls it.
+from .special import appell_f1  # noqa: F401
 
 PARAM_EPS = 1e-3
 
@@ -155,7 +159,10 @@ def eval_F_ca(c, a, z):
 
 
 def _oracle_sample(params, z, cfg=DEFAULT_QUADRATURE):
-    sample = shear_at(family_phi(params), family_omega(params), z, cfg)
+    try:
+        sample = shear_at(family_phi(params), family_omega(params), z, cfg)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"shear quadrature at z={z}: {exc}") from exc
     return MapSample.from_hg(sample.z, sample.h, sample.g, fallback=True)
 
 
@@ -318,51 +325,98 @@ def coeffs_f2n(n):
                                  pole_coeffs=tuple(poles))
 
 
-# --- f_cn via Appell F1 -----------------------------------------------------
+# --- f_cn through one Gauss 2F1 per root of unity ------------------------
+#
+# With w = (1+z)/(1-z), k_c'(z) dz = w^(c-1) dw / 2, and with
+# conj(e_k) = exp(-2 pi i k/n),
+#
+#     1/(1 - z^n) = (1/n) sum_k 1/(1 - z conj(e_k))
+#                 = (1/n) sum_k (w+1) / ((1 - conj(e_k)) w + 1 + conj(e_k)),
+#
+# so h = (1/2n) sum_k I_k(w) with I_k(w) = int_1^w t^(c-1) (t+1) /
+# ((1 - conj(e_k)) t + 1 + conj(e_k)) dt.  The lift integral
+# T = int_0^z h'(s) s^(n/2) ds carries the weights e_k^(n/2) = (-1)^k on
+# the same terms, because z^m/(1 - z^n) = (1/n) sum_k e_k^m/(1 - z conj(e_k))
+# for 0 <= m < n.  I_k is elementary for e_k = 1 and e_k = -1; otherwise,
+# with beta_k = (1 + conj(e_k))/(1 - conj(e_k)),
+#
+#     I_k(w) = ((w^c - 1)/c + (1 - beta_k) (J_k(w) - J_k(1))) / (1 - conj(e_k)),
+#     J_k(t) = int_0^t s^(c-1)/(s + beta_k) ds
+#            = t^c/(c beta_k) 2F1(1, c; c+1; -t/beta_k).
+#
+# beta_k is imaginary and w lies in the right half-plane, so -w/beta_k
+# never meets the cut [1, inf) of 2F1.
+
 
 @dataclass(frozen=True)
-class F1Constants:
-    """Integration constant of h_{c,n}: the bracketed closed form
-    evaluated at z = 0, subtracted so that h_{c,n}(0) = 0."""
+class _FcnRoot:
+    """One root e_k other than +-1: I_k(w) = scale (w^c - 1)/c
+    + weight (w^c F(-w/beta_k) - F(-1/beta_k)), F = 2F1(1, c; c+1; .)."""
 
-    c: float
-    n: int
-    value: complex
+    sign: float  # e_k^(n/2) = (-1)^k, the weight of I_k in T
+    scale: complex  # 1/(1 - conj(e_k))
+    weight: complex  # (1 - beta_k) / ((1 - conj(e_k)) c beta_k)
+    neg_inv_beta: complex  # -1/beta_k
+    f_at_one: complex  # F(-1/beta_k), from J_k(1)
 
 
-def _fcn_bracket(c, n, z):
-    """The bracket multiplied by ((1+z)/(1-z))^c in the h_{c,n} displays,
-    before the integration constant is removed."""
-    p = F1Params(alpha=1.0 - c, beta1=-c, beta2=1.0, gamma=2.0 - c)
-    x = 0.5 * (1.0 - z)
-    total = 0.25 / c + (1.0 + z) / (4.0 * n * (1.0 + c) * (1.0 - z))
+@lru_cache(maxsize=64)
+def _fcn_roots(c, n):
+    """Constants of the roots other than +-1, once per (c, n)."""
+    roots = []
+    for k in range(1, n):
+        if 2 * k == n:
+            continue
+        ebar = cmath.exp(-2j * math.pi * k / n)
+        beta = (1.0 + ebar) / (1.0 - ebar)
+        scale = 1.0 / (1.0 - ebar)
+        roots.append(_FcnRoot(sign=(-1.0) ** k, scale=scale,
+                              weight=scale * (1.0 - beta) / (c * beta),
+                              neg_inv_beta=-1.0 / beta,
+                              f_at_one=hyp2f1_1c(c, -1.0 / beta)))
+    return tuple(roots)
+
+
+def _powm1_over(p, log_w):
+    # (w^p - 1)/p without cancellation for small p log w
+    return cexpm1(p * log_w) / p
+
+
+def fcn_h_and_lift(c, n, z):
+    """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds at a disk point z,
+    from one 2F1 value per root of unity (c in (0, 2) away from 1; T is
+    None for odd n).  The minimal-surface height is F3 = 2 Im T."""
+    w = (1.0 + z) / (1.0 - z)
+    log_w = cmath.log(w)
+    wc = cmath.exp(c * log_w)
+    base = _powm1_over(c, log_w)
+    # e_k = 1
+    i_k = 0.5 * (_powm1_over(c + 1.0, log_w) + base)
+    h = i_k
+    t = i_k
     if n % 2 == 0:
-        total -= (1.0 - z) / (4.0 * n * (1.0 - c) * (1.0 + z))
-    pref = (2.0 ** c * (1.0 - z)
-            / (n * (1.0 - c) * cmath.exp(c * cmath.log(1.0 + z))))
-    for k in _pole_angles(n):
-        e = cmath.exp(2j * math.pi * k / n)
-        f1_plus = appell_f1(p, x, (1.0 - z) / (1.0 - e))
-        f1_minus = appell_f1(p, x, (1.0 - z) / (1.0 - e.conjugate()))
-        total += pref * (e * f1_plus / ((1.0 - e) * (1.0 - e * e))
-                         - f1_minus
-                         / ((1.0 - e) * (1.0 - (e * e).conjugate())))
-    return total
+        # e_k = -1, k = n/2
+        i_k = 0.5 * (base + _powm1_over(c - 1.0, log_w))
+        h += i_k
+        t += (-1.0) ** (n // 2) * i_k
+    for root in _fcn_roots(c, n):
+        i_k = root.scale * base + root.weight * (
+            wc * hyp2f1_1c(c, w * root.neg_inv_beta) - root.f_at_one)
+        h += i_k
+        t += root.sign * i_k
+    scale = 0.5 / n
+    if n % 2:
+        return scale * h, None
+    return scale * h, scale * t
 
 
-@lru_cache(maxsize=None)
-def fcn_constants(c, n):
-    """Integration constant making h_{c,n}(0) = 0 (cached)."""
-    return F1Constants(c=c, n=n, value=_fcn_bracket(c, n, 0j))
+def eval_fcn(c, n, z):
+    """General family: shear of k_c by z^n, through the 2F1 reduction
+    above (the paper writes the same h with Appell F1).
 
-
-def eval_fcn(c, n, z, allow_fallback=True):
-    """General family: shear of k_c by z^n, via the F1 closed form.
-
-    c = 0, 1, 2 delegate to the dedicated f_0n / f_1n / f_2n forms (the
-    F1 parameters degenerate there); punctured 1e-3 neighborhoods of
-    0 and 1, and points where F1 leaves its supported domain, fall back
-    to the quadrature oracle with the sample flagged.
+    c = 0, 1, 2 delegate to the dedicated f_0n / f_1n / f_2n forms; the
+    punctured 1e-3 neighborhoods of 0 and 1 use the quadrature oracle,
+    with the sample flagged.
     """
     params = FamilyParams(family="f_cn", c=c, n=n)
     c = float(c)
@@ -374,24 +428,9 @@ def eval_fcn(c, n, z, allow_fallback=True):
     if c == 2.0:
         return eval_f2n(n, z)
     if c <= PARAM_EPS or abs(c - 1.0) <= PARAM_EPS:
-        if not allow_fallback:
-            raise UnsupportedParameterError(
-                f"c={c} is inside the excluded neighborhoods of 0 and 1")
         return _oracle_sample(params, z)
     z = require_disk_point(z, r_max=1.0)
-    try:
-        bracket = _fcn_bracket(c, n, z)
-        constant = fcn_constants(c, n).value
-    except (UnsupportedDomainError, DomainError, ConvergenceError) as exc:
-        # ConvergenceError: the F1 series stalls when an argument sits
-        # just inside the unit circle and the Euler integral is closed
-        # off (alpha = 1-c < 0); treat it like an unsupported domain
-        if not allow_fallback:
-            raise UnsupportedDomainError(
-                f"F1 closed form unavailable at z={z}: {exc}") from exc
-        return _oracle_sample(params, z)
-    wc = cmath.exp(c * cmath.log((1.0 + z) / (1.0 - z)))
-    h = wc * bracket - constant
+    h, _ = fcn_h_and_lift(c, n, z)
     return MapSample.from_hg(z, h, h - k_c_eval(c, z))
 
 

@@ -1,6 +1,9 @@
 """Pochhammer symbols, Gauss 2F1 and the two-variable Appell F1.
 
-F1 carries two independent representations:
+``hyp2f1_1c`` evaluates 2F1(1, c; c+1; x) on the whole cut plane; the
+f_cn family and its lift are built from it.  F1 is the paper's form of
+the same family and is kept as a reference.  F1 carries two independent
+representations:
 
 * a double power series summed along anti-diagonals (|x| < 1, |y| < 1, or
   terminating parameter cases), and
@@ -10,8 +13,10 @@ plus a dispatcher that picks whichever applies and refuses to extrapolate
 outside both domains.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +94,215 @@ def gauss_2f1(a, b, c, x, cfg=DEFAULT_SERIES):
         else:
             small = 0
     raise ConvergenceError("2F1 series did not converge within max_order")
+
+
+# --- 2F1(1, c; c+1; x) on the whole cut plane --------------------------------
+
+# Series are summed until the geometric bound |ratio|^m falls below this.
+_TAIL = 2.0 ** -57
+_EULER_GAMMA = 0.57721566490153286061
+# Route radii of hyp2f1_1c.
+_POWER_RADIUS = 0.5
+_INVERSE_RADIUS = 5.0 / 3.0
+_LOG_RADIUS = 0.5
+_PFAFF_RADIUS = 0.6
+_MAX_PANELS = 3
+# The log series also takes the points whose ray passes so close to s = 1
+# that the quadrature would need more than _MAX_PANELS panels: the ray then
+# comes within (5/3 - 1/2)/6 of s = 1, which keeps |1-x| below 0.72.
+_LOG_REACH = 0.75
+
+
+def _legendre(m, x):
+    """P_m(x) and P_m'(x) by the three-term recurrence."""
+    p0, p1 = 1.0, x
+    for k in range(2, m + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, m * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(m):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1],
+    by Newton iteration on P_m."""
+    nodes, weights = [], []
+    for i in range(1, m + 1):
+        x = math.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(m, x)
+            step = p / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        dp = _legendre(m, x)[1]
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return tuple(nodes), tuple(weights)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
+
+
+def _terms(r, growth=0.0):
+    """Number of terms m after which r^m (or growth * m * r^m, for
+    coefficients that grow like m) is below the summation tail."""
+    if r <= _TAIL:
+        return 1
+    m = int(math.log(_TAIL) / math.log(r)) + 2
+    if growth:
+        m += int(math.log(growth * m) / -math.log(r)) + 1
+    return m
+
+
+def _horner(coeffs, m, x):
+    """sum_{k<m} coeffs[k] x^k."""
+    acc = 0j
+    for a in coeffs[m - 1::-1]:
+        acc = acc * x + a
+    return acc
+
+
+def _digamma(x):
+    """psi(x) for x > 0: recurrence up to x >= 10, then the asymptotic
+    series through the x^-12 term."""
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv = 1.0 / (x * x)
+    tail = inv * (1.0 / 12 - inv * (1.0 / 120 - inv * (
+        1.0 / 252 - inv * (1.0 / 240 - inv * (1.0 / 132
+                                               - inv * 691.0 / 32760)))))
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def cexpm1(u):
+    """exp(u) - 1 for complex u without cancellation near u = 0."""
+    if abs(u) > 0.5:
+        return cmath.exp(u) - 1.0
+    a, b = u.real, u.imag
+    s = math.sin(0.5 * b)
+    return complex(math.expm1(a) * math.cos(b) - 2.0 * s * s,
+                   math.exp(a) * math.sin(b))
+
+
+def _log_sinc_pi(eps):
+    """log(sin(pi*eps) / (pi*eps)), accurate relative to its size."""
+    y2 = (math.pi * eps) ** 2
+    if abs(eps) >= 0.02:
+        return math.log(math.sin(math.pi * eps) / (math.pi * eps))
+    return -y2 * (1.0 / 6 + y2 * (1.0 / 180 + y2 * (
+        1.0 / 2835 + y2 * (1.0 / 37800 + y2 / 467775.0))))
+
+
+@dataclass(frozen=True)
+class _F1cTables:
+    """Series coefficients of hyp2f1_1c for one c, lowest order first."""
+
+    power: tuple  # c/(c+m)
+    inverse: tuple  # c/(j-c) for j >= 1, 0 at j = round(c)
+    pfaff: tuple  # k!/(c+1)_k
+    log_b: tuple  # (c)_k/k!
+    log_a: tuple  # (c)_k/k! (psi(k+1) - psi(c+k))
+
+
+@lru_cache(maxsize=64)
+def _f1c_tables(c):
+    near = round(c)
+    m = _terms(_PFAFF_RADIUS)
+    pfaff = [1.0]
+    for k in range(m - 1):
+        pfaff.append(pfaff[-1] * (k + 1.0) / (c + 1.0 + k))
+    log_b, log_a = [], []
+    coeff = 1.0
+    gap = -_EULER_GAMMA - _digamma(c)
+    for k in range(_terms(_LOG_REACH, 3.0)):
+        log_b.append(coeff)
+        log_a.append(coeff * gap)
+        gap += 1.0 / (k + 1.0) - 1.0 / (c + k)
+        coeff *= (c + k) / (k + 1.0)
+    return _F1cTables(
+        power=tuple(c / (c + k) for k in range(_terms(_POWER_RADIUS))),
+        inverse=tuple(0.0 if j == near else c / (j - c)
+                      for j in range(1, _terms(1.0 / _INVERSE_RADIUS) + 1)),
+        pfaff=tuple(pfaff), log_b=tuple(log_b), log_a=tuple(log_a))
+
+
+def _f1c_inverse(c, x, tables):
+    """DLMF 15.8.2 for |x| > 1:
+
+        pi c (-x)^-c / sin(pi c) + sum_{j>=1} c x^-j / (j - c),
+
+    with the j = N term (N the nearest integer to c, if N >= 1) folded
+    into the first one, since both grow like 1/(N - c) and cancel."""
+    y = 1.0 / x
+    log_mx = cmath.log(-x)
+    total = y * _horner(tables.inverse, _terms(abs(y)), y)
+    near = round(c)
+    if near < 1:
+        return total + (math.pi * c / math.sin(math.pi * c)
+                        * cmath.exp(-c * log_mx))
+    eps = near - c
+    # pi c (-x)^-c / sin(pi c) + c x^-N / eps
+    #   = -c x^-N (exp(eps log(-x) - log sinc(pi eps)) - 1) / eps
+    if eps == 0.0:
+        folded = -log_mx
+    else:
+        folded = -cexpm1(eps * log_mx - _log_sinc_pi(eps)) / eps
+    return total + c * y ** near * folded
+
+
+def hyp2f1_1c(c, x):
+    """Gauss 2F1(1, c; c+1; x) for 0 < c <= 2 and complex x off the cut
+    [1, inf), principal branch.
+
+    Equivalently c x^-c int_0^x s^(c-1)/(1-s) ds.  The route depends on x:
+
+    * |x| <= 1/2: the power series sum_m c/(c+m) x^m;
+    * |x| >= 5/3: the 1/x connection formula (DLMF 15.8.2);
+    * |x/(x-1)| <= 0.6: the Pfaff transform (DLMF 15.8.1);
+    * |1-x| <= 1/2, or x just past the pole along its ray: the
+      logarithmic series about x = 1 (DLMF 15.8.10, a + b = c + 1);
+    * otherwise the integral continued from |x| = 1/2 along the ray
+      through x, by a 24-point Gauss-Legendre rule on at most three
+      panels, each no longer than twice its distance to the pole s = 1.
+    """
+    c = float(c)
+    x = complex(x)
+    if not 0.0 < c <= 2.0:
+        raise DomainError("hyp2f1_1c needs 0 < c <= 2")
+    if x.imag == 0.0 and x.real >= 1.0:
+        raise DomainError("hyp2f1_1c: x lies on the branch cut [1, inf)")
+    tables = _f1c_tables(c)
+    r = abs(x)
+    if r <= _POWER_RADIUS:
+        return _horner(tables.power, _terms(r), x)
+    if r >= _INVERSE_RADIUS:
+        return _f1c_inverse(c, x, tables)
+    u = 1.0 - x
+    ru = abs(u)
+    if r <= _PFAFF_RADIUS * ru:
+        y = -x / u
+        return _horner(tables.pfaff, _terms(abs(y)), y) / u
+    direction = x / r
+    r1 = _POWER_RADIUS
+    pole_gap = abs(1.0 - min(max(direction.real, r1), r) * direction)
+    if ru <= _LOG_RADIUS or r - r1 > 2.0 * _MAX_PANELS * pole_gap:
+        m = _terms(ru, 3.0)
+        return c * (_horner(tables.log_a, m, u)
+                    - cmath.log(u) * _horner(tables.log_b, m, u))
+    # F(x) = (r1/r)^c F(x1) + c x^-c int_{x1}^x s^(c-1)/(1-s) ds with
+    # x1 = x/(2r); on the ray x^-c s^(c-1) ds = (rho/r)^c drho/rho.
+    panels = math.ceil((r - r1) / (2.0 * pole_gap))
+    half = 0.5 * (r - r1) / panels
+    acc = 0j
+    for i in range(panels):
+        mid = r1 + (2 * i + 1) * half
+        for t, wt in zip(_GL_NODES, _GL_WEIGHTS):
+            rho = mid + half * t
+            acc += wt * math.pow(rho / r, c) / (rho * (1.0 - rho * direction))
+    x1 = r1 * direction
+    return (math.pow(r1 / r, c) * _horner(tables.power, len(tables.power), x1)
+            + c * half * acc)
 
 
 def _series_applicable(p, x, y):

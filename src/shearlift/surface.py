@@ -21,9 +21,11 @@ from .analytic import DEFAULT_QUADRATURE, require_disk_point
 from .errors import (ConvergenceError, DilatationNotSquareError, DomainError,
                      UnsupportedDomainError, UnsupportedParameterError)
 from .families import (PARAM_EPS, FamilyParams, eval_f0n, eval_f1n,
-                       eval_f2n, eval_fcn, evaluate)
-from .special import F1Params, appell_f1
-from .shear import grid_points
+                       eval_f2n, eval_fcn, fcn_h_and_lift, k_c_eval)
+# Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
+# the lift no longer calls it.
+from .special import appell_f1  # noqa: F401
+from .shear import MapSample, grid_points
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,13 @@ def _require_even(n):
 
 
 def _numeric_f3(c, n, z, cfg=DEFAULT_QUADRATURE):
-    return 2.0 * _kernels.lift_integral(z, _kernels.PREV_KOEBE, float(c),
-                                        int(n), cfg.abs_tol, cfg.rel_tol,
-                                        cfg.max_subdivisions).imag
+    try:
+        t = _kernels.lift_integral(z, _kernels.PREV_KOEBE, float(c), int(n),
+                                   cfg.abs_tol, cfg.rel_tol,
+                                   cfg.max_subdivisions)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"lift quadrature at z={z}: {exc}") from exc
+    return 2.0 * float(t.imag)
 
 
 def lift_f0n(n, z):
@@ -133,37 +139,13 @@ def slit_surface_reference(z):
     return SurfaceSample(z=z, u=u, v=v, f3=f3)
 
 
-def _f3_fcn_closed(c, n, z):
-    p = F1Params(alpha=1.0 - c, beta1=-c, beta2=1.0, gamma=2.0 - c)
-
-    def antideriv(w):
-        wc = cmath.exp(c * cmath.log((1.0 + w) / (1.0 - w)))
-        t = wc * ((1.0 + w) / (2.0 * n * (1.0 + c) * (1.0 - w))
-                  - (-1.0) ** (n // 2) * (1.0 - w)
-                  / (2.0 * n * (1.0 - c) * (1.0 + w)))
-        for k in range(1, n // 2):
-            e = cmath.exp(2j * math.pi * k / n)
-
-            def j_term(ephi):
-                return (2.0 ** c * cmath.exp((1.0 - c) * cmath.log(1.0 - w))
-                        * ephi
-                        * appell_f1(p, 0.5 * (1.0 - w), (1.0 - w) / (1.0 - ephi))
-                        / ((1.0 - c) * (1.0 - ephi)))
-
-            t += (2.0 / n) * (-1.0) ** k * (
-                j_term(e) / (1.0 - e * e)
-                + j_term(e.conjugate()) / (1.0 - (e * e).conjugate()))
-        return t
-
-    return (antideriv(z) - antideriv(0j)).imag
-
-
-def lift_fcn(c, n, z, allow_fallback=True):
+def lift_fcn(c, n, z):
     """Lift of the general family f_cn (even n).
 
-    c = 0, 1, 2 delegate to the dedicated family lifts; the excluded
-    c-neighborhoods and points outside the F1 domain use the quadrature
-    lift, flagged on the sample.
+    c = 0, 1, 2 delegate to the dedicated family lifts; F3 comes from the
+    same 2F1 terms as the planar map (families.fcn_h_and_lift).  The
+    excluded c-neighborhoods of 0 and 1 use the quadrature lift, flagged
+    on the sample.
     """
     FamilyParams(family="f_cn", c=c, n=n)
     c = float(c)
@@ -174,22 +156,14 @@ def lift_fcn(c, n, z, allow_fallback=True):
         return lift_f1n(n, z)
     if c == 2.0:
         return lift_f2n(n, z)
-    planar = eval_fcn(c, n, z, allow_fallback=allow_fallback)
-    z = planar.z
     if c <= PARAM_EPS or abs(c - 1.0) <= PARAM_EPS:
-        return SurfaceSample(z=z, u=planar.u, v=planar.v,
-                             f3=_numeric_f3(c, n, z), fallback=True)
-    try:
-        f3 = _f3_fcn_closed(c, n, z)
-        fallback = planar.fallback
-    except (UnsupportedDomainError, DomainError, ConvergenceError) as exc:
-        if not allow_fallback:
-            raise UnsupportedDomainError(
-                f"F1 lift unavailable at z={z}: {exc}") from exc
-        f3 = _numeric_f3(c, n, z)
-        fallback = True
-    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=f3,
-                         fallback=fallback)
+        planar = eval_fcn(c, n, z)
+        return SurfaceSample(z=planar.z, u=planar.u, v=planar.v,
+                             f3=_numeric_f3(c, n, planar.z), fallback=True)
+    z = require_disk_point(z, r_max=1.0)
+    h, t = fcn_h_and_lift(c, n, z)
+    planar = MapSample.from_hg(z, h, h - k_c_eval(c, z))
+    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=2.0 * t.imag)
 
 
 def lift_sample(params, z):

@@ -51,6 +51,8 @@ class VerificationReport:
 def _report(name, params, grid, residuals, tol):
     """Assemble a report from (z, residual) pairs."""
     worst_z, worst = max(residuals, key=lambda t: t[1])
+    # a numpy residual would make `passed` a numpy bool, which JSON refuses
+    worst = float(worst)
     return VerificationReport(check_name=name, family=params, grid=grid,
                               max_residual=worst, tolerance=tol,
                               passed=worst <= tol, worst_point=worst_z)

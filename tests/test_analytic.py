@@ -47,6 +47,16 @@ def test_require_disk_point_rejects_boundary():
     assert require_disk_point(0.9995, r_max=1.0) == 0.9995
 
 
+def test_require_disk_point_forgives_grid_rounding():
+    # grid builders form r*exp(i*theta); at r = r_max the rounded modulus
+    # may exceed r_max by an ulp or two
+    for k in range(256):
+        z = 0.999 * cmath.exp(2j * math.pi * k / 256)
+        assert require_disk_point(z) == z
+    with pytest.raises(DomainError):
+        require_disk_point(0.999 + 1e-12)
+
+
 def test_integrate_constant():
     val = integrate_segment(lambda z: np.ones_like(z), 0j, 0.5 + 0.5j)
     assert abs(val - (0.5 + 0.5j)) < 1e-14

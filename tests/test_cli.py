@@ -157,3 +157,41 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
     assert run("map", "--family", "F_ca", "--c", "3.0",
                "--out", str(out)) == 2
     assert capsys.readouterr().err
+
+
+def test_quadrature_failure_exits_two_naming_the_point(tmp_path, capsys):
+    # c = 1.0005 lies in the excluded band around 1, so f_cn goes to the
+    # quadrature oracle, which does not converge at z = 0.999
+    out = tmp_path / "x.obj"
+    assert run("surface", "--family", "f_cn", "--c", "1.0005", "--n", "8",
+               "--rmax", "0.999", "--rings", "1", "--spokes", "4",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shearlift surface: ")
+    assert "z=(0.999+0j)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_report_of_fallback_lift_is_plain_json(tmp_path):
+    # the quadrature lift feeds the worst residual here; its numpy float
+    # must not leak into the report
+    out = tmp_path / "r.json"
+    assert run("verify", "--family", "f_cn", "--c", "1.0005", "--n", "8",
+               "--checks", "surface_properties", "--out", str(out)) == 0
+    (report,) = json.loads(out.read_text())
+    assert report["passed"] is True
+    assert isinstance(report["max_residual"], float)
+
+
+def test_map_accepts_its_own_grid_at_rmax_limit(tmp_path, capsys):
+    # r*exp(i*theta) with r = 0.999 can round to a modulus just above
+    # 0.999; the grid must not be refused for it.  The oracle that this
+    # family uses still stalls at z = +-0.999 on the real axis, which is
+    # a separate quadrature fault, so either exit code is accepted here.
+    out = tmp_path / "x.svg"
+    code = run("map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
+               "--rmax", "0.999", "--rings", "2", "--spokes", "8",
+               "--samples", "32", "--out", str(out))
+    assert code in (0, 2)
+    assert "too close to the boundary" not in capsys.readouterr().err

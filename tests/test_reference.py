@@ -1,0 +1,147 @@
+"""High-precision references for the f_cn route: 2F1(1, c; c+1; x) against
+mpmath.hyp2f1, h and F3 against 30-digit mpmath.quad of the defining
+integrals, and the paper's Appell F1 form of h against the 2F1 route.
+
+mpmath is not a runtime dependency; the tests that need it skip without
+it (``pip install -e ".[test]"`` installs it).
+"""
+
+import cmath
+import math
+import random
+
+import pytest
+
+from shearlift.families import FamilyParams, evaluate, fcn_h_and_lift
+from shearlift.shear import grid_points
+from shearlift.special import F1Params, appell_f1, hyp2f1_1c
+from shearlift.surface import lift_sample
+from shearlift.verify import DEFAULT_GRID
+
+
+@pytest.fixture(scope="module")
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        yield mpmath
+
+
+REFERENCE_C = (0.3, 0.5, 1.0015, 1.5, 1.7, 1.999)
+
+
+def _tolerance(c):
+    # the c = 1 and c = 2 bands are held to a looser bound
+    if min(abs(c - 1.0), abs(c - 2.0)) <= 2e-3:
+        return 1e-9
+    return 1e-13
+
+
+def _region_points():
+    """Points of every route of hyp2f1_1c, plus the awkward places: near
+    exp(+-i pi/3), just off the cut (1, 2], and |x| up to 1e3."""
+    rng = random.Random(7)
+
+    def ring(lo, hi, count):
+        return [rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random())
+                for _ in range(count)]
+
+    pts = ring(0.0, 0.5, 4)  # power series
+    pts += ring(5.0 / 3.0, 1e3, 4)  # 1/x connection formula
+    pts += [1.0 + 0.5 * rng.random() * cmath.exp(2j * math.pi * rng.random())
+            for _ in range(4)]  # log series about x = 1
+    pts += [-1.0 + 0.3j, -0.6 - 0.4j, -1.4 + 0.05j]  # Pfaff
+    pts += [0.4 + 1.2j, 1.55 + 0.5j, -0.2 - 1.1j]  # ray quadrature
+    for sign in (1, -1):
+        for d in (0.0, 1e-3, -0.02):
+            pts.append(cmath.exp(sign * 1j * (math.pi / 3 + d)))
+    for t in (1.0005, 1.3, 1.6, 1.7, 2.0):
+        for e in (1e-12, 1e-6):
+            pts += [complex(t, e), complex(t, -e)]
+    pts += [1e3j, -1e3 + 1.0j, 700.0 - 700.0j]
+    return pts
+
+
+@pytest.mark.parametrize("c", REFERENCE_C)
+def test_hyp2f1_1c_against_mpmath(mp, c):
+    tol = _tolerance(c)
+    for x in _region_points():
+        ref = complex(mp.hyp2f1(1, c, c + 1, x))
+        got = hyp2f1_1c(c, x)
+        assert abs(got - ref) <= tol * abs(ref), (c, x, got, ref)
+
+
+def _reference_h_t(mp, c, n, z):
+    c = mp.mpf(c)
+    z = mp.mpc(z)
+
+    def hprime(s):
+        return (1 + s) ** (c - 1) * (1 - s) ** (-(c + 1)) / (1 - s ** n)
+
+    h = mp.quad(lambda t: hprime(t * z) * z, [0, 1])
+    t = None
+    if n % 2 == 0:
+        t = mp.quad(lambda t: hprime(t * z) * (t * z) ** (n // 2) * z, [0, 1])
+    return complex(h), t and complex(t)
+
+
+def test_fcn_h_and_f3_against_quadrature(mp):
+    rng = random.Random(11)
+    worst = 0.0
+    radii = (0.5, 0.9, 0.99)
+    cases = [(c, n) for c in (0.3, 0.5, 1.5, 1.7) for n in (1, 3, 4, 8)]
+    for i, (c, n) in enumerate(cases):
+        z = radii[i % 3] * cmath.exp(2j * math.pi * rng.random())
+        h, t = fcn_h_and_lift(c, n, z)
+        ref_h, ref_t = _reference_h_t(mp, c, n, z)
+        err = abs(h - ref_h) / max(1.0, abs(ref_h))
+        if n % 2 == 0:
+            err = max(err, abs(t.imag - ref_t.imag) / max(1.0, abs(ref_t)))
+        assert err < 1e-12, (c, n, z, err)
+        worst = max(worst, err)
+    print(f"f_cn h and F3 against mpmath.quad: worst {worst:.2e}")
+
+
+def _h_appell(c, n, z):
+    """h of f_cn in the paper's Appell F1 form, normalized to h(0) = 0."""
+    p = F1Params(alpha=1.0 - c, beta1=-c, beta2=1.0, gamma=2.0 - c)
+    poles = range(1, (n - 1) // 2 + 1) if n % 2 else range(1, n // 2)
+
+    def bracket(z):
+        x = 0.5 * (1.0 - z)
+        total = 0.25 / c + (1.0 + z) / (4.0 * n * (1.0 + c) * (1.0 - z))
+        if n % 2 == 0:
+            total -= (1.0 - z) / (4.0 * n * (1.0 - c) * (1.0 + z))
+        pref = (2.0 ** c * (1.0 - z)
+                / (n * (1.0 - c) * cmath.exp(c * cmath.log(1.0 + z))))
+        for k in poles:
+            e = cmath.exp(2j * math.pi * k / n)
+            total += pref * (
+                e * appell_f1(p, x, (1.0 - z) / (1.0 - e))
+                / ((1.0 - e) * (1.0 - e * e))
+                - appell_f1(p, x, (1.0 - z) / (1.0 - e.conjugate()))
+                / ((1.0 - e) * (1.0 - (e * e).conjugate())))
+        return total
+
+    wc = cmath.exp(c * cmath.log((1.0 + z) / (1.0 - z)))
+    return wc * bracket(z) - bracket(0j)
+
+
+def test_fcn_matches_appell_f1_form():
+    # points where both F1 arguments stay inside |.| <= 0.75, so the F1
+    # double series converges for c > 1 as well
+    for c in (0.5, 1.5):
+        for n in (3, 4):
+            for z in (0.6 + 0.3j, 0.55 - 0.15j, 0.7):
+                h, _ = fcn_h_and_lift(c, n, z)
+                ref = _h_appell(c, n, z)
+                assert abs(h - ref) < 1e-10 * max(1.0, abs(ref)), (c, n, z)
+
+
+@pytest.mark.parametrize("c", (0.5, 1.5))
+def test_fcn_default_verify_grid_has_no_fallback(c):
+    for n in (3, 4, 8):
+        p = FamilyParams(family="f_cn", c=c, n=n)
+        for z in grid_points(DEFAULT_GRID):
+            assert evaluate(p, z).fallback is False, (c, n, z)
+            if n % 2 == 0:
+                assert lift_sample(p, z).fallback is False, (c, n, z)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from shearlift.errors import DomainError, UnsupportedDomainError
 from shearlift.special import (F1Params, appell_f1, appell_f1_integral,
-                               appell_f1_series, gauss_2f1, pochhammer)
+                               appell_f1_series, gauss_2f1, hyp2f1_1c,
+                               pochhammer)
 
 
 def f1_brute(p, x, y, orders=80):
@@ -71,6 +73,56 @@ def test_2f1_domain_errors():
         gauss_2f1(0.5, 0.5, -1.0, 0.3)
     with pytest.raises(DomainError):
         gauss_2f1(0.5, 0.5, 1.5, 1.2)
+
+
+# 2F1(1, c; c+1; x) is elementary at c = 1/2, 1 and 2.
+ELEMENTARY_1C = {
+    0.5: lambda x: cmath.atanh(cmath.sqrt(x)) / cmath.sqrt(x),
+    1.0: lambda x: -cmath.log(1.0 - x) / x,
+    2.0: lambda x: -2.0 * (x + cmath.log(1.0 - x)) / (x * x),
+}
+# one point per route of hyp2f1_1c: power series, 1/x connection, Pfaff,
+# log series about 1, ray quadrature, and a point just off the cut that
+# the log series takes instead of a many-panel quadrature
+ROUTE_POINTS = [0.3 - 0.2j, -0.45j, 2.5 + 1.0j, -40.0 + 3.0j, 120j,
+                -1.2 + 0.1j, -0.3 + 0.9j, 1.3 + 0.2j, 0.7 - 0.3j,
+                0.4 + 1.2j, 1.55 + 0.5j, cmath.exp(1j * math.pi / 3),
+                1.6 + 1e-9j, 1.6 - 1e-9j]
+
+
+def test_hyp2f1_1c_elementary_cases():
+    for c, ref in ELEMENTARY_1C.items():
+        for x in ROUTE_POINTS:
+            exact = ref(x)
+            assert abs(hyp2f1_1c(c, x) - exact) <= 1e-13 * abs(exact), (c, x)
+
+
+def test_hyp2f1_1c_origin_and_series():
+    assert hyp2f1_1c(1.5, 0.0) == 1.0
+    x = 0.2 + 0.1j
+    series = sum(1.5 / (1.5 + m) * x ** m for m in range(60))
+    assert abs(hyp2f1_1c(1.5, x) - series) < 1e-15
+
+
+def test_hyp2f1_1c_sides_of_the_cut():
+    # principal branch: the two sides of (1, inf) differ by 2 pi i c x^-c
+    c = 0.7
+    for t in (1.3, 1.6, 4.0):
+        above = hyp2f1_1c(c, complex(t, 1e-13))
+        below = hyp2f1_1c(c, complex(t, -1e-13))
+        jump = 2j * math.pi * c * t ** -c
+        assert abs((above - below) - jump) < 1e-9, t
+
+
+def test_hyp2f1_1c_domain_errors():
+    with pytest.raises(DomainError):
+        hyp2f1_1c(0.0, 0.3)
+    with pytest.raises(DomainError):
+        hyp2f1_1c(2.5, 0.3)
+    with pytest.raises(DomainError):
+        hyp2f1_1c(0.5, 1.0)
+    with pytest.raises(DomainError):
+        hyp2f1_1c(0.5, 3.0)
 
 
 def test_f1_at_origin():
