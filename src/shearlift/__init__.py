@@ -10,11 +10,13 @@ from .errors import (ConvergenceError, DilatationNotSquareError, DomainError,
                      InvalidDilatationError, UnsupportedDomainError,
                      UnsupportedParameterError)
 from .families import (FAMILY_NAMES, FamilyParams, PartialFractionCoeffs,
-                       coeffs_f1n, coeffs_f2n, evaluate)
+                       coeffs_f1n, coeffs_f2n, derivatives_array, evaluate,
+                       evaluate_array, uses_oracle)
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, grid_points,
                     sample_grid, shear_at)
 from .special import F1Params, appell_f1, gauss_2f1, hyp2f1_1c, pochhammer
-from .surface import GridSpec, SurfaceMesh, SurfaceSample, build_mesh, lift_sample
+from .surface import (GridSpec, SurfaceMesh, SurfaceSample, build_mesh,
+                      lift_array, lift_sample)
 from .verify import VerificationReport, run_checks
 
 __version__ = "0.1.0"
@@ -26,10 +28,12 @@ __all__ = [
     "InvalidDilatationError", "UnsupportedDomainError",
     "UnsupportedParameterError",
     "FAMILY_NAMES", "FamilyParams", "PartialFractionCoeffs",
-    "coeffs_f1n", "coeffs_f2n", "evaluate",
+    "coeffs_f1n", "coeffs_f2n", "derivatives_array", "evaluate",
+    "evaluate_array", "uses_oracle",
     "DilatationSpec", "MapSample", "PrevertexSpec", "grid_points",
     "sample_grid", "shear_at",
     "F1Params", "appell_f1", "gauss_2f1", "hyp2f1_1c", "pochhammer",
-    "GridSpec", "SurfaceMesh", "SurfaceSample", "build_mesh", "lift_sample",
+    "GridSpec", "SurfaceMesh", "SurfaceSample", "build_mesh", "lift_array",
+    "lift_sample",
     "VerificationReport", "run_checks",
 ]

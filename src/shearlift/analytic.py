@@ -53,6 +53,20 @@ def require_disk_point(z, r_max=0.999):
     return z
 
 
+def require_disk_points(z, r_max=0.999):
+    """Array form of require_disk_point: check every point at once and
+    return z as a complex ndarray.  The DomainError names the first
+    offending point in C order."""
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    bad = ~(r < 1.0) | (r > r_max * _ROUNDING_SLACK)
+    if bad.any():
+        # the scalar check has the last word on a point at the edge
+        for p in z[bad].tolist():
+            require_disk_point(p, r_max)
+    return z
+
+
 def principal_log(z):
     """Principal branch logarithm; imaginary part in (-pi, pi]."""
     z = complex(z)
@@ -130,3 +144,21 @@ def cauchy_derivative(f, z, radius, order=32):
         w = cmath.exp(2j * cmath.pi * m / order)
         total += f(z + radius * w) / w
     return total / (order * radius)
+
+
+def cauchy_derivatives(f, z, radius, order=32):
+    """cauchy_derivative at an array of centres z with radii of the same
+    shape, for several analytic functions at once.
+
+    f takes an array of points and returns a tuple of value arrays of its
+    shape; it is called once, on all order * z.size circle nodes.  Returns
+    one derivative array per function.
+    """
+    z = np.asarray(z, dtype=complex)
+    radius = np.asarray(radius, dtype=float)
+    if np.any(radius <= 0):
+        raise ValueError("radius must be positive")
+    w = np.array([cmath.exp(2j * cmath.pi * m / order)
+                  for m in range(order)])
+    values = f(z[..., None] + radius[..., None] * w)
+    return tuple((v / w).sum(axis=-1) / (order * radius) for v in values)

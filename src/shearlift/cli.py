@@ -108,22 +108,7 @@ def cmd_verify(args):
     names = None
     if args.checks is not None:
         names = [s.strip() for s in args.checks.split(",") if s.strip()]
-    if args.tol is not None:
-        available = dict(verify.default_check_set(params))
-        if names is None:
-            names = list(available)
-        reports = []
-        for name in names:
-            if name == "oracle_equivalence":
-                reports.append(verify.check_oracle_equivalence(
-                    params, tol=args.tol))
-            elif name in available:
-                reports.append(available[name]())
-            else:
-                raise verify.UnsupportedParameterError(
-                    f"unknown or inapplicable check {name!r}")
-    else:
-        reports = verify.run_checks(params, names)
+    reports = verify.run_checks(params, names, tol=args.tol)
     _write(args.out, render.report_document(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 

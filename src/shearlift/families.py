@@ -26,11 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .analytic import DEFAULT_QUADRATURE, require_disk_point
+import numpy as np
+
+from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
+                       require_disk_points)
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, koebe_phi,
                     shear_at)
-from .special import DEFAULT_SERIES, cexpm1, hyp2f1_1c
+from .special import cexpm1, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1;
 # f_cn no longer calls it.
 from .special import appell_f1  # noqa: F401
@@ -62,6 +65,16 @@ class FamilyParams:
             raise UnsupportedParameterError("c must lie in [0, 2]")
 
 
+def uses_oracle(params):
+    """Whether the family's values come from the quadrature oracle rather
+    than a closed form: F_ca and f_cn with c in the punctured PARAM_EPS
+    neighbourhoods of 0 and 1.  Every sample of such a family is flagged
+    fallback, its lift included."""
+    c = params.c
+    return params.family in ("F_ca", "f_cn") and (
+        0.0 < c <= PARAM_EPS or 0.0 < abs(c - 1.0) <= PARAM_EPS)
+
+
 def k_c_eval(c, z):
     """Generalized Koebe function k_c at a disk point (log form below
     c = 1e-8)."""
@@ -69,8 +82,10 @@ def k_c_eval(c, z):
     return complex(koebe_phi(float(c), z))
 
 
+@lru_cache(maxsize=64)
 def family_phi(params):
-    """PrevertexSpec of the family (phi = z or k_c)."""
+    """PrevertexSpec of the family (phi = z or k_c), built once per
+    parameter set."""
     f = params.family
     if f == "F_a":
         return PrevertexSpec.identity()
@@ -78,8 +93,11 @@ def family_phi(params):
     return PrevertexSpec.koebe(c.get(f, params.c))
 
 
+@lru_cache(maxsize=64)
 def family_omega(params):
-    """DilatationSpec of the family (Mobius-type or z^n)."""
+    """DilatationSpec of the family (Mobius-type or z^n), built once per
+    parameter set: the Mobius spec checks |omega| < 1 on a 48-point
+    lattice when it is built."""
     if params.family in _MOBIUS_FAMILIES:
         return DilatationSpec.mobius(params.a)
     return DilatationSpec.power(params.n)
@@ -99,37 +117,121 @@ def gprime(params, z):
     return complex(family_omega(params)(z)) * hprime(params, z)
 
 
-def _sample_from_analytic_sum(z, p_val, phi_val, fallback=False):
+def derivatives_array(params, z):
+    """h' and g' of the family at an array of disk points, as complex
+    ndarrays of z's shape: the formulas of hprime and gprime, run once
+    through numpy."""
+    z = require_disk_points(z, r_max=1.0)
+    omega = family_omega(params)(z)
+    hp = family_phi(params).derivative(z) / (1.0 - omega)
+    return hp, omega * hp
+
+
+# --- closed forms ----------------------------------------------------------
+#
+# Each closed form is written once, against a math namespace m: cmath for
+# the scalar eval_* functions, numpy for evaluate_array.  Constants that
+# do not depend on z (sines, roots of unity) are scalars either way.  phi
+# is the prevertex value at z; every form returns (h, g).
+
+
+def _from_sum(p, phi):
     # h + g = P and h - g = phi pin both analytic parts.
-    h = 0.5 * (p_val + phi_val)
-    g = 0.5 * (p_val - phi_val)
-    return MapSample.from_hg(z, h, g, fallback=fallback)
+    return 0.5 * (p + phi), 0.5 * (p - phi)
+
+
+def _F_a(m, a, z, phi):
+    return _from_sum(-z + (1.0 - a) * m.log(1.0 + z)
+                     - (1.0 + a) * m.log(1.0 - z), phi)
+
+
+def _F_0a(m, a, z, phi):
+    return _from_sum(0.5 * (1.0 + a) * z / (1.0 - z)
+                     + 0.5 * (1.0 - a) * z / (1.0 + z), phi)
+
+
+def _F_1a(m, a, z, phi):
+    return _from_sum(0.25 * (1.0 - a) * m.log((1.0 + z) / (1.0 - z))
+                     + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi)
+
+
+def _F_ca(m, c, a, z, phi):
+    # the w-plane form; c in (0, 2] away from 1
+    w = (1.0 + z) / (1.0 - z)
+    wc = m.exp(c * m.log(w))
+    h = 0.125 * ((a + 1.0) / (c + 1.0) * wc * w + 2.0 / c * wc
+                 - (a - 1.0) / (c - 1.0) * wc / w
+                 - 2.0 * (1.0 + a * c - 2.0 * c * c) / (c * (1.0 - c * c)))
+    return h, h - phi
+
+
+def _pole_angles(n):
+    """Simple-pole angle indices k with theta_k = 2*k*pi/n: the odd case
+    pairs all non-real n-th roots of unity, the even case additionally
+    drops z = -1 (k = n/2), which is handled by a dedicated term or is
+    removable."""
+    if n % 2 == 1:
+        return range(1, (n - 1) // 2 + 1)
+    return range(1, n // 2)
+
+
+def _f_0n(m, n, z, phi):
+    if n % 2 == 1:
+        p = z / (1.0 - z)
+    else:
+        p = 2.0 * z / (1.0 - z * z)
+    for k in _pole_angles(n):
+        t = 2.0 * math.pi * k / n
+        p -= (1j / math.sin(t)) * m.log(
+            (1.0 - z * cmath.exp(-1j * t)) / (1.0 - z * cmath.exp(1j * t)))
+    p /= n
+    return _from_sum(p, phi)
+
+
+def _f_1n(m, n, z, phi):
+    h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
+         + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
+         - (n * n - 1.0) / (12.0 * n) * m.log(1.0 - z))
+    if n % 2 == 0:
+        h += m.log(1.0 + z) / (4.0 * n)
+    for k in _pole_angles(n):
+        t = math.pi * k / n
+        h += (m.log(1.0 - 2.0 * z * math.cos(2.0 * t) + z * z)
+              / (4.0 * n * math.sin(t) ** 2))
+    return h, h - phi
+
+
+def _f_2n(m, n, z, phi):
+    h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
+         + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
+         + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
+    for k in _pole_angles(n):
+        t = math.pi * k / n
+        h += (1j / (4.0 * n) * math.cos(t) / math.sin(t) ** 3
+              * m.log((1.0 - z * cmath.exp(-2j * t))
+                      / (1.0 - z * cmath.exp(2j * t))))
+    return h, h - phi
 
 
 def eval_F_a(a, z):
     """Shear of the identity map, Example-style closed form."""
-    params = FamilyParams(family="F_a", a=a)
+    FamilyParams(family="F_a", a=a)
     z = require_disk_point(z, r_max=1.0)
-    p = (-z + (1.0 - a) * cmath.log(1.0 + z)
-         - (1.0 + a) * cmath.log(1.0 - z))
-    return _sample_from_analytic_sum(z, p, z)
+    return MapSample.from_hg(z, *_F_a(cmath, a, z, z))
 
 
 def eval_F_0a(a, z):
     """Shear of the strip map k_0; image lies in |v| < pi/4."""
     FamilyParams(family="F_0a", a=a)
     z = require_disk_point(z, r_max=1.0)
-    p = (0.5 * (1.0 + a) * z / (1.0 - z) + 0.5 * (1.0 - a) * z / (1.0 + z))
-    return _sample_from_analytic_sum(z, p, k_c_eval(0.0, z))
+    return MapSample.from_hg(z, *_F_0a(cmath, a, z, k_c_eval(0.0, z)))
 
 
 def eval_F_1a(a, z):
     """Shear of the half-plane map k_1."""
     FamilyParams(family="F_1a", a=a)
     z = require_disk_point(z, r_max=1.0)
-    p = (0.25 * (1.0 - a) * cmath.log((1.0 + z) / (1.0 - z))
-         + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2)
-    return _sample_from_analytic_sum(z, p, k_c_eval(1.0, z))
+    return MapSample.from_hg(z, *_F_1a(cmath, a, z, k_c_eval(1.0, z)))
 
 
 def eval_F_ca(c, a, z):
@@ -146,16 +248,10 @@ def eval_F_ca(c, a, z):
         return eval_F_0a(a, z)
     if c == 1.0:
         return eval_F_1a(a, z)
-    if c <= PARAM_EPS or abs(c - 1.0) <= PARAM_EPS:
+    if uses_oracle(params):
         return _oracle_sample(params, z)
     z = require_disk_point(z, r_max=1.0)
-    w = (1.0 + z) / (1.0 - z)
-    wc = cmath.exp(c * cmath.log(w))
-    h = 0.125 * ((a + 1.0) / (c + 1.0) * wc * w + 2.0 / c * wc
-                 - (a - 1.0) / (c - 1.0) * wc / w
-                 - 2.0 * (1.0 + a * c - 2.0 * c * c) / (c * (1.0 - c * c)))
-    g = h - k_c_eval(c, z)
-    return MapSample.from_hg(z, h, g)
+    return MapSample.from_hg(z, *_F_ca(cmath, c, a, z, k_c_eval(c, z)))
 
 
 def _oracle_sample(params, z, cfg=DEFAULT_QUADRATURE):
@@ -168,65 +264,18 @@ def _oracle_sample(params, z, cfg=DEFAULT_QUADRATURE):
 
 # --- omega = z^n families -------------------------------------------------
 
-def _pole_angles(n):
-    """Simple-pole angle indices k with theta_k = 2*k*pi/n: the odd case
-    pairs all non-real n-th roots of unity, the even case additionally
-    drops z = -1 (k = n/2), which is handled by a dedicated term or is
-    removable."""
-    if n % 2 == 1:
-        return range(1, (n - 1) // 2 + 1)
-    return range(1, n // 2)
-
-
 def eval_f0n(n, z):
     """Strip family: shear of k_0 by z^n."""
     FamilyParams(family="f_0n", n=n)
     z = require_disk_point(z, r_max=1.0)
-    n = int(n)
-    if n % 2 == 1:
-        p = z / (1.0 - z)
-    else:
-        p = 2.0 * z / (1.0 - z * z)
-    for k in _pole_angles(n):
-        t = 2.0 * math.pi * k / n
-        p -= (1j / math.sin(t)) * cmath.log(
-            (1.0 - z * cmath.exp(-1j * t)) / (1.0 - z * cmath.exp(1j * t)))
-    p /= n
-    return _sample_from_analytic_sum(z, p, k_c_eval(0.0, z))
-
-
-def _h_f1n(n, z):
-    h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
-         + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
-         - (n * n - 1.0) / (12.0 * n) * cmath.log(1.0 - z))
-    if n % 2 == 0:
-        h += cmath.log(1.0 + z) / (4.0 * n)
-    for k in _pole_angles(n):
-        t = math.pi * k / n
-        h += (cmath.log(1.0 - 2.0 * z * math.cos(2.0 * t) + z * z)
-              / (4.0 * n * math.sin(t) ** 2))
-    return h
+    return MapSample.from_hg(z, *_f_0n(cmath, int(n), z, k_c_eval(0.0, z)))
 
 
 def eval_f1n(n, z):
     """Wave-plane family: shear of k_1 by z^n."""
     FamilyParams(family="f_1n", n=n)
     z = require_disk_point(z, r_max=1.0)
-    n = int(n)
-    h = _h_f1n(n, z)
-    return MapSample.from_hg(z, h, h - k_c_eval(1.0, z))
-
-
-def _h_f2n(n, z):
-    h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
-         + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
-         + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
-    for k in _pole_angles(n):
-        t = math.pi * k / n
-        h += (1j / (4.0 * n) * math.cos(t) / math.sin(t) ** 3
-              * cmath.log((1.0 - z * cmath.exp(-2j * t))
-                          / (1.0 - z * cmath.exp(2j * t))))
-    return h
+    return MapSample.from_hg(z, *_f_1n(cmath, int(n), z, k_c_eval(1.0, z)))
 
 
 def eval_f2n(n, z):
@@ -234,9 +283,7 @@ def eval_f2n(n, z):
     function)."""
     FamilyParams(family="f_2n", n=n)
     z = require_disk_point(z, r_max=1.0)
-    n = int(n)
-    h = _h_f2n(n, z)
-    return MapSample.from_hg(z, h, h - k_c_eval(2.0, z))
+    return MapSample.from_hg(z, *_f_2n(cmath, int(n), z, k_c_eval(2.0, z)))
 
 
 # --- partial fraction coefficients of h' ----------------------------------
@@ -427,14 +474,14 @@ def eval_fcn(c, n, z):
         return eval_f1n(n, z)
     if c == 2.0:
         return eval_f2n(n, z)
-    if c <= PARAM_EPS or abs(c - 1.0) <= PARAM_EPS:
+    if uses_oracle(params):
         return _oracle_sample(params, z)
     z = require_disk_point(z, r_max=1.0)
     h, _ = fcn_h_and_lift(c, n, z)
     return MapSample.from_hg(z, h, h - k_c_eval(c, z))
 
 
-def evaluate(params, z, cfg=DEFAULT_SERIES):
+def evaluate(params, z):
     """Dispatch a FamilyParams to its closed-form evaluator."""
     f = params.family
     if f == "F_a":
@@ -452,3 +499,54 @@ def evaluate(params, z, cfg=DEFAULT_SERIES):
     if f == "f_2n":
         return eval_f2n(params.n, z)
     return eval_fcn(params.c, params.n, z)
+
+
+# --- array entry points ---------------------------------------------------
+
+_DELEGATES = {("F_ca", 0.0): "F_0a", ("F_ca", 1.0): "F_1a",
+              ("f_cn", 0.0): "f_0n", ("f_cn", 1.0): "f_1n",
+              ("f_cn", 2.0): "f_2n"}
+
+_ARRAY_FORMS = {
+    "F_a": lambda p, z, phi: _F_a(np, float(p.a), z, phi),
+    "F_0a": lambda p, z, phi: _F_0a(np, float(p.a), z, phi),
+    "F_1a": lambda p, z, phi: _F_1a(np, float(p.a), z, phi),
+    "F_ca": lambda p, z, phi: _F_ca(np, float(p.c), float(p.a), z, phi),
+    "f_0n": lambda p, z, phi: _f_0n(np, int(p.n), z, phi),
+    "f_1n": lambda p, z, phi: _f_1n(np, int(p.n), z, phi),
+    "f_2n": lambda p, z, phi: _f_2n(np, int(p.n), z, phi),
+}
+
+
+def resolve_family(params):
+    """The parameters whose closed form evaluates params: F_ca at c = 0
+    and 1 is F_0a and F_1a, f_cn at c = 0, 1 and 2 is f_0n, f_1n and
+    f_2n."""
+    family = _DELEGATES.get((params.family, params.c))
+    if family is None:
+        return params
+    return FamilyParams(family=family, a=params.a, n=params.n)
+
+
+def per_point(fn, z, *names):
+    """Call the scalar fn at every point of the ndarray z and return the
+    named attributes of its samples as ndarrays of z's shape."""
+    samples = [fn(p) for p in z.ravel().tolist()]
+    return tuple(np.array([getattr(s, name) for s in samples])
+                 .reshape(z.shape) for name in names)
+
+
+def evaluate_array(params, z):
+    """h and g of the family at an array of disk points, as complex
+    ndarrays of z's shape.
+
+    The closed forms run once on the whole array with numpy.  f_cn and
+    the oracle bands go point by point through evaluate, because
+    hyp2f1_1c and shear_at choose their route per point; whether the
+    values are fallbacks is uses_oracle(params).
+    """
+    z = require_disk_points(z, r_max=1.0)
+    params = resolve_family(params)
+    if params.family == "f_cn" or uses_oracle(params):
+        return per_point(lambda p: evaluate(params, p), z, "h", "g")
+    return _ARRAY_FORMS[params.family](params, z, family_phi(params).phi(z))

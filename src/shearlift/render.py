@@ -11,8 +11,9 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import families
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -69,34 +70,22 @@ def map_curves(params, cfg):
     """Images of the concentric circles and radial spokes, as point lists.
 
     Returns (ring_curves, spoke_curves); rings are closed by repeating the
-    first sample.  Raises DomainError naming the grid point on failure.
+    first sample.  All points go through one families.evaluate_array call,
+    whose errors name the offending point.
     """
-    rings = []
-    for j in range(1, cfg.rings + 1):
-        r = cfg.r_max * j / cfg.rings
-        pts = []
-        for i in range(cfg.samples_per_curve):
-            z = r * cmath.exp(2j * math.pi * i / cfg.samples_per_curve)
-            pts.append(_uv(params, z))
-        pts.append(pts[0])
-        rings.append(pts)
-    spokes = []
-    for k in range(cfg.spokes):
-        direction = cmath.exp(2j * math.pi * k / cfg.spokes)
-        pts = []
-        for i in range(cfg.samples_per_curve):
-            z = (cfg.r_max * (i + 1) / cfg.samples_per_curve) * direction
-            pts.append(_uv(params, z))
-        spokes.append(pts)
-    return rings, spokes
-
-
-def _uv(params, z):
-    try:
-        s = families.evaluate(params, z)
-    except Exception as exc:
-        raise DomainError(f"evaluation failed at z={z}: {exc}") from exc
-    return (s.u, s.v)
+    s = cfg.samples_per_curve
+    # unit vectors from cmath, so that every point is bit for bit
+    # r*cmath.exp(i*theta)
+    turn = np.array([cmath.exp(2j * math.pi * i / s) for i in range(s)])
+    radii = cfg.r_max * np.arange(1, cfg.rings + 1) / cfg.rings
+    rings = radii[:, None] * turn
+    directions = np.array([cmath.exp(2j * math.pi * k / cfg.spokes)
+                           for k in range(cfg.spokes)])
+    spokes = (cfg.r_max * np.arange(1, s + 1) / s) * directions[:, None]
+    h, g = families.evaluate_array(params, np.concatenate([rings, spokes]))
+    curves = [list(zip(u, v)) for u, v in zip((h + g).real.tolist(),
+                                               (h - g).imag.tolist())]
+    return ([c + c[:1] for c in curves[:cfg.rings]], curves[cfg.rings:])
 
 
 def svg_document(curves, manifest, cfg):

@@ -12,7 +12,7 @@ verified against.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,12 +215,10 @@ def lift_third_coordinate(hprime, q, z, cfg=DEFAULT_QUADRATURE):
 def grid_points(grid):
     """Deterministic ring-major lattice: for each ring radius (innermost
     first), the spoke angles 2*pi*k/spokes in increasing k."""
-    pts = []
-    for j in range(1, grid.rings + 1):
-        r = grid.r_max * j / grid.rings
-        for k in range(grid.spokes):
-            pts.append(r * cmath.exp(2j * cmath.pi * k / grid.spokes))
-    return pts
+    turn = [cmath.exp(2j * cmath.pi * k / grid.spokes)
+            for k in range(grid.spokes)]
+    return [grid.r_max * j / grid.rings * e
+            for j in range(1, grid.rings + 1) for e in turn]
 
 
 def sample_grid(phi, omega, grid, cfg=DEFAULT_QUADRATURE):

@@ -16,12 +16,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
-from .analytic import DEFAULT_QUADRATURE, require_disk_point
-from .errors import (ConvergenceError, DilatationNotSquareError, DomainError,
-                     UnsupportedDomainError, UnsupportedParameterError)
-from .families import (PARAM_EPS, FamilyParams, eval_f0n, eval_f1n,
-                       eval_f2n, eval_fcn, fcn_h_and_lift, k_c_eval)
+from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
+                       require_disk_points)
+from .errors import (ConvergenceError, DilatationNotSquareError,
+                     UnsupportedParameterError)
+from .families import (FamilyParams, eval_f0n, eval_f1n, eval_f2n, eval_fcn,
+                       evaluate_array, fcn_h_and_lift, k_c_eval, per_point,
+                       resolve_family, uses_oracle)
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
@@ -77,39 +81,31 @@ def _numeric_f3(c, n, z, cfg=DEFAULT_QUADRATURE):
     return 2.0 * float(t.imag)
 
 
-def lift_f0n(n, z):
-    """Lift of the strip family f_0n (even n)."""
-    n = _require_even(n)
-    planar = eval_f0n(n, z)
-    z = planar.z
+# F3 of each lift, written once against a math namespace m (cmath for the
+# scalar lifts, numpy for lift_array), in the manner of the closed forms
+# in families.
+
+def _f3_f0n(m, n, z):
     t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
     for k in range(1, n // 2):
         th = 2.0 * math.pi * k / n
-        t -= (1j * (-1.0) ** k / math.sin(th)) * cmath.log(
+        t -= (1j * (-1.0) ** k / math.sin(th)) * m.log(
             (1.0 - z * cmath.exp(-1j * th)) / (1.0 - z * cmath.exp(1j * th)))
-    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=(t / n).imag)
+    return (t / n).imag
 
 
-def lift_f1n(n, z):
-    """Lift of the wave-plane family f_1n (even n)."""
-    n = _require_even(n)
-    planar = eval_f1n(n, z)
-    z = planar.z
+def _f3_f1n(m, n, z):
     t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
-         + (n * n + 2.0) / 12.0 * cmath.log(1.0 - z)
-         + (-1.0) ** (n // 2) / 2.0 * cmath.log(1.0 + z))
+         + (n * n + 2.0) / 12.0 * m.log(1.0 - z)
+         + (-1.0) ** (n // 2) / 2.0 * m.log(1.0 + z))
     for k in range(1, n // 2):
         th = math.pi * k / n
         t += (0.5 * (-1.0) ** k / math.sin(th) ** 2
-              * cmath.log(1.0 - 2.0 * z * math.cos(2.0 * th) + z * z))
-    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=(t / n).imag)
+              * m.log(1.0 - 2.0 * z * math.cos(2.0 * th) + z * z))
+    return (t / n).imag
 
 
-def lift_f2n(n, z):
-    """Lift of the slit family f_2n (even n)."""
-    n = _require_even(n)
-    planar = eval_f2n(n, z)
-    z = planar.z
+def _f3_f2n(m, n, z):
     t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
          - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
          + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
@@ -117,9 +113,34 @@ def lift_f2n(n, z):
         th = math.pi * k / n
         t += (1j / (2.0 * n) * (-1.0) ** k
               * math.cos(th) / math.sin(th) ** 3
-              * cmath.log((1.0 - z * cmath.exp(-2j * th))
-                          / (1.0 - z * cmath.exp(2j * th))))
-    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=t.imag)
+              * m.log((1.0 - z * cmath.exp(-2j * th))
+                      / (1.0 - z * cmath.exp(2j * th))))
+    return t.imag
+
+
+_F3_FORMS = {"f_0n": _f3_f0n, "f_1n": _f3_f1n, "f_2n": _f3_f2n}
+
+
+def _lift(evaluator, f3_form, n, z):
+    n = _require_even(n)
+    planar = evaluator(n, z)
+    return SurfaceSample(z=planar.z, u=planar.u, v=planar.v,
+                         f3=f3_form(cmath, n, planar.z))
+
+
+def lift_f0n(n, z):
+    """Lift of the strip family f_0n (even n)."""
+    return _lift(eval_f0n, _f3_f0n, n, z)
+
+
+def lift_f1n(n, z):
+    """Lift of the wave-plane family f_1n (even n)."""
+    return _lift(eval_f1n, _f3_f1n, n, z)
+
+
+def lift_f2n(n, z):
+    """Lift of the slit family f_2n (even n)."""
+    return _lift(eval_f2n, _f3_f2n, n, z)
 
 
 def slit_surface_reference(z):
@@ -147,7 +168,7 @@ def lift_fcn(c, n, z):
     excluded c-neighborhoods of 0 and 1 use the quadrature lift, flagged
     on the sample.
     """
-    FamilyParams(family="f_cn", c=c, n=n)
+    params = FamilyParams(family="f_cn", c=c, n=n)
     c = float(c)
     n = _require_even(n)
     if c == 0.0:
@@ -156,7 +177,7 @@ def lift_fcn(c, n, z):
         return lift_f1n(n, z)
     if c == 2.0:
         return lift_f2n(n, z)
-    if c <= PARAM_EPS or abs(c - 1.0) <= PARAM_EPS:
+    if uses_oracle(params):
         planar = eval_fcn(c, n, z)
         return SurfaceSample(z=planar.z, u=planar.u, v=planar.v,
                              f3=_numeric_f3(c, n, planar.z), fallback=True)
@@ -177,8 +198,32 @@ def lift_sample(params, z):
         return lift_f2n(params.n, z)
     if f == "f_cn":
         return lift_fcn(params.c, params.n, z)
-    raise UnsupportedParameterError(
-        f"family {f!r} has no power dilatation; nothing to lift")
+    raise _nothing_to_lift(params)
+
+
+def _nothing_to_lift(params):
+    return UnsupportedParameterError(
+        f"family {params.family!r} has no power dilatation; nothing to lift")
+
+
+def lift_array(params, z):
+    """u, v and F3 of the lift at an array of disk points, as float
+    ndarrays of z's shape.
+
+    The closed-form lifts run once on the whole array with numpy; f_cn
+    goes point by point through lift_sample (hyp2f1_1c and the oracle
+    choose their route per point).  Whether the values are fallbacks is
+    families.uses_oracle(params).
+    """
+    if params.family not in _F3_FORMS and params.family != "f_cn":
+        raise _nothing_to_lift(params)
+    n = _require_even(params.n)
+    z = require_disk_points(z, r_max=1.0)
+    params = resolve_family(params)
+    if params.family == "f_cn":
+        return per_point(lambda p: lift_sample(params, p), z, "u", "v", "f3")
+    h, g = evaluate_array(params, z)
+    return (h + g).real, (h - g).imag, _F3_FORMS[params.family](np, n, z)
 
 
 def build_mesh(params, grid):
@@ -187,15 +232,16 @@ def build_mesh(params, grid):
     Vertex 0 is the center z = 0; ring-major vertices follow.  Faces are
     the center fan plus each quad split along the diagonal toward the
     smaller spoke index, giving spokes + 2*spokes*(rings-1) triangles.
+    All vertices go through one lift_array call.
     """
     _require_even(params.n)
-    center = SurfaceSample(z=0j, u=0.0, v=0.0, f3=0.0)
-    vertices = [center]
-    for z in grid_points(grid):
-        try:
-            vertices.append(lift_sample(params, z))
-        except (UnsupportedDomainError, DomainError) as exc:
-            raise type(exc)(f"at grid point z={z}: {exc}") from exc
+    points = grid_points(grid)
+    u, v, f3 = lift_array(params, np.array(points))
+    fallback = uses_oracle(params)
+    vertices = [SurfaceSample(z=0j, u=0.0, v=0.0, f3=0.0)]
+    vertices += [SurfaceSample(z=z, u=x, v=y, f3=t, fallback=fallback)
+                 for z, x, y, t in zip(points, u.tolist(), v.tolist(),
+                                       f3.tolist())]
     faces = []
     s = grid.spokes
     for k in range(s):

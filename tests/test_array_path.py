@@ -1,0 +1,131 @@
+"""The array entry points against the scalar calls that share their
+formulas: evaluate_array against evaluate, derivatives_array against
+hprime/gprime, lift_array against lift_sample.
+
+numpy and cmath round differently in the last bits, so agreement means
+within 1e-14 * max(1, |x|).  Near the unit circle, where the closed forms
+have their poles, a last-bit difference in an argument is amplified by
+about 1/(1 - |z|) (h' of the Mobius families differs by 1.1e-13 at
+z = 0.999); there the bound is four units of roundoff times that factor,
+which exceeds 1e-14 from |z| = 0.91 on.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from shearlift.cli import main
+from shearlift.errors import (DilatationNotSquareError, DomainError,
+                              UnsupportedParameterError)
+from shearlift.families import (FamilyParams, derivatives_array, evaluate,
+                                evaluate_array, gprime, hprime, uses_oracle)
+from shearlift.shear import grid_points
+from shearlift.surface import GridSpec, lift_array, lift_sample
+
+TOL = 1e-14
+EPS = np.finfo(float).eps
+
+CLOSED_FORMS = (
+    [FamilyParams(family="F_a", a=a) for a in (-1.0, 0.3)]
+    + [FamilyParams(family="F_0a", a=a) for a in (-0.6, 1.0)]
+    + [FamilyParams(family="F_1a", a=a) for a in (-1.0, 0.45)]
+    + [FamilyParams(family="F_ca", c=c, a=a)
+       for c, a in ((0.0, 0.2), (0.5, -0.3), (1.0, 0.7), (1.5, 0.9),
+                    (2.0, -1.0))]
+    + [FamilyParams(family=f, n=n)
+       for f in ("f_0n", "f_1n", "f_2n") for n in (1, 2, 3, 4, 7, 8)]
+    + [FamilyParams(family="f_cn", c=c, n=n)
+       for c in (0.0, 0.5, 1.0, 2.0) for n in (3, 4)])
+# up to the largest r_max the CLI accepts
+GRID = GridSpec(rings=6, spokes=14, r_max=0.999)
+
+# c = 1.0005 lies in the oracle band; the oracle stalls near |z| = 0.99 on
+# the positive real axis, so these points stay inside 0.9
+ORACLE_BAND = FamilyParams(family="F_ca", c=1.0005, a=0.5)
+BAND_GRID = GridSpec(rings=3, spokes=5, r_max=0.9)
+
+
+def assert_close(got, want, z):
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    bound = np.maximum(TOL, 4.0 * EPS / (1.0 - np.abs(z)))
+    assert (err <= bound).all(), (err / bound).max()
+
+
+def _cases():
+    for p in CLOSED_FORMS:
+        yield pytest.param(p, GRID, id=f"{p.family}-c{p.c}-a{p.a}-n{p.n}")
+    yield pytest.param(ORACLE_BAND, BAND_GRID, id="F_ca-oracle-band")
+
+
+@pytest.mark.parametrize("params,grid", _cases())
+def test_evaluate_array_matches_evaluate(params, grid):
+    z = np.array(grid_points(grid))
+    h, g = evaluate_array(params, z)
+    samples = [evaluate(params, p) for p in z.tolist()]
+    assert_close(h, [s.h for s in samples], z)
+    assert_close(g, [s.g for s in samples], z)
+    assert all(s.fallback == uses_oracle(params) for s in samples)
+
+
+@pytest.mark.parametrize("params,grid", _cases())
+def test_derivatives_array_matches_hprime_gprime(params, grid):
+    z = np.array(grid_points(grid))
+    hp, gp = derivatives_array(params, z)
+    assert_close(hp, [hprime(params, p) for p in z.tolist()], z)
+    assert_close(gp, [gprime(params, p) for p in z.tolist()], z)
+
+
+@pytest.mark.parametrize("params", [
+    p for p in CLOSED_FORMS if p.family.startswith("f_") and p.n % 2 == 0]
+    + [FamilyParams(family="f_cn", c=1.0005, n=4)],
+    ids=lambda p: f"{p.family}-c{p.c}-n{p.n}")
+def test_lift_array_matches_lift_sample(params):
+    grid = BAND_GRID if uses_oracle(params) else GRID
+    z = np.array(grid_points(grid))
+    u, v, f3 = lift_array(params, z)
+    samples = [lift_sample(params, p) for p in z.tolist()]
+    assert_close(u, [s.u for s in samples], z)
+    assert_close(v, [s.v for s in samples], z)
+    assert_close(f3, [s.f3 for s in samples], z)
+    assert all(s.fallback == uses_oracle(params) for s in samples)
+
+
+def test_arrays_keep_their_shape():
+    z = np.array(grid_points(GridSpec(rings=3, spokes=4, r_max=0.8)))
+    z = z.reshape(3, 4)
+    h, g = evaluate_array(FamilyParams(family="f_cn", c=0.5, n=3), z)
+    assert h.shape == g.shape == (3, 4)
+    u, v, f3 = lift_array(FamilyParams(family="f_1n", n=2), z)
+    assert u.shape == v.shape == f3.shape == (3, 4)
+
+
+def test_array_domain_error_names_first_offending_point():
+    z = np.array([0.1, 0.5j, 1.25 + 0j, -2.0])
+    for call in (lambda: evaluate_array(FamilyParams(family="F_a"), z),
+                 lambda: derivatives_array(FamilyParams(family="F_a"), z),
+                 lambda: lift_array(FamilyParams(family="f_2n", n=2), z)):
+        with pytest.raises(DomainError, match=re.escape("(1.25+0j)")):
+            call()
+
+
+def test_lift_array_rejects_what_lift_sample_rejects():
+    z = np.array([0.2j])
+    with pytest.raises(UnsupportedParameterError):
+        lift_array(FamilyParams(family="F_ca", c=0.5, a=0.1), z)
+    with pytest.raises(DilatationNotSquareError):
+        lift_array(FamilyParams(family="f_1n", n=3), z)
+
+
+def test_map_in_the_oracle_band_at_rmax_limit_exits_two(tmp_path, capsys):
+    # the grid itself is accepted, but the quadrature oracle that F_ca
+    # uses at c = 0.0005 stalls at z = +-0.999; the error names the point
+    out = tmp_path / "x.svg"
+    assert main(["map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
+                 "--rmax", "0.999", "--rings", "2", "--spokes", "8",
+                 "--samples", "32", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "z=" in err and "too close to the boundary" not in err
+    assert not out.exists()

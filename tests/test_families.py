@@ -11,7 +11,7 @@ from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
                                 eval_F_ca, eval_f0n, eval_f1n, eval_f2n,
                                 eval_fcn, evaluate, family_omega, family_phi,
                                 gprime, hprime, k_c_eval)
-from shearlift.shear import shear_at
+from shearlift.shear import DilatationSpec, shear_at
 
 SAMPLE_POINTS = [0.3, -0.25 + 0.4j, 0.55j, 0.5 * cmath.exp(1.9j),
                  -0.7, 0.6 - 0.35j]
@@ -194,6 +194,28 @@ def test_hprime_gprime_relation():
         for z in SAMPLE_POINTS[:4]:
             assert abs(gprime(p, z)
                        - complex(omega(z)) * hprime(p, z)) < 1e-13
+
+
+def test_mobius_spec_is_validated_once_per_parameter_set(monkeypatch):
+    # the Mobius spec checks |omega| < 1 on a 48-point lattice when built;
+    # hprime/gprime must not rebuild it for every point
+    built = []
+    validate = DilatationSpec._validate_samples
+
+    def counting(spec):
+        built.append(spec.a)
+        validate(spec)
+
+    monkeypatch.setattr(DilatationSpec, "_validate_samples", counting)
+    family_omega.cache_clear()
+    p = FamilyParams(family="F_ca", c=1.5, a=0.37)
+    for z in SAMPLE_POINTS:
+        hprime(p, z)
+        gprime(p, z)
+    hprime(FamilyParams(family="F_ca", c=1.5, a=0.37), 0.2j)
+    assert built == [0.37]
+    hprime(FamilyParams(family="F_a", a=-0.2), 0.2j)
+    assert built == [0.37, -0.2]
 
 
 def test_rejects_points_outside_disk():
