@@ -1,26 +1,3 @@
-"""Quadrature kernel backend selection.
+"""The quadrature kernel (numpy G7/K15, see ``fallback``)."""
 
-The compiled extension is preferred; the numpy fallback implements the same
-adaptive rule and is used when the extension was not built.  Both expose
-``shear_integral``, ``lift_integral`` and the kind constants.
-"""
-
-from . import fallback
-
-try:
-    from . import _gk as _impl  # type: ignore[attr-defined]
-except ImportError:
-    _impl = fallback
-
-BACKEND = _impl.BACKEND
-
-PREV_IDENTITY = fallback.PREV_IDENTITY
-PREV_KOEBE = fallback.PREV_KOEBE
-OMEGA_ZERO = fallback.OMEGA_ZERO
-OMEGA_POWER = fallback.OMEGA_POWER
-OMEGA_MOBIUS = fallback.OMEGA_MOBIUS
-
-shear_integral = _impl.shear_integral
-lift_integral = _impl.lift_integral
-
-adaptive_segment = fallback.adaptive_segment
+from .fallback import BACKEND  # noqa: F401

@@ -98,21 +98,35 @@ def integrate_segment(integrand, z0, z1, cfg=DEFAULT_QUADRATURE):
 
     The integrand must be analytic on the closed segment.  It is called
     with an ndarray of points when it accepts one, otherwise point-wise.
+    Scalar ends give a complex number (one segment, one panel per call);
+    array ends give an ndarray of their broadcast shape, all segments
+    going through one batched quadrature.  A ConvergenceError of the
+    batched call carries the flat index of the first failing segment.
     """
-    fvec = _vectorize(integrand)
-    return fallback.adaptive_segment(fvec, z0, z1, cfg.abs_tol, cfg.rel_tol,
-                                     cfg.max_subdivisions)
+    fvec = vectorize(integrand)
+    if np.ndim(z0) == 0 and np.ndim(z1) == 0:
+        return fallback.adaptive_segment(fvec, z0, z1, cfg.abs_tol,
+                                         cfg.rel_tol, cfg.max_subdivisions)
+    return fallback.adaptive_segments(fvec, z0, z1, cfg.abs_tol, cfg.rel_tol,
+                                      cfg.max_subdivisions)
 
 
-def _vectorize(f):
+def vectorize(f):
+    """f as a function of ndarrays of points: called on the whole array
+    when it accepts one and returns values of its shape, otherwise point
+    by point."""
+    def pointwise(zs):
+        return np.array([f(complex(z)) for z in zs.ravel()],
+                        dtype=complex).reshape(zs.shape)
+
     def call(zs):
         try:
             out = f(zs)
         except TypeError:
-            return np.array([f(complex(z)) for z in zs], dtype=complex)
+            return pointwise(zs)
         out = np.asarray(out, dtype=complex)
         if out.shape != np.shape(zs):
-            return np.array([f(complex(z)) for z in zs], dtype=complex)
+            return pointwise(zs)
         return out
 
     return call

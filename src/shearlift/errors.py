@@ -6,7 +6,15 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An adaptive rule or series failed to reach the requested tolerance."""
+    """An adaptive rule or series failed to reach the requested tolerance.
+
+    ``index``, when not None, is the flat position of the failing point
+    in an array the call worked on.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidDilatationError(ValueError):

@@ -32,7 +32,7 @@ from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
                        require_disk_points)
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, koebe_phi,
-                    shear_at)
+                    shear_array, shear_at)
 from .special import cexpm1, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1;
 # f_cn no longer calls it.
@@ -540,13 +540,16 @@ def evaluate_array(params, z):
     """h and g of the family at an array of disk points, as complex
     ndarrays of z's shape.
 
-    The closed forms run once on the whole array with numpy.  f_cn and
-    the oracle bands go point by point through evaluate, because
-    hyp2f1_1c and shear_at choose their route per point; whether the
-    values are fallbacks is uses_oracle(params).
+    The closed forms run once on the whole array with numpy, and the
+    oracle bands go through one batched shear quadrature (whether the
+    values are fallbacks is uses_oracle(params)).  f_cn goes point by
+    point through evaluate, because hyp2f1_1c chooses its route per
+    point.
     """
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
-    if params.family == "f_cn" or uses_oracle(params):
+    if uses_oracle(params):
+        return shear_array(family_phi(params), family_omega(params), z)
+    if params.family == "f_cn":
         return per_point(lambda p: evaluate(params, p), z, "h", "g")
     return _ARRAY_FORMS[params.family](params, z, family_phi(params).phi(z))

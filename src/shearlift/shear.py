@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .analytic import (DEFAULT_QUADRATURE, QuadratureConfig,
-                       integrate_segment, require_disk_point)
-from .errors import InvalidDilatationError
+                       integrate_segment, require_disk_point,
+                       require_disk_points, vectorize)
+from .errors import ConvergenceError, InvalidDilatationError
 
 # Deterministic lattice used for constructor-time sampled invariant checks.
 _CHECK_RADII = (0.25, 0.5, 0.75, 0.9)
@@ -159,36 +159,45 @@ class MapSample:
                    fallback=fallback)
 
 
-_PREV_KERNEL = {"identity": _kernels.PREV_IDENTITY,
-                "koebe_c": _kernels.PREV_KOEBE}
-_OMEGA_KERNEL = {"zero": _kernels.OMEGA_ZERO,
-                 "power_n": _kernels.OMEGA_POWER,
-                 "mobius_a": _kernels.OMEGA_MOBIUS}
+def _shear_integrand(phi, omega):
+    """h' = phi'/(1 - omega) on an array of path points, refusing a path
+    point where |omega| >= 1."""
+    def integrand(zs):
+        w = np.asarray(omega(zs))
+        bad = np.abs(w) >= 1.0
+        if bad.any():
+            raise InvalidDilatationError(
+                f"dilatation modulus >= 1 at {complex(zs[bad][0])} on the "
+                "integration path")
+        return np.asarray(phi.derivative(zs)) / (1.0 - w)
+
+    return integrand
 
 
 def shear_at(phi, omega, z, cfg=DEFAULT_QUADRATURE):
-    """Evaluate the sheared map at a disk point by radial quadrature.
-
-    The parameterized prevertex/dilatation kinds route to the compiled
-    kernel; custom handles integrate through the generic segment rule.
-    """
+    """Evaluate the sheared map at a disk point by radial quadrature of
+    h' = phi'/(1 - omega)."""
     z = require_disk_point(z)
-    if phi.kind in _PREV_KERNEL and omega.kind in _OMEGA_KERNEL:
-        h = _kernels.shear_integral(z, _PREV_KERNEL[phi.kind], phi.c,
-                                    _OMEGA_KERNEL[omega.kind], omega.n,
-                                    omega.a, cfg.abs_tol, cfg.rel_tol,
-                                    cfg.max_subdivisions)
-    else:
-        def integrand(zs):
-            w = np.asarray(omega(zs))
-            if np.any(np.abs(w) >= 1.0):
-                raise InvalidDilatationError(
-                    "dilatation modulus >= 1 on the integration path")
-            return np.asarray(phi.derivative(zs)) / (1.0 - w)
-
-        h = integrate_segment(integrand, 0j, z, cfg)
+    h = integrate_segment(_shear_integrand(phi, omega), 0j, z, cfg)
     g = h - complex(phi.phi(z))
     return MapSample.from_hg(z, h, g)
+
+
+def shear_array(phi, omega, z, cfg=DEFAULT_QUADRATURE):
+    """h and g of the sheared map at an array of disk points, as complex
+    ndarrays of z's shape: shear_at's quadrature on every point at once.
+
+    A ConvergenceError names the first point, in C order, where the
+    quadrature failed, and carries its flat index.
+    """
+    z = require_disk_points(z)
+    try:
+        h = integrate_segment(_shear_integrand(phi, omega), 0j, z, cfg)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"at grid point z={complex(z.flat[exc.index])}: {exc}",
+            index=exc.index) from exc
+    return h, h - vectorize(phi.phi)(z)
 
 
 def shear_hprime(phi, omega, z):
@@ -222,11 +231,9 @@ def grid_points(grid):
 
 
 def sample_grid(phi, omega, grid, cfg=DEFAULT_QUADRATURE):
-    """One MapSample per grid node, ring-major then spoke order."""
-    out = []
-    for z in grid_points(grid):
-        try:
-            out.append(shear_at(phi, omega, z, cfg))
-        except Exception as exc:
-            raise type(exc)(f"at grid point z={z}: {exc}") from exc
-    return out
+    """One MapSample per grid node, ring-major then spoke order, from one
+    shear_array call."""
+    points = grid_points(grid)
+    h, g = shear_array(phi, omega, np.array(points), cfg)
+    return [MapSample.from_hg(z, a, b)
+            for z, a, b in zip(points, h.tolist(), g.tolist())]

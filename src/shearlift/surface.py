@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
-                       require_disk_points)
+from .analytic import (DEFAULT_QUADRATURE, integrate_segment,
+                       require_disk_point, require_disk_points)
 from .errors import (ConvergenceError, DilatationNotSquareError,
                      UnsupportedParameterError)
 from .families import (FamilyParams, eval_f0n, eval_f1n, eval_f2n, eval_fcn,
@@ -29,7 +28,7 @@ from .families import (FamilyParams, eval_f0n, eval_f1n, eval_f2n, eval_fcn,
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
-from .shear import MapSample, grid_points
+from .shear import MapSample, grid_points, koebe_phi_prime
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,20 @@ def _require_even(n):
 
 
 def _numeric_f3(c, n, z, cfg=DEFAULT_QUADRATURE):
+    """F3 = 2 Im int_0^z k_c'(s) s^(n/2) / (1 - s^n) ds by quadrature, at
+    a point or, in one batched call, at every point of an ndarray."""
+    m = n // 2
+
+    def integrand(s):
+        return koebe_phi_prime(c, s) * s**m / (1.0 - s**n)
+
     try:
-        t = _kernels.lift_integral(z, _kernels.PREV_KOEBE, float(c), int(n),
-                                   cfg.abs_tol, cfg.rel_tol,
-                                   cfg.max_subdivisions)
+        t = integrate_segment(integrand, 0j, z, cfg)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"lift quadrature at z={z}: {exc}") from exc
-    return 2.0 * float(t.imag)
+        where = z if exc.index is None else complex(z.flat[exc.index])
+        raise ConvergenceError(f"lift quadrature at z={where}: {exc}",
+                               index=exc.index) from exc
+    return 2.0 * t.imag
 
 
 # F3 of each lift, written once against a math namespace m (cmath for the
@@ -210,20 +216,25 @@ def lift_array(params, z):
     """u, v and F3 of the lift at an array of disk points, as float
     ndarrays of z's shape.
 
-    The closed-form lifts run once on the whole array with numpy; f_cn
-    goes point by point through lift_sample (hyp2f1_1c and the oracle
-    choose their route per point).  Whether the values are fallbacks is
-    families.uses_oracle(params).
+    The closed-form lifts run once on the whole array with numpy, and so
+    do the oracle bands of f_cn (one batched quadrature for the map, one
+    for F3); elsewhere f_cn goes point by point through lift_sample,
+    because hyp2f1_1c chooses its route per point.  Whether the values
+    are fallbacks is families.uses_oracle(params).
     """
     if params.family not in _F3_FORMS and params.family != "f_cn":
         raise _nothing_to_lift(params)
     n = _require_even(params.n)
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
-    if params.family == "f_cn":
+    if params.family == "f_cn" and not uses_oracle(params):
         return per_point(lambda p: lift_sample(params, p), z, "u", "v", "f3")
     h, g = evaluate_array(params, z)
-    return (h + g).real, (h - g).imag, _F3_FORMS[params.family](np, n, z)
+    if params.family == "f_cn":
+        f3 = _numeric_f3(params.c, n, z)
+    else:
+        f3 = _F3_FORMS[params.family](np, n, z)
+    return (h + g).real, (h - g).imag, f3
 
 
 def build_mesh(params, grid):

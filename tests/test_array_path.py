@@ -1,6 +1,7 @@
 """The array entry points against the scalar calls that share their
 formulas: evaluate_array against evaluate, derivatives_array against
-hprime/gprime, lift_array against lift_sample.
+hprime/gprime, lift_array against lift_sample, shear_array (the batched
+quadrature) against shear_at (the one-point quadrature).
 
 numpy and cmath round differently in the last bits, so agreement means
 within 1e-14 * max(1, |x|).  Near the unit circle, where the closed forms
@@ -15,13 +16,16 @@ import re
 import numpy as np
 import pytest
 
-from shearlift.cli import main
-from shearlift.errors import (DilatationNotSquareError, DomainError,
-                              UnsupportedParameterError)
+from shearlift.analytic import QuadratureConfig
+from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
+                              DomainError, UnsupportedParameterError)
 from shearlift.families import (FamilyParams, derivatives_array, evaluate,
-                                evaluate_array, gprime, hprime, uses_oracle)
-from shearlift.shear import grid_points
+                                evaluate_array, family_omega, family_phi,
+                                gprime, hprime, uses_oracle)
+from shearlift.shear import (DilatationSpec, PrevertexSpec, grid_points,
+                             sample_grid, shear_array, shear_at)
 from shearlift.surface import GridSpec, lift_array, lift_sample
+from shearlift.verify import DEFAULT_GRID
 
 TOL = 1e-14
 EPS = np.finfo(float).eps
@@ -40,10 +44,8 @@ CLOSED_FORMS = (
 # up to the largest r_max the CLI accepts
 GRID = GridSpec(rings=6, spokes=14, r_max=0.999)
 
-# c = 1.0005 lies in the oracle band; the oracle stalls near |z| = 0.99 on
-# the positive real axis, so these points stay inside 0.9
+# c = 1.0005 lies in the oracle band: the values come from quadrature
 ORACLE_BAND = FamilyParams(family="F_ca", c=1.0005, a=0.5)
-BAND_GRID = GridSpec(rings=3, spokes=5, r_max=0.9)
 
 
 def assert_close(got, want, z):
@@ -57,7 +59,7 @@ def assert_close(got, want, z):
 def _cases():
     for p in CLOSED_FORMS:
         yield pytest.param(p, GRID, id=f"{p.family}-c{p.c}-a{p.a}-n{p.n}")
-    yield pytest.param(ORACLE_BAND, BAND_GRID, id="F_ca-oracle-band")
+    yield pytest.param(ORACLE_BAND, GRID, id="F_ca-oracle-band")
 
 
 @pytest.mark.parametrize("params,grid", _cases())
@@ -83,8 +85,7 @@ def test_derivatives_array_matches_hprime_gprime(params, grid):
     + [FamilyParams(family="f_cn", c=1.0005, n=4)],
     ids=lambda p: f"{p.family}-c{p.c}-n{p.n}")
 def test_lift_array_matches_lift_sample(params):
-    grid = BAND_GRID if uses_oracle(params) else GRID
-    z = np.array(grid_points(grid))
+    z = np.array(grid_points(GRID))
     u, v, f3 = lift_array(params, z)
     samples = [lift_sample(params, p) for p in z.tolist()]
     assert_close(u, [s.u for s in samples], z)
@@ -119,13 +120,58 @@ def test_lift_array_rejects_what_lift_sample_rejects():
         lift_array(FamilyParams(family="f_1n", n=3), z)
 
 
-def test_map_in_the_oracle_band_at_rmax_limit_exits_two(tmp_path, capsys):
-    # the grid itself is accepted, but the quadrature oracle that F_ca
-    # uses at c = 0.0005 stalls at z = +-0.999; the error names the point
-    out = tmp_path / "x.svg"
-    assert main(["map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
-                 "--rmax", "0.999", "--rings", "2", "--spokes", "8",
-                 "--samples", "32", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "z=" in err and "too close to the boundary" not in err
-    assert not out.exists()
+# The specs of every family (identity or Koebe prevertex; Mobius or power
+# dilatation), the zero dilatation, and the custom specs, which go through
+# the same integrand.
+SHEAR_SPECS = [pytest.param(family_phi(p), family_omega(p),
+                            id=f"{p.family}-c{p.c}-a{p.a}-n{p.n}")
+               for p in (FamilyParams(family="F_a", a=0.3),
+                         FamilyParams(family="F_0a", a=-0.6),
+                         FamilyParams(family="F_1a", a=0.45),
+                         FamilyParams(family="F_ca", c=0.5, a=-0.3),
+                         FamilyParams(family="F_ca", c=2.0, a=-1.0),
+                         ORACLE_BAND,
+                         FamilyParams(family="f_0n", n=3),
+                         FamilyParams(family="f_1n", n=2),
+                         FamilyParams(family="f_2n", n=7),
+                         FamilyParams(family="f_cn", c=0.5, n=4))]
+SHEAR_SPECS += [
+    pytest.param(PrevertexSpec.identity(), DilatationSpec.zero(),
+                 id="identity-zero"),
+    pytest.param(PrevertexSpec.koebe(0.5),
+                 DilatationSpec.square_of(lambda z: 0.9 * z),
+                 id="square-of"),
+    pytest.param(PrevertexSpec.custom(lambda z: z + z * z / 4,
+                                      lambda z: 1 + z / 2),
+                 DilatationSpec.custom(lambda z: 0.6 * z ** 3 + 0.3 * z),
+                 id="custom"),
+]
+
+
+@pytest.mark.parametrize("grid", (DEFAULT_GRID, GRID), ids=("r0.9", "r0.999"))
+@pytest.mark.parametrize("phi,omega", SHEAR_SPECS)
+def test_shear_array_matches_shear_at(phi, omega, grid):
+    z = np.array(grid_points(grid))
+    h, g = shear_array(phi, omega, z)
+    samples = [shear_at(phi, omega, p) for p in z.tolist()]
+    assert_close(h, [s.h for s in samples], z)
+    assert_close(g, [s.g for s in samples], z)
+
+
+def test_batched_quadrature_names_the_first_point_that_fails():
+    # three bisections reach |z| = 0.5 but not the points near the circle;
+    # the point named is the first in C order, not the first to fail
+    cfg = QuadratureConfig(max_subdivisions=3)
+    phi, omega = PrevertexSpec.koebe(2.0), DilatationSpec.power(1)
+    z = np.array([[0.1, 0.5j], [0.95, -0.5], [0.99, 0.3]])
+    with pytest.raises(ConvergenceError):
+        shear_at(phi, omega, 0.95, cfg)
+    shear_at(phi, omega, 0.5j, cfg)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape("at grid point z=(0.95+0j)")) as info:
+        shear_array(phi, omega, z, cfg)
+    assert info.value.index == 2
+    grid = GridSpec(rings=2, spokes=4, r_max=0.99)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape("at grid point z=(0.495+0j)")):
+        sample_grid(phi, omega, grid, QuadratureConfig(max_subdivisions=1))

@@ -1,13 +1,16 @@
+import cmath
 import json
 import math
 import re
 
 import pytest
 
+from shearlift._kernels import fallback
 from shearlift.cli import main
-from shearlift.families import FamilyParams
+from shearlift.families import FamilyParams, evaluate
 from shearlift.render import fmt9
-from shearlift.surface import GridSpec, build_mesh
+from shearlift.shear import grid_points
+from shearlift.surface import GridSpec, build_mesh, lift_sample
 
 
 def run(*argv):
@@ -159,9 +162,16 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_quadrature_failure_exits_two_naming_the_point(tmp_path, capsys):
+def test_quadrature_failure_exits_two_naming_the_point(tmp_path, capsys,
+                                                      monkeypatch):
     # c = 1.0005 lies in the excluded band around 1, so f_cn goes to the
-    # quadrature oracle, which does not converge at z = 0.999
+    # quadrature oracle; capped at one bisection, it cannot converge at
+    # z = 0.999
+    batched = fallback.adaptive_segments
+    monkeypatch.setattr(
+        fallback, "adaptive_segments",
+        lambda f, z0, z1, abs_tol, rel_tol, _: batched(f, z0, z1, abs_tol,
+                                                       rel_tol, 1))
     out = tmp_path / "x.obj"
     assert run("surface", "--family", "f_cn", "--c", "1.0005", "--n", "8",
                "--rmax", "0.999", "--rings", "1", "--spokes", "4",
@@ -171,6 +181,21 @@ def test_quadrature_failure_exits_two_naming_the_point(tmp_path, capsys):
     assert "z=(0.999+0j)" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_oracle_band_surface_at_rmax_limit(tmp_path):
+    # the same run without the cap: the oracle converges at |z| = 0.999
+    out = tmp_path / "x.obj"
+    assert run("surface", "--family", "f_cn", "--c", "1.0005", "--n", "8",
+               "--rmax", "0.999", "--rings", "1", "--spokes", "4",
+               "--out", str(out)) == 0
+    p = FamilyParams(family="f_cn", c=1.0005, n=8)
+    vlines = [l for l in out.read_text().splitlines() if l.startswith("v ")]
+    points = [0j] + grid_points(GridSpec(rings=1, spokes=4, r_max=0.999))
+    assert len(vlines) == len(points)
+    for line, z in zip(vlines[1:], points[1:]):
+        s = lift_sample(p, z)
+        assert line == f"v {fmt9(s.u)} {fmt9(s.v)} {fmt9(s.f3)}"
 
 
 def test_verify_report_of_fallback_lift_is_plain_json(tmp_path):
@@ -186,12 +211,18 @@ def test_verify_report_of_fallback_lift_is_plain_json(tmp_path):
 
 def test_map_accepts_its_own_grid_at_rmax_limit(tmp_path, capsys):
     # r*exp(i*theta) with r = 0.999 can round to a modulus just above
-    # 0.999; the grid must not be refused for it.  The oracle that this
-    # family uses still stalls at z = +-0.999 on the real axis, which is
-    # a separate quadrature fault, so either exit code is accepted here.
+    # 0.999; the grid must not be refused for it.  F_ca at c = 0.0005 lies
+    # in the oracle band, so every value comes from the quadrature, up to
+    # z = +-0.999 on the real axis.
     out = tmp_path / "x.svg"
-    code = run("map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
+    assert run("map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
                "--rmax", "0.999", "--rings", "2", "--spokes", "8",
-               "--samples", "32", "--out", str(out))
-    assert code in (0, 2)
-    assert "too close to the boundary" not in capsys.readouterr().err
+               "--samples", "32", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    rings = polyline_points(out.read_text())[:2]
+    p = FamilyParams(family="F_ca", c=0.0005, a=-1.0)
+    for k in (0, 8, 16, 24):
+        z = 0.999 * cmath.exp(2j * math.pi * k / 32)
+        s = evaluate(p, z)
+        assert s.fallback
+        assert rings[1][k] == (float(fmt9(s.u)), float(fmt9(s.v)))

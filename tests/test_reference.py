@@ -1,6 +1,8 @@
-"""High-precision references for the f_cn route: 2F1(1, c; c+1; x) against
-mpmath.hyp2f1, h and F3 against 30-digit mpmath.quad of the defining
-integrals, and the paper's Appell F1 form of h against the 2F1 route.
+"""High-precision references: for the f_cn route, 2F1(1, c; c+1; x)
+against mpmath.hyp2f1, h and F3 against 30-digit mpmath.quad of the
+defining integrals, and the paper's Appell F1 form of h against the 2F1
+route; for the quadrature oracle, h and F3 near the unit circle against
+30-digit mpmath.quad.
 
 mpmath is not a runtime dependency; the tests that need it skip without
 it (``pip install -e ".[test]"`` installs it).
@@ -12,8 +14,11 @@ import random
 
 import pytest
 
-from shearlift.families import FamilyParams, evaluate, fcn_h_and_lift
-from shearlift.shear import grid_points
+import numpy as np
+
+from shearlift.families import (FamilyParams, evaluate, family_omega,
+                                family_phi, fcn_h_and_lift)
+from shearlift.shear import grid_points, shear_array, shear_at
 from shearlift.special import F1Params, appell_f1, hyp2f1_1c
 from shearlift.surface import lift_sample
 from shearlift.verify import DEFAULT_GRID
@@ -145,3 +150,71 @@ def test_fcn_default_verify_grid_has_no_fallback(c):
             assert evaluate(p, z).fallback is False, (c, n, z)
             if n % 2 == 0:
                 assert lift_sample(p, z).fallback is False, (c, n, z)
+
+
+# Points near the unit circle where the quadrature oracle used to stall:
+# its per-panel tolerance, scaled by the panel width, asked roundoff-level
+# accuracy of the small panels next to the endpoint.
+ORACLE_EDGE = [(FamilyParams(family="F_1a", a=0.5), 0.99),
+               (FamilyParams(family="f_1n", n=2), 0.99),
+               (FamilyParams(family="F_ca", c=1.5, a=-0.5), 0.99),
+               (FamilyParams(family="F_ca", c=0.0005, a=-1.0), 0.999),
+               (FamilyParams(family="F_ca", c=0.0005, a=-1.0), -0.999)]
+
+
+def _edge_quad(mp, f, z):
+    # int_0^z f along the ray, in pieces that shrink towards z
+    z = mp.mpc(z)
+    return mp.quad(lambda t: f(t * z) * z,
+                   [0, 0.5, 0.9, 0.99, 0.999, 0.9999, 1])
+
+
+def _koebe_prime(mp, c):
+    c = mp.mpf(c)
+    return lambda s: (1 + s) ** (c - 1) * (1 - s) ** (-(c + 1))
+
+
+def _koebe(mp, c, z):
+    c = mp.mpf(c)
+    z = mp.mpc(z)
+    return (((1 + z) / (1 - z)) ** c - 1) / (2 * c)
+
+
+@pytest.mark.parametrize("params,z", ORACLE_EDGE,
+                         ids=lambda v: str(v) if isinstance(v, float)
+                         else f"{v.family}-c{v.c}-a{v.a}-n{v.n}")
+def test_oracle_near_the_unit_circle_against_quadrature(mp, params, z):
+    c = {"F_1a": 1.0, "f_1n": 1.0}.get(params.family, params.c)
+    a, n = mp.mpf(params.a), params.n
+    kp = _koebe_prime(mp, c)
+    if params.family == "f_1n":
+        def hprime(s):
+            return kp(s) / (1 - s ** n)
+    else:
+        def hprime(s):
+            return kp(s) / (1 - s * (s + a) / (1 + a * s))
+    ref_h = _edge_quad(mp, hprime, z)
+    ref_g = complex(ref_h - _koebe(mp, c, z))
+    ref_h = complex(ref_h)
+    phi, omega = family_phi(params), family_omega(params)
+    one = shear_at(phi, omega, z)
+    h, g = shear_array(phi, omega, np.array([0.5j, z, -0.3]))
+    for got_h, got_g in ((one.h, one.g), (h[1], g[1])):
+        assert abs(got_h - ref_h) <= 1e-12 * max(1.0, abs(ref_h))
+        assert abs(got_g - ref_g) <= 1e-12 * max(1.0, abs(ref_g))
+
+
+@pytest.mark.parametrize("z", (0.999, -0.999))
+def test_fcn_oracle_band_lift_near_the_unit_circle(mp, z):
+    # c = 1.0005 lies in the band around 1, where f_cn and its lift come
+    # from the quadrature oracle
+    c, n = 1.0005, 8
+    kp = _koebe_prime(mp, c)
+    ref_h = _edge_quad(mp, lambda s: kp(s) / (1 - s ** n), z)
+    ref_t = _edge_quad(mp, lambda s: kp(s) * s ** (n // 2) / (1 - s ** n), z)
+    ref_u = complex(2 * ref_h - _koebe(mp, c, z)).real
+    ref_f3 = 2.0 * complex(ref_t).imag
+    s = lift_sample(FamilyParams(family="f_cn", c=c, n=n), z)
+    assert s.fallback
+    assert abs(s.u - ref_u) <= 1e-12 * max(1.0, abs(ref_u))
+    assert abs(s.f3 - ref_f3) <= 1e-12 * max(1.0, abs(complex(ref_t)))
