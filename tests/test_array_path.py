@@ -16,7 +16,9 @@ import re
 import numpy as np
 import pytest
 
+from shearlift._kernels import fallback
 from shearlift.analytic import QuadratureConfig
+from shearlift.cli import main
 from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
                               DomainError, UnsupportedParameterError)
 from shearlift.families import (FamilyParams, derivatives_array, evaluate,
@@ -118,6 +120,25 @@ def test_lift_array_rejects_what_lift_sample_rejects():
         lift_array(FamilyParams(family="F_ca", c=0.5, a=0.1), z)
     with pytest.raises(DilatationNotSquareError):
         lift_array(FamilyParams(family="f_1n", n=3), z)
+
+
+def test_map_in_the_oracle_band_at_rmax_limit_exits_two(tmp_path, capsys,
+                                                         monkeypatch):
+    # the grid itself is accepted, but the quadrature oracle that F_ca
+    # uses at c = 0.0005, capped at one bisection, stalls at z = +-0.999;
+    # the error names the point
+    batched = fallback.adaptive_segments
+    monkeypatch.setattr(
+        fallback, "adaptive_segments",
+        lambda f, z0, z1, abs_tol, rel_tol, _: batched(f, z0, z1, abs_tol,
+                                                       rel_tol, 1))
+    out = tmp_path / "x.svg"
+    assert main(["map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
+                 "--rmax", "0.999", "--rings", "2", "--spokes", "8",
+                 "--samples", "32", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "z=" in err and "too close to the boundary" not in err
+    assert not out.exists()
 
 
 # The specs of every family (identity or Koebe prevertex; Mobius or power
