@@ -11,7 +11,7 @@ from .errors import (ConvergenceError, DilatationNotSquareError, DomainError,
                      UnsupportedParameterError)
 from .families import (FAMILY_NAMES, FamilyParams, PartialFractionCoeffs,
                        coeffs_f1n, coeffs_f2n, derivatives_array, evaluate,
-                       evaluate_array, uses_oracle)
+                       evaluate_array)
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, grid_points,
                     sample_grid, shear_array, shear_at)
 from .special import F1Params, appell_f1, gauss_2f1, hyp2f1_1c, pochhammer
@@ -29,7 +29,7 @@ __all__ = [
     "UnsupportedParameterError",
     "FAMILY_NAMES", "FamilyParams", "PartialFractionCoeffs",
     "coeffs_f1n", "coeffs_f2n", "derivatives_array", "evaluate",
-    "evaluate_array", "uses_oracle",
+    "evaluate_array",
     "DilatationSpec", "MapSample", "PrevertexSpec", "grid_points",
     "sample_grid", "shear_array", "shear_at",
     "F1Params", "appell_f1", "gauss_2f1", "hyp2f1_1c", "pochhammer",

@@ -1,4 +1,4 @@
-"""Branch-safe complex primitives and segment quadrature.
+"""Disk-point checks, segment quadrature and Cauchy derivatives.
 
 Every multivalued function in the package uses the principal branch.  All
 logarithm arguments that arise from the mapping families (1-z, 1+z,
@@ -67,31 +67,6 @@ def require_disk_points(z, r_max=0.999):
     return z
 
 
-def principal_log(z):
-    """Principal branch logarithm; imaginary part in (-pi, pi]."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("log(0) is undefined")
-    return cmath.log(z)
-
-
-def principal_pow(z, c):
-    """z**c via the principal logarithm, z^c = exp(c*log z)."""
-    z = complex(z)
-    c = float(c)
-    if z == 0:
-        if c > 0:
-            return 0j
-        raise DomainError("0**c is undefined for c <= 0")
-    return cmath.exp(c * cmath.log(z))
-
-
-def cayley(z):
-    """Disk-to-right-half-plane map w = (1+z)/(1-z)."""
-    z = require_disk_point(z, r_max=1.0)
-    return (1.0 + z) / (1.0 - z)
-
-
 def integrate_segment(integrand, z0, z1, cfg=DEFAULT_QUADRATURE):
     """Adaptive G7/K15 line integral of ``integrand`` along the straight
     segment [z0, z1].
@@ -130,15 +105,6 @@ def vectorize(f):
         return out
 
     return call
-
-
-def complex_derivative(f, z, step=1e-6):
-    """Central-difference derivative of an analytic function.
-
-    Used by verification when no closed-form derivative is registered.
-    """
-    z = complex(z)
-    return (f(z + step) - f(z - step)) / (2.0 * step)
 
 
 def cauchy_derivative(f, z, radius, order=32):

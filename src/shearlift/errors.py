@@ -24,8 +24,7 @@ class InvalidDilatationError(ValueError):
 class UnsupportedDomainError(DomainError):
     """No available representation covers the requested arguments.
 
-    Raised instead of silently extrapolating; callers that own a numeric
-    fallback catch this and switch routes.
+    Raised by special.appell_f1 instead of silently extrapolating.
     """
 
 

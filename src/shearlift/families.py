@@ -11,7 +11,7 @@ Families:
 * F_a    -- phi = z,   omega = z(z+a)/(1+az)
 * F_0a   -- phi = k_0, same omega (strip images)
 * F_1a   -- phi = k_1, same omega (half-plane shear)
-* F_ca   -- phi = k_c, same omega, c in (0,2] away from 1
+* F_ca   -- phi = k_c, same omega, c in [0, 2]
 * f_0n   -- phi = k_0, omega = z^n (strip images)
 * f_1n   -- phi = k_1, omega = z^n (wave planes)
 * f_2n   -- phi = k_2, omega = z^n (slit planes)
@@ -25,20 +25,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
                        require_disk_points)
 from .errors import ConvergenceError, UnsupportedParameterError
-from .shear import (DilatationSpec, MapSample, PrevertexSpec, koebe_phi,
-                    shear_array, shear_at)
+from .shear import DilatationSpec, MapSample, PrevertexSpec, koebe_phi
 from .special import cexpm1, hyp2f1_1c
-# Bound here only so that perfbench/spans.py can wrap families.appell_f1;
-# f_cn no longer calls it.
+# Bound here only so that perfbench/spans.py can wrap families.appell_f1
+# and families.shear_at; no closed form calls them.
 from .special import appell_f1  # noqa: F401
-
-PARAM_EPS = 1e-3
+from .shear import shear_at  # noqa: F401
 
 FAMILY_NAMES = ("F_a", "F_0a", "F_1a", "F_ca", "f_0n", "f_1n", "f_2n", "f_cn")
 
@@ -63,16 +62,6 @@ class FamilyParams:
             raise UnsupportedParameterError("n must be a positive integer")
         if self.family in ("F_ca", "f_cn") and not 0.0 <= self.c <= 2.0:
             raise UnsupportedParameterError("c must lie in [0, 2]")
-
-
-def uses_oracle(params):
-    """Whether the family's values come from the quadrature oracle rather
-    than a closed form: F_ca and f_cn with c in the punctured PARAM_EPS
-    neighbourhoods of 0 and 1.  Every sample of such a family is flagged
-    fallback, its lift included."""
-    c = params.c
-    return params.family in ("F_ca", "f_cn") and (
-        0.0 < c <= PARAM_EPS or 0.0 < abs(c - 1.0) <= PARAM_EPS)
 
 
 def k_c_eval(c, z):
@@ -129,10 +118,13 @@ def derivatives_array(params, z):
 
 # --- closed forms ----------------------------------------------------------
 #
-# Each closed form is written once, against a math namespace m: cmath for
-# the scalar eval_* functions, numpy for evaluate_array.  Constants that
-# do not depend on z (sines, roots of unity) are scalars either way.  phi
-# is the prevertex value at z; every form returns (h, g).
+# Each closed form is written once, against a math namespace m: _CMATH
+# for the scalar eval_* functions, numpy for evaluate_array.  Constants
+# that do not depend on z (sines, roots of unity) are scalars either way.
+# phi is the prevertex value at z; every form returns (h, g).
+
+# cmath's log with the complex expm1 that cmath lacks
+_CMATH = SimpleNamespace(log=cmath.log, expm1=cexpm1)
 
 
 def _from_sum(p, phi):
@@ -155,13 +147,22 @@ def _F_1a(m, a, z, phi):
                      + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi)
 
 
+def _powm1_over(m, p, log_w):
+    # (w^p - 1)/p without cancellation for small p log w.  Below
+    # |p| = 1e-20 it is log w to double precision, and p log w could
+    # lose its digits to underflow.
+    if abs(p) < 1e-20:
+        return log_w
+    return m.expm1(p * log_w) / p
+
+
 def _F_ca(m, c, a, z, phi):
-    # the w-plane form; c in (0, 2] away from 1
-    w = (1.0 + z) / (1.0 - z)
-    wc = m.exp(c * m.log(w))
-    h = 0.125 * ((a + 1.0) / (c + 1.0) * wc * w + 2.0 / c * wc
-                 - (a - 1.0) / (c - 1.0) * wc / w
-                 - 2.0 * (1.0 + a * c - 2.0 * c * c) / (c * (1.0 - c * c)))
+    # the w-plane form with (w^p - 1)/p terms, so that nothing cancels as
+    # c nears 0 or 1; c = 0 and c = 1 themselves are F_0a and F_1a
+    log_w = m.log((1.0 + z) / (1.0 - z))
+    h = 0.125 * ((a + 1.0) * _powm1_over(m, c + 1.0, log_w)
+                 + 2.0 * _powm1_over(m, c, log_w)
+                 - (a - 1.0) * _powm1_over(m, c - 1.0, log_w))
     return h, h - phi
 
 
@@ -217,43 +218,42 @@ def eval_F_a(a, z):
     """Shear of the identity map, Example-style closed form."""
     FamilyParams(family="F_a", a=a)
     z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_a(cmath, a, z, z))
+    return MapSample.from_hg(z, *_F_a(_CMATH, a, z, z))
 
 
 def eval_F_0a(a, z):
     """Shear of the strip map k_0; image lies in |v| < pi/4."""
     FamilyParams(family="F_0a", a=a)
     z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_0a(cmath, a, z, k_c_eval(0.0, z)))
+    return MapSample.from_hg(z, *_F_0a(_CMATH, a, z, k_c_eval(0.0, z)))
 
 
 def eval_F_1a(a, z):
     """Shear of the half-plane map k_1."""
     FamilyParams(family="F_1a", a=a)
     z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_1a(cmath, a, z, k_c_eval(1.0, z)))
+    return MapSample.from_hg(z, *_F_1a(_CMATH, a, z, k_c_eval(1.0, z)))
 
 
 def eval_F_ca(c, a, z):
     """Shear of k_c by the Mobius-type dilatation, via the w-plane form.
 
-    The closed form assumes c in (0,2] away from 1; c = 0 and c = 1 are
-    exactly the F_0a and F_1a families, and the punctured 1e-3
-    neighborhoods delegate to the quadrature oracle (flagged).
+    c = 0 and c = 1 are exactly the F_0a and F_1a families; every other c
+    in [0, 2] takes the closed form, which stays accurate as c nears them.
     """
-    params = FamilyParams(family="F_ca", c=c, a=a)
+    FamilyParams(family="F_ca", c=c, a=a)
     c = float(c)
     a = float(a)
     if c == 0.0:
         return eval_F_0a(a, z)
     if c == 1.0:
         return eval_F_1a(a, z)
-    if uses_oracle(params):
-        return _oracle_sample(params, z)
     z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_ca(cmath, c, a, z, k_c_eval(c, z)))
+    return MapSample.from_hg(z, *_F_ca(_CMATH, c, a, z, k_c_eval(c, z)))
 
 
+# Bound here only so that perfbench/spans.py can wrap
+# families._oracle_sample; no closed form calls it.
 def _oracle_sample(params, z, cfg=DEFAULT_QUADRATURE):
     try:
         sample = shear_at(family_phi(params), family_omega(params), z, cfg)
@@ -268,14 +268,14 @@ def eval_f0n(n, z):
     """Strip family: shear of k_0 by z^n."""
     FamilyParams(family="f_0n", n=n)
     z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_f_0n(cmath, int(n), z, k_c_eval(0.0, z)))
+    return MapSample.from_hg(z, *_f_0n(_CMATH, int(n), z, k_c_eval(0.0, z)))
 
 
 def eval_f1n(n, z):
     """Wave-plane family: shear of k_1 by z^n."""
     FamilyParams(family="f_1n", n=n)
     z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_f_1n(cmath, int(n), z, k_c_eval(1.0, z)))
+    return MapSample.from_hg(z, *_f_1n(_CMATH, int(n), z, k_c_eval(1.0, z)))
 
 
 def eval_f2n(n, z):
@@ -283,7 +283,7 @@ def eval_f2n(n, z):
     function)."""
     FamilyParams(family="f_2n", n=n)
     z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_f_2n(cmath, int(n), z, k_c_eval(2.0, z)))
+    return MapSample.from_hg(z, *_f_2n(_CMATH, int(n), z, k_c_eval(2.0, z)))
 
 
 # --- partial fraction coefficients of h' ----------------------------------
@@ -393,18 +393,32 @@ def coeffs_f2n(n):
 #
 # beta_k is imaginary and w lies in the right half-plane, so -w/beta_k
 # never meets the cut [1, inf) of 2F1.
+#
+# The 1/c of J_k costs about eps/c of accuracy as c -> 0.  Below
+# _SMALL_C the identity F(x) = 1 + c x/(c+1) G(x), G = 2F1(1, c+1; c+2; x)
+# (the series of DLMF 15.2.1 term by term), cancels it: with
+# x_w = -w/beta_k and x_1 = -1/beta_k,
+#
+#     I_k(w) = ((w^c - 1)/c + (1 - beta_k)/beta_k D_k) / (1 - conj(e_k)),
+#     D_k = (w^c - 1)/c + (w^c x_w G(x_w) - x_1 G(x_1))/(c+1).
+#
+# The form above stays in use from _SMALL_C up: there, and near c = 1, it
+# is already accurate to a few units of roundoff.
+
+_SMALL_C = 0.25
 
 
 @dataclass(frozen=True)
 class _FcnRoot:
     """One root e_k other than +-1: I_k(w) = scale (w^c - 1)/c
-    + weight (w^c F(-w/beta_k) - F(-1/beta_k)), F = 2F1(1, c; c+1; .)."""
+    + weight (w^c F(x_w) - F(x_1)) from _SMALL_C up, and
+    I_k(w) = scale (w^c - 1)/c + weight D_k below it."""
 
     sign: float  # e_k^(n/2) = (-1)^k, the weight of I_k in T
     scale: complex  # 1/(1 - conj(e_k))
-    weight: complex  # (1 - beta_k) / ((1 - conj(e_k)) c beta_k)
-    neg_inv_beta: complex  # -1/beta_k
-    f_at_one: complex  # F(-1/beta_k), from J_k(1)
+    weight: complex  # scale (1 - beta_k)/beta_k, over c from _SMALL_C up
+    neg_inv_beta: complex  # x_1 = -1/beta_k
+    at_one: complex  # F(x_1), or x_1 G(x_1)/(c+1) below _SMALL_C
 
 
 @lru_cache(maxsize=64)
@@ -417,38 +431,44 @@ def _fcn_roots(c, n):
         ebar = cmath.exp(-2j * math.pi * k / n)
         beta = (1.0 + ebar) / (1.0 - ebar)
         scale = 1.0 / (1.0 - ebar)
-        roots.append(_FcnRoot(sign=(-1.0) ** k, scale=scale,
-                              weight=scale * (1.0 - beta) / (c * beta),
-                              neg_inv_beta=-1.0 / beta,
-                              f_at_one=hyp2f1_1c(c, -1.0 / beta)))
+        x_1 = -1.0 / beta
+        if c < _SMALL_C:
+            weight = scale * (1.0 - beta) / beta
+            at_one = x_1 * hyp2f1_1c(c + 1.0, x_1) / (c + 1.0)
+        else:
+            weight = scale * (1.0 - beta) / (c * beta)
+            at_one = hyp2f1_1c(c, x_1)
+        roots.append(_FcnRoot(sign=(-1.0) ** k, scale=scale, weight=weight,
+                              neg_inv_beta=x_1, at_one=at_one))
     return tuple(roots)
-
-
-def _powm1_over(p, log_w):
-    # (w^p - 1)/p without cancellation for small p log w
-    return cexpm1(p * log_w) / p
 
 
 def fcn_h_and_lift(c, n, z):
     """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds at a disk point z,
-    from one 2F1 value per root of unity (c in (0, 2) away from 1; T is
+    from one 2F1 value per root of unity (c in (0, 2) other than 1; T is
     None for odd n).  The minimal-surface height is F3 = 2 Im T."""
     w = (1.0 + z) / (1.0 - z)
     log_w = cmath.log(w)
     wc = cmath.exp(c * log_w)
-    base = _powm1_over(c, log_w)
+    base = _powm1_over(_CMATH, c, log_w)
     # e_k = 1
-    i_k = 0.5 * (_powm1_over(c + 1.0, log_w) + base)
+    i_k = 0.5 * (_powm1_over(_CMATH, c + 1.0, log_w) + base)
     h = i_k
     t = i_k
     if n % 2 == 0:
         # e_k = -1, k = n/2
-        i_k = 0.5 * (base + _powm1_over(c - 1.0, log_w))
+        i_k = 0.5 * (base + _powm1_over(_CMATH, c - 1.0, log_w))
         h += i_k
         t += (-1.0) ** (n // 2) * i_k
+    small = c < _SMALL_C
     for root in _fcn_roots(c, n):
-        i_k = root.scale * base + root.weight * (
-            wc * hyp2f1_1c(c, w * root.neg_inv_beta) - root.f_at_one)
+        x_w = w * root.neg_inv_beta
+        if small:
+            d = base + (wc * x_w * hyp2f1_1c(c + 1.0, x_w) / (c + 1.0)
+                        - root.at_one)
+        else:
+            d = wc * hyp2f1_1c(c, x_w) - root.at_one
+        i_k = root.scale * base + root.weight * d
         h += i_k
         t += root.sign * i_k
     scale = 0.5 / n
@@ -461,11 +481,10 @@ def eval_fcn(c, n, z):
     """General family: shear of k_c by z^n, through the 2F1 reduction
     above (the paper writes the same h with Appell F1).
 
-    c = 0, 1, 2 delegate to the dedicated f_0n / f_1n / f_2n forms; the
-    punctured 1e-3 neighborhoods of 0 and 1 use the quadrature oracle,
-    with the sample flagged.
+    c = 0, 1, 2 delegate to the dedicated f_0n / f_1n / f_2n forms; every
+    other c in [0, 2] takes the reduction.
     """
-    params = FamilyParams(family="f_cn", c=c, n=n)
+    FamilyParams(family="f_cn", c=c, n=n)
     c = float(c)
     n = int(n)
     if c == 0.0:
@@ -474,8 +493,6 @@ def eval_fcn(c, n, z):
         return eval_f1n(n, z)
     if c == 2.0:
         return eval_f2n(n, z)
-    if uses_oracle(params):
-        return _oracle_sample(params, z)
     z = require_disk_point(z, r_max=1.0)
     h, _ = fcn_h_and_lift(c, n, z)
     return MapSample.from_hg(z, h, h - k_c_eval(c, z))
@@ -540,16 +557,12 @@ def evaluate_array(params, z):
     """h and g of the family at an array of disk points, as complex
     ndarrays of z's shape.
 
-    The closed forms run once on the whole array with numpy, and the
-    oracle bands go through one batched shear quadrature (whether the
-    values are fallbacks is uses_oracle(params)).  f_cn goes point by
-    point through evaluate, because hyp2f1_1c chooses its route per
-    point.
+    The closed forms run once on the whole array with numpy; f_cn goes
+    point by point through evaluate, because hyp2f1_1c chooses its route
+    per point.
     """
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
-    if uses_oracle(params):
-        return shear_array(family_phi(params), family_omega(params), z)
     if params.family == "f_cn":
         return per_point(lambda p: evaluate(params, p), z, "h", "g")
     return _ARRAY_FORMS[params.family](params, z, family_phi(params).phi(z))

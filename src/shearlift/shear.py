@@ -200,13 +200,6 @@ def shear_array(phi, omega, z, cfg=DEFAULT_QUADRATURE):
     return h, h - vectorize(phi.phi)(z)
 
 
-def shear_hprime(phi, omega, z):
-    """h'(z) = phi'(z)/(1 - omega(z)), evaluated directly (never by
-    differencing the integral)."""
-    z = complex(z)
-    return complex(phi.derivative(z)) / (1.0 - complex(omega(z)))
-
-
 def lift_third_coordinate(hprime, q, z, cfg=DEFAULT_QUADRATURE):
     """Third Weierstrass-Enneper coordinate 2 Im int_0^z h'(s) q(s) ds.
 

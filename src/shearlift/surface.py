@@ -18,17 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (DEFAULT_QUADRATURE, integrate_segment,
-                       require_disk_point, require_disk_points)
-from .errors import (ConvergenceError, DilatationNotSquareError,
-                     UnsupportedParameterError)
-from .families import (FamilyParams, eval_f0n, eval_f1n, eval_f2n, eval_fcn,
+from .analytic import require_disk_point, require_disk_points
+from .errors import DilatationNotSquareError, UnsupportedParameterError
+from .families import (FamilyParams, eval_f0n, eval_f1n, eval_f2n,
                        evaluate_array, fcn_h_and_lift, k_c_eval, per_point,
-                       resolve_family, uses_oracle)
+                       resolve_family)
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
-from .shear import MapSample, grid_points, koebe_phi_prime
+from .shear import MapSample, grid_points
 
 
 @dataclass(frozen=True)
@@ -68,23 +66,6 @@ def _require_even(n):
             f"omega = z^{n} is not the square of a single-valued analytic "
             "function; the lift needs even n")
     return n
-
-
-def _numeric_f3(c, n, z, cfg=DEFAULT_QUADRATURE):
-    """F3 = 2 Im int_0^z k_c'(s) s^(n/2) / (1 - s^n) ds by quadrature, at
-    a point or, in one batched call, at every point of an ndarray."""
-    m = n // 2
-
-    def integrand(s):
-        return koebe_phi_prime(c, s) * s**m / (1.0 - s**n)
-
-    try:
-        t = integrate_segment(integrand, 0j, z, cfg)
-    except ConvergenceError as exc:
-        where = z if exc.index is None else complex(z.flat[exc.index])
-        raise ConvergenceError(f"lift quadrature at z={where}: {exc}",
-                               index=exc.index) from exc
-    return 2.0 * t.imag
 
 
 # F3 of each lift, written once against a math namespace m (cmath for the
@@ -169,12 +150,11 @@ def slit_surface_reference(z):
 def lift_fcn(c, n, z):
     """Lift of the general family f_cn (even n).
 
-    c = 0, 1, 2 delegate to the dedicated family lifts; F3 comes from the
-    same 2F1 terms as the planar map (families.fcn_h_and_lift).  The
-    excluded c-neighborhoods of 0 and 1 use the quadrature lift, flagged
-    on the sample.
+    c = 0, 1, 2 delegate to the dedicated family lifts; for every other c
+    in [0, 2], F3 comes from the same 2F1 terms as the planar map
+    (families.fcn_h_and_lift).
     """
-    params = FamilyParams(family="f_cn", c=c, n=n)
+    FamilyParams(family="f_cn", c=c, n=n)
     c = float(c)
     n = _require_even(n)
     if c == 0.0:
@@ -183,10 +163,6 @@ def lift_fcn(c, n, z):
         return lift_f1n(n, z)
     if c == 2.0:
         return lift_f2n(n, z)
-    if uses_oracle(params):
-        planar = eval_fcn(c, n, z)
-        return SurfaceSample(z=planar.z, u=planar.u, v=planar.v,
-                             f3=_numeric_f3(c, n, planar.z), fallback=True)
     z = require_disk_point(z, r_max=1.0)
     h, t = fcn_h_and_lift(c, n, z)
     planar = MapSample.from_hg(z, h, h - k_c_eval(c, z))
@@ -216,25 +192,19 @@ def lift_array(params, z):
     """u, v and F3 of the lift at an array of disk points, as float
     ndarrays of z's shape.
 
-    The closed-form lifts run once on the whole array with numpy, and so
-    do the oracle bands of f_cn (one batched quadrature for the map, one
-    for F3); elsewhere f_cn goes point by point through lift_sample,
-    because hyp2f1_1c chooses its route per point.  Whether the values
-    are fallbacks is families.uses_oracle(params).
+    The closed-form lifts run once on the whole array with numpy; f_cn
+    goes point by point through lift_sample, because hyp2f1_1c chooses
+    its route per point.
     """
     if params.family not in _F3_FORMS and params.family != "f_cn":
         raise _nothing_to_lift(params)
     n = _require_even(params.n)
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
-    if params.family == "f_cn" and not uses_oracle(params):
+    if params.family == "f_cn":
         return per_point(lambda p: lift_sample(params, p), z, "u", "v", "f3")
     h, g = evaluate_array(params, z)
-    if params.family == "f_cn":
-        f3 = _numeric_f3(params.c, n, z)
-    else:
-        f3 = _F3_FORMS[params.family](np, n, z)
-    return (h + g).real, (h - g).imag, f3
+    return (h + g).real, (h - g).imag, _F3_FORMS[params.family](np, n, z)
 
 
 def build_mesh(params, grid):
@@ -248,9 +218,8 @@ def build_mesh(params, grid):
     _require_even(params.n)
     points = grid_points(grid)
     u, v, f3 = lift_array(params, np.array(points))
-    fallback = uses_oracle(params)
     vertices = [SurfaceSample(z=0j, u=0.0, v=0.0, f3=0.0)]
-    vertices += [SurfaceSample(z=z, u=x, v=y, f3=t, fallback=fallback)
+    vertices += [SurfaceSample(z=z, u=x, v=y, f3=t)
                  for z, x, y, t in zip(points, u.tolist(), v.tolist(),
                                        f3.tolist())]
     faces = []

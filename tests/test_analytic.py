@@ -5,37 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shearlift.analytic import (cauchy_derivative, cayley, complex_derivative,
-                                integrate_segment, principal_log,
-                                principal_pow, require_disk_point,
-                                QuadratureConfig)
+from shearlift.analytic import (cauchy_derivative, integrate_segment,
+                                require_disk_point, QuadratureConfig)
 from shearlift.errors import DomainError
-
-
-def test_principal_log_values():
-    assert principal_log(1.0) == 0.0
-    assert abs(principal_log(math.e) - 1.0) < 1e-15
-    assert abs(principal_log(1j) - 0.5j * math.pi) < 1e-15
-
-
-def test_principal_log_rejects_zero():
-    with pytest.raises(DomainError):
-        principal_log(0.0)
-
-
-def test_principal_pow_values():
-    assert abs(principal_pow(4.0, 0.5) - 2.0) < 1e-15
-    z = 0.3 + 0.4j
-    assert abs(principal_pow(z, 1.0) - z) < 1e-15
-    assert abs(principal_pow(1j, 2.0) - (-1.0)) < 1e-15
-
-
-def test_cayley_values():
-    assert cayley(0j) == 1.0
-    assert abs(cayley(0.5) - 3.0) < 1e-15
-    # near z = i the map approaches i from inside
-    z = 0.99j
-    assert abs(cayley(z) - (1.0 + z) / (1.0 - z)) == 0.0
 
 
 def test_require_disk_point_rejects_boundary():
@@ -97,11 +69,6 @@ def test_integral_additivity(z0, z1):
     whole = integrate_segment(f, z0, z1)
     parts = integrate_segment(f, z0, mid) + integrate_segment(f, mid, z1)
     assert abs(whole - parts) < 1e-11
-
-
-def test_complex_derivative():
-    d = complex_derivative(lambda z: z ** 3, 0.2 + 0.1j)
-    assert abs(d - 3.0 * (0.2 + 0.1j) ** 2) < 1e-9
 
 
 def test_cauchy_derivative_precision():

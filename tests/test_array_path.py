@@ -16,14 +16,12 @@ import re
 import numpy as np
 import pytest
 
-from shearlift._kernels import fallback
 from shearlift.analytic import QuadratureConfig
-from shearlift.cli import main
 from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
                               DomainError, UnsupportedParameterError)
 from shearlift.families import (FamilyParams, derivatives_array, evaluate,
                                 evaluate_array, family_omega, family_phi,
-                                gprime, hprime, uses_oracle)
+                                gprime, hprime)
 from shearlift.shear import (DilatationSpec, PrevertexSpec, grid_points,
                              sample_grid, shear_array, shear_at)
 from shearlift.surface import GridSpec, lift_array, lift_sample
@@ -46,7 +44,8 @@ CLOSED_FORMS = (
 # up to the largest r_max the CLI accepts
 GRID = GridSpec(rings=6, spokes=14, r_max=0.999)
 
-# c = 1.0005 lies in the oracle band: the values come from quadrature
+# c = 1.0005 lay in the former oracle band around 1, where the values
+# came from quadrature; the closed form now covers it
 ORACLE_BAND = FamilyParams(family="F_ca", c=1.0005, a=0.5)
 
 
@@ -71,7 +70,7 @@ def test_evaluate_array_matches_evaluate(params, grid):
     samples = [evaluate(params, p) for p in z.tolist()]
     assert_close(h, [s.h for s in samples], z)
     assert_close(g, [s.g for s in samples], z)
-    assert all(s.fallback == uses_oracle(params) for s in samples)
+    assert not any(s.fallback for s in samples)
 
 
 @pytest.mark.parametrize("params,grid", _cases())
@@ -93,7 +92,7 @@ def test_lift_array_matches_lift_sample(params):
     assert_close(u, [s.u for s in samples], z)
     assert_close(v, [s.v for s in samples], z)
     assert_close(f3, [s.f3 for s in samples], z)
-    assert all(s.fallback == uses_oracle(params) for s in samples)
+    assert not any(s.fallback for s in samples)
 
 
 def test_arrays_keep_their_shape():
@@ -120,25 +119,6 @@ def test_lift_array_rejects_what_lift_sample_rejects():
         lift_array(FamilyParams(family="F_ca", c=0.5, a=0.1), z)
     with pytest.raises(DilatationNotSquareError):
         lift_array(FamilyParams(family="f_1n", n=3), z)
-
-
-def test_map_in_the_oracle_band_at_rmax_limit_exits_two(tmp_path, capsys,
-                                                         monkeypatch):
-    # the grid itself is accepted, but the quadrature oracle that F_ca
-    # uses at c = 0.0005, capped at one bisection, stalls at z = +-0.999;
-    # the error names the point
-    batched = fallback.adaptive_segments
-    monkeypatch.setattr(
-        fallback, "adaptive_segments",
-        lambda f, z0, z1, abs_tol, rel_tol, _: batched(f, z0, z1, abs_tol,
-                                                       rel_tol, 1))
-    out = tmp_path / "x.svg"
-    assert main(["map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
-                 "--rmax", "0.999", "--rings", "2", "--spokes", "8",
-                 "--samples", "32", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "z=" in err and "too close to the boundary" not in err
-    assert not out.exists()
 
 
 # The specs of every family (identity or Koebe prevertex; Mobius or power

@@ -164,27 +164,33 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
 
 def test_quadrature_failure_exits_two_naming_the_point(tmp_path, capsys,
                                                       monkeypatch):
-    # c = 1.0005 lies in the excluded band around 1, so f_cn goes to the
-    # quadrature oracle; capped at one bisection, it cannot converge at
-    # z = 0.999
+    # the quadrature oracle of oracle_equivalence, capped at one
+    # bisection, cannot converge on the default verify grid; the error
+    # names the first point that failed, for f_cn and for F_ca
     batched = fallback.adaptive_segments
     monkeypatch.setattr(
         fallback, "adaptive_segments",
         lambda f, z0, z1, abs_tol, rel_tol, _: batched(f, z0, z1, abs_tol,
                                                        rel_tol, 1))
-    out = tmp_path / "x.obj"
-    assert run("surface", "--family", "f_cn", "--c", "1.0005", "--n", "8",
-               "--rmax", "0.999", "--rings", "1", "--spokes", "4",
-               "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("shearlift surface: ")
-    assert "z=(0.999+0j)" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    for family, point in (
+            (["--family", "f_cn", "--c", "1.0005", "--n", "8"],
+             "z=(0.54+0j)"),
+            (["--family", "F_ca", "--c", "0.0005", "--a", "-1"],
+             "z=(-0.5991656052659468+0.19468070645621693j)")):
+        out = tmp_path / "r.json"
+        assert run("verify", *family, "--checks", "oracle_equivalence",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shearlift verify: ")
+        assert f"at grid point {point}:" in err
+        assert "Traceback" not in err
+        assert "too close to the boundary" not in err
+        assert not out.exists()
 
 
 def test_oracle_band_surface_at_rmax_limit(tmp_path):
-    # the same run without the cap: the oracle converges at |z| = 0.999
+    # c = 1.0005 lay in the former oracle band around 1; the closed-form
+    # lift holds up to |z| = 0.999
     out = tmp_path / "x.obj"
     assert run("surface", "--family", "f_cn", "--c", "1.0005", "--n", "8",
                "--rmax", "0.999", "--rings", "1", "--spokes", "4",
@@ -195,25 +201,27 @@ def test_oracle_band_surface_at_rmax_limit(tmp_path):
     assert len(vlines) == len(points)
     for line, z in zip(vlines[1:], points[1:]):
         s = lift_sample(p, z)
+        assert not s.fallback
         assert line == f"v {fmt9(s.u)} {fmt9(s.v)} {fmt9(s.f3)}"
 
 
 def test_verify_report_of_fallback_lift_is_plain_json(tmp_path):
-    # the quadrature lift feeds the worst residual here; its numpy float
-    # must not leak into the report
+    # the quadrature oracle feeds numpy residuals to oracle_equivalence;
+    # neither their floats nor a numpy bool may leak into the report
     out = tmp_path / "r.json"
     assert run("verify", "--family", "f_cn", "--c", "1.0005", "--n", "8",
-               "--checks", "surface_properties", "--out", str(out)) == 0
-    (report,) = json.loads(out.read_text())
-    assert report["passed"] is True
-    assert isinstance(report["max_residual"], float)
+               "--checks", "oracle_equivalence,surface_properties",
+               "--out", str(out)) == 0
+    for report in json.loads(out.read_text()):
+        assert report["passed"] is True
+        assert isinstance(report["max_residual"], float)
 
 
 def test_map_accepts_its_own_grid_at_rmax_limit(tmp_path, capsys):
     # r*exp(i*theta) with r = 0.999 can round to a modulus just above
-    # 0.999; the grid must not be refused for it.  F_ca at c = 0.0005 lies
-    # in the oracle band, so every value comes from the quadrature, up to
-    # z = +-0.999 on the real axis.
+    # 0.999; the grid must not be refused for it.  F_ca at c = 0.0005 lay
+    # in the former oracle band; its closed form holds up to z = +-0.999
+    # on the real axis.
     out = tmp_path / "x.svg"
     assert run("map", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
                "--rmax", "0.999", "--rings", "2", "--spokes", "8",
@@ -224,5 +232,5 @@ def test_map_accepts_its_own_grid_at_rmax_limit(tmp_path, capsys):
     for k in (0, 8, 16, 24):
         z = 0.999 * cmath.exp(2j * math.pi * k / 32)
         s = evaluate(p, z)
-        assert s.fallback
+        assert not s.fallback
         assert rings[1][k] == (float(fmt9(s.u)), float(fmt9(s.v)))

@@ -92,14 +92,23 @@ def test_F_ca_slit_endpoint():
         assert abs(s.f - (-(2.0 - a) / 6.0)) < 0.02
 
 
+# c approaching 0 and 1, down to a subnormal c; on SAMPLE_POINTS[:3]
+# |dF/dc| stays below 1/2 for F_ca and f_cn, so the gap to the c = 0 and
+# c = 1 forms is below the distance in c, plus roundoff
+NEAR_ZERO = (0.002, 5e-4, 1e-6, 1e-12, 1e-320)
+NEAR_ONE = (0.998, 0.9995, 0.9999, 1.00001, 1.0005)
+
+
 def test_F_ca_delegations_are_continuous():
     # the c=0 and c=1 closed forms are the limits of the general formula
     for a in (-0.5, 0.4):
         for z in SAMPLE_POINTS[:3]:
-            lo = eval_F_ca(0.002, a, z)
-            assert abs(lo.f - eval_F_0a(a, z).f) < 1e-2
-            hi = eval_F_ca(0.998, a, z)
-            assert abs(hi.f - eval_F_1a(a, z).f) < 1e-2
+            for c in NEAR_ZERO:
+                gap = abs(eval_F_ca(c, a, z).f - eval_F_0a(a, z).f)
+                assert gap < c + 1e-15, (a, z, c)
+            for c in NEAR_ONE:
+                gap = abs(eval_F_ca(c, a, z).f - eval_F_1a(a, z).f)
+                assert gap < abs(c - 1.0) + 1e-15, (a, z, c)
 
 
 # --- the power-dilatation families ------------------------------------------
@@ -150,6 +159,18 @@ def test_fcn_quadrature_oracle():
     o = shear_at(family_phi(p), family_omega(p), z)
     assert abs(s.h - o.h) < 1e-6
     assert abs(s.g - o.g) < 1e-6
+
+
+def test_fcn_delegations_are_continuous():
+    # f_0n and f_1n are the c = 0 and c = 1 limits of f_cn
+    for n in (3, 4):
+        for z in SAMPLE_POINTS[:3]:
+            for c in NEAR_ZERO:
+                gap = abs(eval_fcn(c, n, z).f - eval_f0n(n, z).f)
+                assert gap < c + 1e-15, (n, z, c)
+            for c in NEAR_ONE:
+                gap = abs(eval_fcn(c, n, z).f - eval_f1n(n, z).f)
+                assert gap < abs(c - 1.0) + 1e-15, (n, z, c)
 
 
 def test_fcn_coincides_with_F_ca_at_n_two():

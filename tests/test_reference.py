@@ -1,8 +1,10 @@
 """High-precision references: for the f_cn route, 2F1(1, c; c+1; x)
 against mpmath.hyp2f1, h and F3 against 30-digit mpmath.quad of the
 defining integrals, and the paper's Appell F1 form of h against the 2F1
-route; for the quadrature oracle, h and F3 near the unit circle against
-30-digit mpmath.quad.
+route; h and F3 of every closed form, the former c bands of F_ca and
+f_cn included, against 30-digit mpmath.quad; appell_f1 against
+mpmath.appellf1; for the quadrature oracle, h and F3 near the unit
+circle against 30-digit mpmath.quad.
 
 mpmath is not a runtime dependency; the tests that need it skip without
 it (``pip install -e ".[test]"`` installs it).
@@ -16,11 +18,11 @@ import pytest
 
 import numpy as np
 
-from shearlift.families import (FamilyParams, evaluate, family_omega,
-                                family_phi, fcn_h_and_lift)
+from shearlift.families import (FamilyParams, evaluate, evaluate_array,
+                                family_omega, family_phi, fcn_h_and_lift)
 from shearlift.shear import grid_points, shear_array, shear_at
 from shearlift.special import F1Params, appell_f1, hyp2f1_1c
-from shearlift.surface import lift_sample
+from shearlift.surface import lift_array, lift_sample
 from shearlift.verify import DEFAULT_GRID
 
 
@@ -142,6 +144,97 @@ def test_fcn_matches_appell_f1_form():
                 assert abs(h - ref) < 1e-10 * max(1.0, abs(ref)), (c, n, z)
 
 
+# c inside the former oracle bands, where F_ca and f_cn came from
+# quadrature: within 1e-3 of 0 or 1
+BAND_C = (1e-12, 1e-6, 5e-4, 0.9995, 1.0005)
+CLOSED_FORM_POINTS = (0.3, 0.7 * cmath.exp(2.2j), 0.95 * cmath.exp(-0.9j),
+                      -0.9)
+CLOSED_FORM_CASES = (
+    [FamilyParams(family="F_a", a=0.3), FamilyParams(family="F_0a", a=-0.6),
+     FamilyParams(family="F_1a", a=0.45)]
+    + [FamilyParams(family=f, n=n)
+       for f in ("f_0n", "f_1n", "f_2n") for n in (3, 4)]
+    + [FamilyParams(family="F_ca", c=c, a=a)
+       for c in BAND_C for a in (-1.0, 0.5)]
+    + [FamilyParams(family="f_cn", c=c, n=n)
+       for c in BAND_C for n in (3, 8)])
+
+
+def _mp_hprime(mp, params):
+    """h' = phi'/(1 - omega) of a family in mpmath arithmetic."""
+    if params.family == "F_a":
+        def kp(s):
+            return 1
+    else:
+        kp = _koebe_prime(mp, {"F_0a": 0.0, "F_1a": 1.0, "f_0n": 0.0,
+                               "f_1n": 1.0, "f_2n": 2.0}.get(params.family,
+                                                             params.c))
+    if params.family.startswith("F_"):
+        a = mp.mpf(params.a)
+        return lambda s: kp(s) / (1 - s * (s + a) / (1 + a * s))
+    n = params.n
+    return lambda s: kp(s) / (1 - s ** n)
+
+
+def _ray_quad(mp, f, z):
+    z = mp.mpc(z)
+    return complex(mp.quad(lambda t: f(t * z) * z, [0, 1]))
+
+
+@pytest.mark.parametrize("params", CLOSED_FORM_CASES,
+                         ids=lambda p: f"{p.family}-c{p.c}-a{p.a}-n{p.n}")
+def test_closed_forms_against_quadrature(mp, params):
+    # h of every closed form, and F3 of every lift, scalar and array
+    # calls alike, within 1e-14 of 30-digit quadrature relative to
+    # max(1, |reference|)
+    hprime = _mp_hprime(mp, params)
+    z = np.array(CLOSED_FORM_POINTS)
+    h_array, _ = evaluate_array(params, z)
+    lifts = params.family.startswith("f_") and params.n % 2 == 0
+    if lifts:
+        f3_array = lift_array(params, z)[2]
+    for i, p in enumerate(CLOSED_FORM_POINTS):
+        ref = _ray_quad(mp, hprime, p)
+        bound = 1e-14 * max(1.0, abs(ref))
+        assert abs(evaluate(params, p).h - ref) <= bound, p
+        assert abs(h_array[i] - ref) <= bound, p
+        if lifts:
+            m = params.n // 2
+            ref = 2.0 * _ray_quad(mp, lambda s: hprime(s) * s ** m, p).imag
+            bound = 1e-14 * max(1.0, abs(ref))
+            assert abs(lift_sample(params, p).f3 - ref) <= bound, p
+            assert abs(f3_array[i] - ref) <= bound, p
+
+
+@pytest.mark.parametrize("c", BAND_C)
+def test_former_bands_take_the_closed_forms(c):
+    for z in CLOSED_FORM_POINTS:
+        assert not evaluate(FamilyParams(family="F_ca", c=c, a=0.5),
+                            z).fallback
+        p = FamilyParams(family="f_cn", c=c, n=4)
+        assert not evaluate(p, z).fallback
+        assert not lift_sample(p, z).fallback
+
+
+# (F1 parameters, x, y): series points, Euler-integral points beyond the
+# unit bi-disk, and a terminating case far outside it
+APPELL_CASES = [
+    ((0.5, -0.5, 1.0, 1.5), 0.5, 0.3 + 0.2j),
+    ((0.7, 1.0, 0.5, 1.2), -0.6, 0.5 + 0.5j),
+    ((1.5, 0.3, -0.7, 2.5), 0.9 + 0.1j, -0.4j),
+    ((0.5, -0.5, 1.0, 1.5), 0.3, -2.0 + 0.3j),
+    ((1.5, 0.3, -0.7, 2.5), 1.5 + 0.5j, 0.4),
+    ((-2.0, 0.5, 1.0, 1.5), 3.0, 2.0 + 1.0j),
+]
+
+
+@pytest.mark.parametrize("params,x,y", APPELL_CASES)
+def test_appell_f1_against_mpmath(mp, params, x, y):
+    ref = complex(mp.appellf1(*params, x, y))
+    got = appell_f1(F1Params(*params), x, y)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 @pytest.mark.parametrize("c", (0.5, 1.5))
 def test_fcn_default_verify_grid_has_no_fallback(c):
     for n in (3, 4, 8):
@@ -185,15 +278,7 @@ def _koebe(mp, c, z):
                          else f"{v.family}-c{v.c}-a{v.a}-n{v.n}")
 def test_oracle_near_the_unit_circle_against_quadrature(mp, params, z):
     c = {"F_1a": 1.0, "f_1n": 1.0}.get(params.family, params.c)
-    a, n = mp.mpf(params.a), params.n
-    kp = _koebe_prime(mp, c)
-    if params.family == "f_1n":
-        def hprime(s):
-            return kp(s) / (1 - s ** n)
-    else:
-        def hprime(s):
-            return kp(s) / (1 - s * (s + a) / (1 + a * s))
-    ref_h = _edge_quad(mp, hprime, z)
+    ref_h = _edge_quad(mp, _mp_hprime(mp, params), z)
     ref_g = complex(ref_h - _koebe(mp, c, z))
     ref_h = complex(ref_h)
     phi, omega = family_phi(params), family_omega(params)
@@ -206,8 +291,8 @@ def test_oracle_near_the_unit_circle_against_quadrature(mp, params, z):
 
 @pytest.mark.parametrize("z", (0.999, -0.999))
 def test_fcn_oracle_band_lift_near_the_unit_circle(mp, z):
-    # c = 1.0005 lies in the band around 1, where f_cn and its lift come
-    # from the quadrature oracle
+    # c = 1.0005 lay in the former oracle band around 1; the closed-form
+    # lift holds up to |z| = 0.999
     c, n = 1.0005, 8
     kp = _koebe_prime(mp, c)
     ref_h = _edge_quad(mp, lambda s: kp(s) / (1 - s ** n), z)
@@ -215,6 +300,6 @@ def test_fcn_oracle_band_lift_near_the_unit_circle(mp, z):
     ref_u = complex(2 * ref_h - _koebe(mp, c, z)).real
     ref_f3 = 2.0 * complex(ref_t).imag
     s = lift_sample(FamilyParams(family="f_cn", c=c, n=n), z)
-    assert s.fallback
+    assert not s.fallback
     assert abs(s.u - ref_u) <= 1e-12 * max(1.0, abs(ref_u))
     assert abs(s.f3 - ref_f3) <= 1e-12 * max(1.0, abs(complex(ref_t)))

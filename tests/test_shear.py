@@ -8,8 +8,7 @@ from shearlift.errors import (DilatationNotSquareError, DomainError,
 from shearlift.families import eval_f0n, eval_f2n
 from shearlift.shear import (DilatationSpec, MapSample, PrevertexSpec,
                              grid_points, koebe_phi, koebe_phi_prime,
-                             lift_third_coordinate, sample_grid, shear_at,
-                             shear_hprime)
+                             lift_third_coordinate, sample_grid, shear_at)
 from shearlift.surface import GridSpec, slit_surface_reference
 
 
@@ -75,14 +74,6 @@ def test_shear_f02_closed_form():
     s = shear_at(PrevertexSpec.koebe(0.0), DilatationSpec.power(2), z)
     assert abs(s.u - (z / (1.0 - z * z)).real) < 1e-12
     assert abs(s.v - koebe_phi(0.0, z).imag) < 1e-12
-
-
-def test_shear_hprime():
-    phi = PrevertexSpec.koebe(1.0)
-    omega = DilatationSpec.power(2)
-    z = 0.2 - 0.5j
-    expect = koebe_phi_prime(1.0, z) / (1.0 - z * z)  # 1/((1-z)^2 (1-z^2))
-    assert abs(shear_hprime(phi, omega, z) - expect) < 1e-14
 
 
 def test_shear_rejects_boundary():
