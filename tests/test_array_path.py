@@ -11,12 +11,16 @@ z = 0.999); there the bound is four units of roundoff times that factor,
 which exceeds 1e-14 from |z| = 0.91 on.
 """
 
+import functools
 import re
 
 import numpy as np
 import pytest
 
+from shearlift import verify
+from shearlift._kernels import fallback
 from shearlift.analytic import QuadratureConfig
+from shearlift.cli import main
 from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
                               DomainError, UnsupportedParameterError)
 from shearlift.families import (FamilyParams, derivatives_array, evaluate,
@@ -119,6 +123,32 @@ def test_lift_array_rejects_what_lift_sample_rejects():
         lift_array(FamilyParams(family="F_ca", c=0.5, a=0.1), z)
     with pytest.raises(DilatationNotSquareError):
         lift_array(FamilyParams(family="f_1n", n=3), z)
+
+
+def test_map_in_the_oracle_band_at_rmax_limit_exits_two(tmp_path, capsys,
+                                                         monkeypatch):
+    # F_ca at c = 0.0005 lay in the former oracle band; the quadrature
+    # oracle still maps it inside oracle_equivalence.  On the grid of a
+    # map at the r_max limit the oracle accepts every node, but capped at
+    # one bisection it stalls; the error names the point
+    batched = fallback.adaptive_segments
+    monkeypatch.setattr(
+        fallback, "adaptive_segments",
+        lambda f, z0, z1, abs_tol, rel_tol, _: batched(f, z0, z1, abs_tol,
+                                                       rel_tol, 1))
+    grid = GridSpec(rings=2, spokes=8, r_max=0.999)
+    monkeypatch.setattr(
+        verify, "check_oracle_equivalence",
+        functools.partial(verify.check_oracle_equivalence, grid=grid))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--family", "F_ca", "--c", "0.0005", "--a", "-1",
+                 "--checks", "oracle_equivalence", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    point = re.search(r"at grid point z=(\S+):", err)
+    assert point and complex(point.group(1)) in grid_points(grid)
+    assert abs(complex(point.group(1))) == pytest.approx(0.999)
+    assert "too close to the boundary" not in err
+    assert not out.exists()
 
 
 # The specs of every family (identity or Koebe prevertex; Mobius or power
