@@ -2,10 +2,12 @@
 reports, and partial-fraction coefficient dumps.
 
 Exit codes: 0 ok, 1 a verification check failed, 2 usage or domain error
-(including a quadrature that did not converge at some point).
+(including a quadrature that did not converge at some point, and an
+output path that cannot be written).
 """
 
 import argparse
+import math
 import sys
 
 from . import __version__, families, render, verify
@@ -15,6 +17,24 @@ from .surface import GridSpec, build_mesh
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+
+def _tolerance(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not tol >= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a number >= 0, got {text!r}")
+    return tol
+
+
+def _check_names(text):
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no check name in {text!r}")
+    return names
 
 
 def build_parser():
@@ -49,10 +69,10 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="JSON report of numerical checks")
     common(p_ver)
-    p_ver.add_argument("--checks", default=None,
+    p_ver.add_argument("--checks", type=_check_names, default=None,
                        help="comma-separated check names (default: all "
                             "applicable)")
-    p_ver.add_argument("--tol", type=float, default=None,
+    p_ver.add_argument("--tol", type=_tolerance, default=None,
                        help="override the oracle-equivalence tolerance")
 
     p_co = sub.add_parser("coeffs",
@@ -76,8 +96,13 @@ def _manifest(args, params, keys):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    # an --out path that cannot be written is a bad argument: exit 2
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_map(args):
@@ -87,15 +112,12 @@ def cmd_map(args):
                               samples_per_curve=args.samples)
     curves = render.map_curves(params, cfg)
     manifest = _manifest(args, params, ("rings", "spokes", "rmax", "samples"))
-    _write(args.out, render.svg_document(curves, manifest, cfg))
+    _write(args.out, render.svg_document(curves, manifest))
     return EXIT_OK
 
 
 def cmd_surface(args):
     params = _params(args)
-    if params.n % 2 != 0:
-        raise DilatationNotSquareError(
-            f"surface lift needs even n, got n={params.n}")
     grid = GridSpec(rings=args.rings, spokes=args.spokes, r_max=args.rmax)
     mesh = build_mesh(params, grid)
     manifest = _manifest(args, params, ("rings", "spokes", "rmax"))
@@ -105,10 +127,7 @@ def cmd_surface(args):
 
 def cmd_verify(args):
     params = _params(args)
-    names = None
-    if args.checks is not None:
-        names = [s.strip() for s in args.checks.split(",") if s.strip()]
-    reports = verify.run_checks(params, names, tol=args.tol)
+    reports = verify.run_checks(params, args.checks, tol=args.tol)
     _write(args.out, render.report_document(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 

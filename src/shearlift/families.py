@@ -32,7 +32,7 @@ import numpy as np
 from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
                        require_disk_points)
 from .errors import ConvergenceError, UnsupportedParameterError
-from .shear import DilatationSpec, MapSample, PrevertexSpec, koebe_phi
+from .shear import DilatationSpec, MapSample, PrevertexSpec
 from .special import cexpm1, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1
 # and families.shear_at; no closed form calls them.
@@ -62,13 +62,6 @@ class FamilyParams:
             raise UnsupportedParameterError("n must be a positive integer")
         if self.family in ("F_ca", "f_cn") and not 0.0 <= self.c <= 2.0:
             raise UnsupportedParameterError("c must lie in [0, 2]")
-
-
-def k_c_eval(c, z):
-    """Generalized Koebe function k_c at a disk point (log form below
-    c = 1e-8)."""
-    z = require_disk_point(z, r_max=1.0)
-    return complex(koebe_phi(float(c), z))
 
 
 @lru_cache(maxsize=64)
@@ -119,9 +112,10 @@ def derivatives_array(params, z):
 # --- closed forms ----------------------------------------------------------
 #
 # Each closed form is written once, against a math namespace m: _CMATH
-# for the scalar eval_* functions, numpy for evaluate_array.  Constants
-# that do not depend on z (sines, roots of unity) are scalars either way.
-# phi is the prevertex value at z; every form returns (h, g).
+# for evaluate, numpy for evaluate_array.  Constants that do not depend on
+# z (sines, roots of unity) are scalars either way.  A form takes the
+# family parameters p, the point z and the prevertex value phi at z, and
+# returns (h, g); _FORMS below registers them by family name.
 
 # cmath's log with the complex expm1 that cmath lacks
 _CMATH = SimpleNamespace(log=cmath.log, expm1=cexpm1)
@@ -132,17 +126,20 @@ def _from_sum(p, phi):
     return 0.5 * (p + phi), 0.5 * (p - phi)
 
 
-def _F_a(m, a, z, phi):
+def _F_a(m, p, z, phi):
+    a = float(p.a)
     return _from_sum(-z + (1.0 - a) * m.log(1.0 + z)
                      - (1.0 + a) * m.log(1.0 - z), phi)
 
 
-def _F_0a(m, a, z, phi):
+def _F_0a(m, p, z, phi):
+    a = float(p.a)
     return _from_sum(0.5 * (1.0 + a) * z / (1.0 - z)
                      + 0.5 * (1.0 - a) * z / (1.0 + z), phi)
 
 
-def _F_1a(m, a, z, phi):
+def _F_1a(m, p, z, phi):
+    a = float(p.a)
     return _from_sum(0.25 * (1.0 - a) * m.log((1.0 + z) / (1.0 - z))
                      + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi)
 
@@ -156,9 +153,10 @@ def _powm1_over(m, p, log_w):
     return m.expm1(p * log_w) / p
 
 
-def _F_ca(m, c, a, z, phi):
+def _F_ca(m, p, z, phi):
     # the w-plane form with (w^p - 1)/p terms, so that nothing cancels as
-    # c nears 0 or 1; c = 0 and c = 1 themselves are F_0a and F_1a
+    # c nears 0 or 1
+    c, a = float(p.c), float(p.a)
     log_w = m.log((1.0 + z) / (1.0 - z))
     h = 0.125 * ((a + 1.0) * _powm1_over(m, c + 1.0, log_w)
                  + 2.0 * _powm1_over(m, c, log_w)
@@ -176,20 +174,22 @@ def _pole_angles(n):
     return range(1, n // 2)
 
 
-def _f_0n(m, n, z, phi):
+def _f_0n(m, p, z, phi):
+    n = int(p.n)
     if n % 2 == 1:
-        p = z / (1.0 - z)
+        s = z / (1.0 - z)
     else:
-        p = 2.0 * z / (1.0 - z * z)
+        s = 2.0 * z / (1.0 - z * z)
     for k in _pole_angles(n):
         t = 2.0 * math.pi * k / n
-        p -= (1j / math.sin(t)) * m.log(
+        s -= (1j / math.sin(t)) * m.log(
             (1.0 - z * cmath.exp(-1j * t)) / (1.0 - z * cmath.exp(1j * t)))
-    p /= n
-    return _from_sum(p, phi)
+    s /= n
+    return _from_sum(s, phi)
 
 
-def _f_1n(m, n, z, phi):
+def _f_1n(m, p, z, phi):
+    n = int(p.n)
     h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
          + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
          - (n * n - 1.0) / (12.0 * n) * m.log(1.0 - z))
@@ -202,7 +202,8 @@ def _f_1n(m, n, z, phi):
     return h, h - phi
 
 
-def _f_2n(m, n, z, phi):
+def _f_2n(m, p, z, phi):
+    n = int(p.n)
     h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
          + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
@@ -214,44 +215,6 @@ def _f_2n(m, n, z, phi):
     return h, h - phi
 
 
-def eval_F_a(a, z):
-    """Shear of the identity map, Example-style closed form."""
-    FamilyParams(family="F_a", a=a)
-    z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_a(_CMATH, a, z, z))
-
-
-def eval_F_0a(a, z):
-    """Shear of the strip map k_0; image lies in |v| < pi/4."""
-    FamilyParams(family="F_0a", a=a)
-    z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_0a(_CMATH, a, z, k_c_eval(0.0, z)))
-
-
-def eval_F_1a(a, z):
-    """Shear of the half-plane map k_1."""
-    FamilyParams(family="F_1a", a=a)
-    z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_1a(_CMATH, a, z, k_c_eval(1.0, z)))
-
-
-def eval_F_ca(c, a, z):
-    """Shear of k_c by the Mobius-type dilatation, via the w-plane form.
-
-    c = 0 and c = 1 are exactly the F_0a and F_1a families; every other c
-    in [0, 2] takes the closed form, which stays accurate as c nears them.
-    """
-    FamilyParams(family="F_ca", c=c, a=a)
-    c = float(c)
-    a = float(a)
-    if c == 0.0:
-        return eval_F_0a(a, z)
-    if c == 1.0:
-        return eval_F_1a(a, z)
-    z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_F_ca(_CMATH, c, a, z, k_c_eval(c, z)))
-
-
 # Bound here only so that perfbench/spans.py can wrap
 # families._oracle_sample; no closed form calls it.
 def _oracle_sample(params, z, cfg=DEFAULT_QUADRATURE):
@@ -260,30 +223,6 @@ def _oracle_sample(params, z, cfg=DEFAULT_QUADRATURE):
     except ConvergenceError as exc:
         raise ConvergenceError(f"shear quadrature at z={z}: {exc}") from exc
     return MapSample.from_hg(sample.z, sample.h, sample.g, fallback=True)
-
-
-# --- omega = z^n families -------------------------------------------------
-
-def eval_f0n(n, z):
-    """Strip family: shear of k_0 by z^n."""
-    FamilyParams(family="f_0n", n=n)
-    z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_f_0n(_CMATH, int(n), z, k_c_eval(0.0, z)))
-
-
-def eval_f1n(n, z):
-    """Wave-plane family: shear of k_1 by z^n."""
-    FamilyParams(family="f_1n", n=n)
-    z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_f_1n(_CMATH, int(n), z, k_c_eval(1.0, z)))
-
-
-def eval_f2n(n, z):
-    """Slit family: shear of k_2 by z^n (n = 1 is the harmonic Koebe
-    function)."""
-    FamilyParams(family="f_2n", n=n)
-    z = require_disk_point(z, r_max=1.0)
-    return MapSample.from_hg(z, *_f_2n(_CMATH, int(n), z, k_c_eval(2.0, z)))
 
 
 # --- partial fraction coefficients of h' ----------------------------------
@@ -477,72 +416,38 @@ def fcn_h_and_lift(c, n, z):
     return scale * h, scale * t
 
 
-def eval_fcn(c, n, z):
-    """General family: shear of k_c by z^n, through the 2F1 reduction
-    above (the paper writes the same h with Appell F1).
-
-    c = 0, 1, 2 delegate to the dedicated f_0n / f_1n / f_2n forms; every
-    other c in [0, 2] takes the reduction.
-    """
-    FamilyParams(family="f_cn", c=c, n=n)
-    c = float(c)
-    n = int(n)
-    if c == 0.0:
-        return eval_f0n(n, z)
-    if c == 1.0:
-        return eval_f1n(n, z)
-    if c == 2.0:
-        return eval_f2n(n, z)
-    z = require_disk_point(z, r_max=1.0)
-    h, _ = fcn_h_and_lift(c, n, z)
-    return MapSample.from_hg(z, h, h - k_c_eval(c, z))
+def _f_cn(m, p, z, phi):
+    # scalar only (m is _CMATH): hyp2f1_1c chooses its route per point
+    h, _ = fcn_h_and_lift(float(p.c), int(p.n), z)
+    return h, h - phi
 
 
-def evaluate(params, z):
-    """Dispatch a FamilyParams to its closed-form evaluator."""
-    f = params.family
-    if f == "F_a":
-        return eval_F_a(params.a, z)
-    if f == "F_0a":
-        return eval_F_0a(params.a, z)
-    if f == "F_1a":
-        return eval_F_1a(params.a, z)
-    if f == "F_ca":
-        return eval_F_ca(params.c, params.a, z)
-    if f == "f_0n":
-        return eval_f0n(params.n, z)
-    if f == "f_1n":
-        return eval_f1n(params.n, z)
-    if f == "f_2n":
-        return eval_f2n(params.n, z)
-    return eval_fcn(params.c, params.n, z)
-
-
-# --- array entry points ---------------------------------------------------
+_FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a, "F_ca": _F_ca,
+          "f_0n": _f_0n, "f_1n": _f_1n, "f_2n": _f_2n, "f_cn": _f_cn}
 
 _DELEGATES = {("F_ca", 0.0): "F_0a", ("F_ca", 1.0): "F_1a",
               ("f_cn", 0.0): "f_0n", ("f_cn", 1.0): "f_1n",
               ("f_cn", 2.0): "f_2n"}
 
-_ARRAY_FORMS = {
-    "F_a": lambda p, z, phi: _F_a(np, float(p.a), z, phi),
-    "F_0a": lambda p, z, phi: _F_0a(np, float(p.a), z, phi),
-    "F_1a": lambda p, z, phi: _F_1a(np, float(p.a), z, phi),
-    "F_ca": lambda p, z, phi: _F_ca(np, float(p.c), float(p.a), z, phi),
-    "f_0n": lambda p, z, phi: _f_0n(np, int(p.n), z, phi),
-    "f_1n": lambda p, z, phi: _f_1n(np, int(p.n), z, phi),
-    "f_2n": lambda p, z, phi: _f_2n(np, int(p.n), z, phi),
-}
-
 
 def resolve_family(params):
     """The parameters whose closed form evaluates params: F_ca at c = 0
     and 1 is F_0a and F_1a, f_cn at c = 0, 1 and 2 is f_0n, f_1n and
-    f_2n."""
+    f_2n.  Every other c in [0, 2] takes the general form, which stays
+    accurate as c nears these values."""
     family = _DELEGATES.get((params.family, params.c))
     if family is None:
         return params
     return FamilyParams(family=family, a=params.a, n=params.n)
+
+
+def evaluate(params, z):
+    """The family's closed form at a disk point, as a MapSample."""
+    params = resolve_family(params)
+    z = require_disk_point(z, r_max=1.0)
+    phi = complex(family_phi(params).phi(z))
+    h, g = _FORMS[params.family](_CMATH, params, z, phi)
+    return MapSample.from_hg(z, h, g)
 
 
 def per_point(fn, z, *names):
@@ -565,4 +470,48 @@ def evaluate_array(params, z):
     params = resolve_family(params)
     if params.family == "f_cn":
         return per_point(lambda p: evaluate(params, p), z, "h", "g")
-    return _ARRAY_FORMS[params.family](params, z, family_phi(params).phi(z))
+    return _FORMS[params.family](np, params, z, family_phi(params).phi(z))
+
+
+# --- shorthands: evaluate of one family ------------------------------------
+
+def eval_F_a(a, z):
+    """Shear of the identity map."""
+    return evaluate(FamilyParams("F_a", a=a), z)
+
+
+def eval_F_0a(a, z):
+    """Shear of the strip map k_0; image lies in |v| < pi/4."""
+    return evaluate(FamilyParams("F_0a", a=a), z)
+
+
+def eval_F_1a(a, z):
+    """Shear of the half-plane map k_1."""
+    return evaluate(FamilyParams("F_1a", a=a), z)
+
+
+def eval_F_ca(c, a, z):
+    """Shear of k_c by the Mobius-type dilatation."""
+    return evaluate(FamilyParams("F_ca", c=c, a=a), z)
+
+
+def eval_f0n(n, z):
+    """Strip family: shear of k_0 by z^n."""
+    return evaluate(FamilyParams("f_0n", n=n), z)
+
+
+def eval_f1n(n, z):
+    """Wave-plane family: shear of k_1 by z^n."""
+    return evaluate(FamilyParams("f_1n", n=n), z)
+
+
+def eval_f2n(n, z):
+    """Slit family: shear of k_2 by z^n (n = 1 is the harmonic Koebe
+    function)."""
+    return evaluate(FamilyParams("f_2n", n=n), z)
+
+
+def eval_fcn(c, n, z):
+    """General family: shear of k_c by z^n, through the 2F1 reduction
+    above (the paper writes the same h with Appell F1)."""
+    return evaluate(FamilyParams("f_cn", c=c, n=n), z)

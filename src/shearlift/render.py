@@ -16,18 +16,20 @@ import numpy as np
 from . import families
 
 
+# SVG width in pixels (the height follows the figure's aspect ratio, at
+# least 64) and stroke width as a share of the larger figure extent
+CANVAS_PX = 640
+STROKE_SHARE = 0.003
+
+
 @dataclass(frozen=True)
 class RenderConfig:
     rings: int = 10
     spokes: int = 24
     r_max: float = 0.98
-    stroke_width: float = 0.0  # 0 = auto (0.3% of figure extent)
-    canvas_px: int = 640
     samples_per_curve: int = 256
 
     def __post_init__(self):
-        if self.canvas_px < 64:
-            raise ValueError("canvas_px must be >= 64")
         if self.samples_per_curve < 16:
             raise ValueError("samples_per_curve must be >= 16")
         if self.rings < 1 or self.spokes < 1:
@@ -88,7 +90,7 @@ def map_curves(params, cfg):
     return ([c + c[:1] for c in curves[:cfg.rings]], curves[cfg.rings:])
 
 
-def svg_document(curves, manifest, cfg):
+def svg_document(curves, manifest):
     """SVG 1.1 text: polyline elements only, coordinates in mathematical
     (u, v) under one affine viewBox with a 5% margin."""
     ring_curves, spoke_curves = curves
@@ -99,14 +101,14 @@ def svg_document(curves, manifest, cfg):
     margin = 0.05 * max(u1 - u0, v1 - v0, 1e-9)
     w = (u1 - u0) + 2.0 * margin
     h = (v1 - v0) + 2.0 * margin
-    stroke = cfg.stroke_width if cfg.stroke_width > 0 else 0.003 * max(w, h)
+    stroke = STROKE_SHARE * max(w, h)
     view = " ".join(fmt9(q) for q in (u0 - margin, v0 - margin, w, h))
-    px_h = max(64, round(cfg.canvas_px * h / w))
+    px_h = max(64, round(CANVAS_PX * h / w))
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out += [f"<!-- {line} -->" for line in manifest.lines()]
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{cfg.canvas_px}" height="{px_h}" viewBox="{view}">')
+               f'width="{CANVAS_PX}" height="{px_h}" viewBox="{view}">')
     for kind, color, curve_set in (("ring", "#1f4e79", ring_curves),
                                    ("spoke", "#b44b1e", spoke_curves)):
         for pts in curve_set:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import fallback
-from .analytic import QuadratureConfig, DEFAULT_QUADRATURE
+from .analytic import DEFAULT_QUADRATURE
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 
@@ -37,19 +37,11 @@ class F1Params:
             raise ValueError("gamma must not be a non-positive integer")
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    term_tol: float = 1e-15
-    max_order: int = 4000
-
-    def __post_init__(self):
-        if self.term_tol <= 0:
-            raise ValueError("term_tol must be positive")
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
-
-
-DEFAULT_SERIES = SeriesConfig()
+# gauss_2f1 and appell_f1_series stop once three consecutive terms fall
+# below SERIES_TERM_TOL relative to the sum, and give up after
+# SERIES_MAX_ORDER terms.
+SERIES_TERM_TOL = 1e-15
+SERIES_MAX_ORDER = 4000
 
 # Series is preferred inside this radius; beyond it the terms decay too
 # slowly for the anti-diagonal tail bound to be trusted.
@@ -71,7 +63,7 @@ def pochhammer(q, k):
     return acc
 
 
-def gauss_2f1(a, b, c, x, cfg=DEFAULT_SERIES):
+def gauss_2f1(a, b, c, x):
     """Gauss hypergeometric series for |x| < 1."""
     x = complex(x)
     if _is_nonpositive_int(c):
@@ -82,18 +74,19 @@ def gauss_2f1(a, b, c, x, cfg=DEFAULT_SERIES):
     term = 1.0 + 0j
     total = term
     small = 0
-    for k in range(cfg.max_order):
+    for k in range(SERIES_MAX_ORDER):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
         total += term
         if term == 0:
             return total
-        if abs(term) < cfg.term_tol * (1.0 + abs(total)):
+        if abs(term) < SERIES_TERM_TOL * (1.0 + abs(total)):
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
-    raise ConvergenceError("2F1 series did not converge within max_order")
+    raise ConvergenceError(
+        f"2F1 series did not converge within {SERIES_MAX_ORDER} terms")
 
 
 # --- 2F1(1, c; c+1; x) on the whole cut plane --------------------------------
@@ -313,10 +306,11 @@ def _series_applicable(p, x, y):
     return ok_x and ok_y
 
 
-def appell_f1_series(p, x, y, cfg=DEFAULT_SERIES):
+def appell_f1_series(p, x, y):
     """Double series for F1, summed along anti-diagonals k + l = m.
 
-    Stops when three consecutive anti-diagonal sums fall below term_tol.
+    Stops when three consecutive anti-diagonal sums fall below
+    SERIES_TERM_TOL.
     Terminating parameter cases (alpha or a beta a non-positive integer)
     truncate exactly and are valid outside the unit bi-disk.
     """
@@ -333,7 +327,7 @@ def appell_f1_series(p, x, y, cfg=DEFAULT_SERIES):
     ratio_ag = 1.0 + 0j  # (alpha)_m / (gamma)_m
     total = 1.0 + 0j
     small = 0
-    for m in range(1, cfg.max_order + 1):
+    for m in range(1, SERIES_MAX_ORDER + 1):
         b1x.append(b1x[-1] * (p.beta1 + m - 1) * x / m)
         b2y.append(b2y[-1] * (p.beta2 + m - 1) * y / m)
         ratio_ag *= (p.alpha + m - 1) / (p.gamma + m - 1)
@@ -344,13 +338,14 @@ def appell_f1_series(p, x, y, cfg=DEFAULT_SERIES):
             diag += b1x[k] * b2y[m - k]
         term = ratio_ag * diag
         total += term
-        if abs(term) < cfg.term_tol * (1.0 + abs(total)):
+        if abs(term) < SERIES_TERM_TOL * (1.0 + abs(total)):
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
-    raise ConvergenceError("F1 series did not converge within max_order")
+    raise ConvergenceError(
+        f"F1 series did not converge within {SERIES_MAX_ORDER} terms")
 
 
 def _integral_applicable(p, x, y):
@@ -362,7 +357,7 @@ def _integral_applicable(p, x, y):
     return True
 
 
-def appell_f1_integral(p, x, y, cfg=DEFAULT_QUADRATURE):
+def appell_f1_integral(p, x, y):
     """Euler-type integral for F1:
 
         Gamma(g)/(Gamma(a) Gamma(g-a)) *
@@ -398,8 +393,9 @@ def appell_f1_integral(p, x, y, cfg=DEFAULT_QUADRATURE):
             t = 0.5 * np.power(s, m)
             return scale * np.power(s, q) * smooth(t)
 
-        return fallback.adaptive_segment(transformed, 0.0, 1.0, cfg.abs_tol,
-                                         cfg.rel_tol, cfg.max_subdivisions)
+        return fallback.adaptive_segment(
+            transformed, 0.0, 1.0, DEFAULT_QUADRATURE.abs_tol,
+            DEFAULT_QUADRATURE.rel_tol, DEFAULT_QUADRATURE.max_subdivisions)
 
     il = half_integral(a - 1.0,
                        lambda t: np.power(1.0 - t, d - 1.0) * regular(t))
@@ -410,7 +406,7 @@ def appell_f1_integral(p, x, y, cfg=DEFAULT_QUADRATURE):
     return pref * (il + ir)
 
 
-def appell_f1(p, x, y, series_cfg=DEFAULT_SERIES, quad_cfg=DEFAULT_QUADRATURE):
+def appell_f1(p, x, y):
     """Evaluate F1 by whichever representation covers (x, y).
 
     Terminating and contractive (|x|, |y| < 0.95) cases use the series;
@@ -421,13 +417,13 @@ def appell_f1(p, x, y, series_cfg=DEFAULT_SERIES, quad_cfg=DEFAULT_QUADRATURE):
     y = complex(y)
     if _is_nonpositive_int(p.alpha) or (
             _is_nonpositive_int(p.beta1) and _is_nonpositive_int(p.beta2)):
-        return appell_f1_series(p, x, y, series_cfg)
+        return appell_f1_series(p, x, y)
     if max(abs(x), abs(y)) < SERIES_RADIUS and _series_applicable(p, x, y):
-        return appell_f1_series(p, x, y, series_cfg)
+        return appell_f1_series(p, x, y)
     if _integral_applicable(p, x, y):
-        return appell_f1_integral(p, x, y, quad_cfg)
+        return appell_f1_integral(p, x, y)
     if _series_applicable(p, x, y):
-        return appell_f1_series(p, x, y, series_cfg)
+        return appell_f1_series(p, x, y)
     raise UnsupportedDomainError(
         f"F1{(p.alpha, p.beta1, p.beta2, p.gamma)} at ({x}, {y}) is outside "
         "both the series and the Euler-integral domains")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .analytic import require_disk_point, require_disk_points
 from .errors import DilatationNotSquareError, UnsupportedParameterError
-from .families import (FamilyParams, eval_f0n, eval_f1n, eval_f2n,
-                       evaluate_array, fcn_h_and_lift, k_c_eval, per_point,
+from .families import (_POWER_FAMILIES, FamilyParams, evaluate,
+                       evaluate_array, family_phi, fcn_h_and_lift, per_point,
                        resolve_family)
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
@@ -59,8 +59,14 @@ class SurfaceMesh:
     faces: tuple  # (i, j, k) zero-based vertex indices
 
 
-def _require_even(n):
-    n = int(n)
+def _liftable(params):
+    """The check of every lift: the family has a power dilatation, then
+    n is even.  Returns n."""
+    if params.family not in _POWER_FAMILIES:
+        raise UnsupportedParameterError(
+            f"family {params.family!r} has no power dilatation; nothing to "
+            "lift")
+    n = int(params.n)
     if n % 2 != 0:
         raise DilatationNotSquareError(
             f"omega = z^{n} is not the square of a single-valued analytic "
@@ -108,28 +114,6 @@ def _f3_f2n(m, n, z):
 _F3_FORMS = {"f_0n": _f3_f0n, "f_1n": _f3_f1n, "f_2n": _f3_f2n}
 
 
-def _lift(evaluator, f3_form, n, z):
-    n = _require_even(n)
-    planar = evaluator(n, z)
-    return SurfaceSample(z=planar.z, u=planar.u, v=planar.v,
-                         f3=f3_form(cmath, n, planar.z))
-
-
-def lift_f0n(n, z):
-    """Lift of the strip family f_0n (even n)."""
-    return _lift(eval_f0n, _f3_f0n, n, z)
-
-
-def lift_f1n(n, z):
-    """Lift of the wave-plane family f_1n (even n)."""
-    return _lift(eval_f1n, _f3_f1n, n, z)
-
-
-def lift_f2n(n, z):
-    """Lift of the slit family f_2n (even n)."""
-    return _lift(eval_f2n, _f3_f2n, n, z)
-
-
 def slit_surface_reference(z):
     """Minimal surface over the slit plane k_2(D): the n = 2 lift in fully
     explicit rational form (q = +z convention).
@@ -147,45 +131,20 @@ def slit_surface_reference(z):
     return SurfaceSample(z=z, u=u, v=v, f3=f3)
 
 
-def lift_fcn(c, n, z):
-    """Lift of the general family f_cn (even n).
-
-    c = 0, 1, 2 delegate to the dedicated family lifts; for every other c
-    in [0, 2], F3 comes from the same 2F1 terms as the planar map
-    (families.fcn_h_and_lift).
-    """
-    FamilyParams(family="f_cn", c=c, n=n)
-    c = float(c)
-    n = _require_even(n)
-    if c == 0.0:
-        return lift_f0n(n, z)
-    if c == 1.0:
-        return lift_f1n(n, z)
-    if c == 2.0:
-        return lift_f2n(n, z)
-    z = require_disk_point(z, r_max=1.0)
-    h, t = fcn_h_and_lift(c, n, z)
-    planar = MapSample.from_hg(z, h, h - k_c_eval(c, z))
-    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=2.0 * t.imag)
-
-
 def lift_sample(params, z):
-    """Dispatch a power-dilatation FamilyParams to its lift."""
-    f = params.family
-    if f == "f_0n":
-        return lift_f0n(params.n, z)
-    if f == "f_1n":
-        return lift_f1n(params.n, z)
-    if f == "f_2n":
-        return lift_f2n(params.n, z)
-    if f == "f_cn":
-        return lift_fcn(params.c, params.n, z)
-    raise _nothing_to_lift(params)
-
-
-def _nothing_to_lift(params):
-    return UnsupportedParameterError(
-        f"family {params.family!r} has no power dilatation; nothing to lift")
+    """Lift of a power-dilatation family with even n at a disk point:
+    the planar map from evaluate and F3 from its closed form, or for f_cn
+    both from one fcn_h_and_lift call."""
+    n = _liftable(params)
+    params = resolve_family(params)
+    if params.family != "f_cn":
+        planar = evaluate(params, z)
+        return SurfaceSample(z=planar.z, u=planar.u, v=planar.v,
+                             f3=_F3_FORMS[params.family](cmath, n, planar.z))
+    z = require_disk_point(z, r_max=1.0)
+    h, t = fcn_h_and_lift(float(params.c), n, z)
+    planar = MapSample.from_hg(z, h, h - complex(family_phi(params).phi(z)))
+    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=2.0 * t.imag)
 
 
 def lift_array(params, z):
@@ -196,9 +155,7 @@ def lift_array(params, z):
     goes point by point through lift_sample, because hyp2f1_1c chooses
     its route per point.
     """
-    if params.family not in _F3_FORMS and params.family != "f_cn":
-        raise _nothing_to_lift(params)
-    n = _require_even(params.n)
+    n = _liftable(params)
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
     if params.family == "f_cn":
@@ -215,7 +172,6 @@ def build_mesh(params, grid):
     smaller spoke index, giving spokes + 2*spokes*(rings-1) triangles.
     All vertices go through one lift_array call.
     """
-    _require_even(params.n)
     points = grid_points(grid)
     u, v, f3 = lift_array(params, np.array(points))
     vertices = [SurfaceSample(z=0j, u=0.0, v=0.0, f3=0.0)]
@@ -234,3 +190,26 @@ def build_mesh(params, grid):
             faces.append((inner + k, outer + k, outer + kn))
             faces.append((inner + k, outer + kn, inner + kn))
     return SurfaceMesh(vertices=tuple(vertices), faces=tuple(faces))
+
+
+# --- shorthands: lift_sample of one family ---------------------------------
+
+def lift_f0n(n, z):
+    """Lift of the strip family f_0n (even n)."""
+    return lift_sample(FamilyParams("f_0n", n=n), z)
+
+
+def lift_f1n(n, z):
+    """Lift of the wave-plane family f_1n (even n)."""
+    return lift_sample(FamilyParams("f_1n", n=n), z)
+
+
+def lift_f2n(n, z):
+    """Lift of the slit family f_2n (even n)."""
+    return lift_sample(FamilyParams("f_2n", n=n), z)
+
+
+def lift_fcn(c, n, z):
+    """Lift of the general family f_cn (even n); F3 comes from the same
+    2F1 terms as the planar map (families.fcn_h_and_lift)."""
+    return lift_sample(FamilyParams("f_cn", c=c, n=n), z)

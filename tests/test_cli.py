@@ -99,6 +99,48 @@ def test_surface_rejects_odd_n(tmp_path, capsys):
     assert "even n" in capsys.readouterr().err
 
 
+def test_surface_of_a_mobius_family_exits_two(tmp_path, capsys):
+    # F_ca has no power dilatation at any n; the lift's one check says so
+    # before it looks at n
+    out = tmp_path / "x.obj"
+    assert run("surface", "--family", "F_ca", "--c", "0.5",
+               "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("shearlift surface: ")
+    assert "no power dilatation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--family", "F_a", "--rings", "2", "--spokes", "4",
+     "--samples", "16"),
+    ("surface", "--family", "f_2n", "--n", "2", "--rings", "2",
+     "--spokes", "4"),
+    ("verify", "--family", "f_0n", "--n", "2", "--checks",
+     "prevertex_identity"),
+    ("coeffs", "--family", "f_1n", "--n", "3"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shearlift {argv[0]}: ")
+    assert str(out) in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("option", [("--tol", "-1"), ("--tol", "nan"),
+                                    ("--checks", ",")],
+                         ids=("tol-negative", "tol-nan", "checks-empty"))
+def test_verify_bad_arguments_exit_two(tmp_path, capsys, option):
+    out = tmp_path / "r.json"
+    assert run("verify", "--family", "f_0n", "--n", "2", *option,
+               "--out", str(out)) == 2
+    assert f"argument {option[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_pass_and_report(tmp_path):
     out = tmp_path / "rep.json"
     assert run("verify", "--family", "f_1n", "--n", "4",

@@ -10,8 +10,8 @@ from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
                                 coeffs_f2n, eval_F_0a, eval_F_1a, eval_F_a,
                                 eval_F_ca, eval_f0n, eval_f1n, eval_f2n,
                                 eval_fcn, evaluate, family_omega, family_phi,
-                                gprime, hprime, k_c_eval)
-from shearlift.shear import DilatationSpec, shear_at
+                                gprime, hprime)
+from shearlift.shear import DilatationSpec, koebe_phi, shear_at
 
 SAMPLE_POINTS = [0.3, -0.25 + 0.4j, 0.55j, 0.5 * cmath.exp(1.9j),
                  -0.7, 0.6 - 0.35j]
@@ -188,7 +188,7 @@ def test_v_equals_imag_prevertex():
         p = FamilyParams(family=fam, **kw)
         for z in SAMPLE_POINTS[:4]:
             s = evaluate(p, z)
-            assert abs(s.v - k_c_eval(kw["c"], z).imag) < 1e-9
+            assert abs(s.v - koebe_phi(kw["c"], z).imag) < 1e-9
 
 
 def test_oracle_equivalence_sampled():
