@@ -36,12 +36,16 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+# The near-boundary cutoff of the quadrature oracle, and the largest grid
+# radius that map and surface accept.
+R_MAX = 0.999
+
 # Grids build their points as r*exp(i*theta); the rounded modulus of such a
 # point can exceed r by a few ulps, which the near-boundary cutoff forgives.
 _ROUNDING_SLACK = 1.0 + 8.0 * sys.float_info.epsilon
 
 
-def require_disk_point(z, r_max=0.999):
+def require_disk_point(z, r_max=R_MAX):
     """Validate |z| < 1 (and below the near-boundary cutoff, up to a few
     ulps of rounding) and return z as a complex number."""
     z = complex(z)
@@ -53,7 +57,7 @@ def require_disk_point(z, r_max=0.999):
     return z
 
 
-def require_disk_points(z, r_max=0.999):
+def require_disk_points(z, r_max=R_MAX):
     """Array form of require_disk_point: check every point at once and
     return z as a complex ndarray.  The DomainError names the first
     offending point in C order."""

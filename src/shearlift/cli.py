@@ -34,6 +34,10 @@ def _check_names(text):
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
         raise argparse.ArgumentTypeError(f"no check name in {text!r}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(
+                f"check {name!r} is named more than once in {text!r}")
     return names
 
 
@@ -85,6 +89,14 @@ def build_parser():
 
 
 def _params(args):
+    # a parameter the family does not use must keep its default, so that
+    # the manifest names only what the output depends on
+    default = families.FamilyParams(family=args.family)
+    for name, users in families.PARAMETER_FAMILIES.items():
+        value = getattr(args, name)
+        if args.family not in users and value != getattr(default, name):
+            raise ValueError(
+                f"--{name} {value} does not apply to family {args.family}")
     return families.FamilyParams(family=args.family, c=args.c, a=args.a,
                                  n=args.n)
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
                        require_disk_points)
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
-from .special import cexpm1, hyp2f1_1c
+from .special import _CMATH, _NUMPY_AS_CMATH, hyp2f1_1c, hyp2f1_1c_array
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1
 # and families.shear_at; no closed form calls them.
 from .special import appell_f1  # noqa: F401
@@ -43,6 +42,9 @@ FAMILY_NAMES = ("F_a", "F_0a", "F_1a", "F_ca", "f_0n", "f_1n", "f_2n", "f_cn")
 
 _MOBIUS_FAMILIES = {"F_a", "F_0a", "F_1a", "F_ca"}
 _POWER_FAMILIES = {"f_0n", "f_1n", "f_2n", "f_cn"}
+# the families whose maps depend on each parameter of FamilyParams
+PARAMETER_FAMILIES = {"c": {"F_ca", "f_cn"}, "a": _MOBIUS_FAMILIES,
+                      "n": _POWER_FAMILIES}
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,8 @@ class FamilyParams:
         if self.family in _POWER_FAMILIES and (self.n < 1
                                                or self.n != int(self.n)):
             raise UnsupportedParameterError("n must be a positive integer")
-        if self.family in ("F_ca", "f_cn") and not 0.0 <= self.c <= 2.0:
+        if (self.family in PARAMETER_FAMILIES["c"]
+                and not 0.0 <= self.c <= 2.0):
             raise UnsupportedParameterError("c must lie in [0, 2]")
 
 
@@ -117,9 +120,6 @@ def derivatives_array(params, z):
 # family parameters p, the point z and the prevertex value phi at z, and
 # returns (h, g); _FORMS below registers them by family name.
 
-# cmath's log with the complex expm1 that cmath lacks
-_CMATH = SimpleNamespace(log=cmath.log, expm1=cexpm1)
-
 
 def _from_sum(p, phi):
     # h + g = P and h - g = phi pin both analytic parts.
@@ -150,7 +150,7 @@ def _powm1_over(m, p, log_w):
     # lose its digits to underflow.
     if abs(p) < 1e-20:
         return log_w
-    return m.expm1(p * log_w) / p
+    return m.divide(m.expm1(p * log_w), p)
 
 
 def _F_ca(m, p, z, phi):
@@ -382,23 +382,31 @@ def _fcn_roots(c, n):
     return tuple(roots)
 
 
-def fcn_h_and_lift(c, n, z):
-    """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds at a disk point z,
-    from one 2F1 value per root of unity (c in (0, 2) other than 1; T is
-    None for odd n).  The minimal-surface height is F3 = 2 Im T."""
-    w = (1.0 + z) / (1.0 - z)
-    log_w = cmath.log(w)
-    wc = cmath.exp(c * log_w)
-    base = _powm1_over(_CMATH, c, log_w)
+def _fcn_real_roots(m, c, n, z):
+    """What both forms of fcn_h_and_lift share, written against the math
+    namespace m: w, w^c, (w^c - 1)/c, and h and T summed over the roots
+    e_k = +-1."""
+    w = m.divide(1.0 + z, 1.0 - z)
+    log_w = m.log(w)
+    wc = m.exp(c * log_w)
+    base = _powm1_over(m, c, log_w)
     # e_k = 1
-    i_k = 0.5 * (_powm1_over(_CMATH, c + 1.0, log_w) + base)
+    i_k = 0.5 * (_powm1_over(m, c + 1.0, log_w) + base)
     h = i_k
     t = i_k
     if n % 2 == 0:
         # e_k = -1, k = n/2
-        i_k = 0.5 * (base + _powm1_over(_CMATH, c - 1.0, log_w))
-        h += i_k
-        t += (-1.0) ** (n // 2) * i_k
+        i_k = 0.5 * (base + _powm1_over(m, c - 1.0, log_w))
+        h = h + i_k
+        t = t + (-1.0) ** (n // 2) * i_k
+    return w, wc, base, h, t
+
+
+def fcn_h_and_lift(c, n, z):
+    """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds at a disk point z,
+    from one 2F1 value per root of unity (c in (0, 2) other than 1; T is
+    None for odd n).  The minimal-surface height is F3 = 2 Im T."""
+    w, wc, base, h, t = _fcn_real_roots(_CMATH, c, n, z)
     small = c < _SMALL_C
     for root in _fcn_roots(c, n):
         x_w = w * root.neg_inv_beta
@@ -416,9 +424,40 @@ def fcn_h_and_lift(c, n, z):
     return scale * h, scale * t
 
 
+def fcn_h_and_lift_array(c, n, z):
+    """fcn_h_and_lift at an array of disk points, as complex ndarrays of
+    z's shape (T is None for odd n).  The root terms other than +-1 go
+    through one hyp2f1_1c_array call over (roots, points)."""
+    z = np.asarray(z, dtype=complex)
+    # At a real z, Im T is what is left of conjugate terms that cancel:
+    # it matches the scalar residue only with the scalar's division and
+    # expm1, and with the roots added in the scalar order.
+    w, wc, base, h, t = _fcn_real_roots(_NUMPY_AS_CMATH, c, n, z.ravel())
+    roots = _fcn_roots(c, n)
+    if roots:
+        # the constants of each root as a column, one row per root
+        scale, weight, neg_inv_beta, at_one = np.array(
+            [(r.scale, r.weight, r.neg_inv_beta, r.at_one)
+             for r in roots]).T[..., None]
+        x_w = w * neg_inv_beta
+        if c < _SMALL_C:
+            d = base + (wc * x_w * hyp2f1_1c_array(c + 1.0, x_w) / (c + 1.0)
+                        - at_one)
+        else:
+            d = wc * hyp2f1_1c_array(c, x_w) - at_one
+        for root, i_k in zip(roots, scale * base + weight * d):
+            h = h + i_k
+            t = t + root.sign * i_k
+    scale = 0.5 / n
+    h = (scale * h).reshape(z.shape)
+    if n % 2:
+        return h, None
+    return h, (scale * t).reshape(z.shape)
+
+
 def _f_cn(m, p, z, phi):
-    # scalar only (m is _CMATH): hyp2f1_1c chooses its route per point
-    h, _ = fcn_h_and_lift(float(p.c), int(p.n), z)
+    fcn = fcn_h_and_lift if m is _CMATH else fcn_h_and_lift_array
+    h, _ = fcn(float(p.c), int(p.n), z)
     return h, h - phi
 
 
@@ -450,26 +489,13 @@ def evaluate(params, z):
     return MapSample.from_hg(z, h, g)
 
 
-def per_point(fn, z, *names):
-    """Call the scalar fn at every point of the ndarray z and return the
-    named attributes of its samples as ndarrays of z's shape."""
-    samples = [fn(p) for p in z.ravel().tolist()]
-    return tuple(np.array([getattr(s, name) for s in samples])
-                 .reshape(z.shape) for name in names)
-
-
 def evaluate_array(params, z):
     """h and g of the family at an array of disk points, as complex
-    ndarrays of z's shape.
-
-    The closed forms run once on the whole array with numpy; f_cn goes
-    point by point through evaluate, because hyp2f1_1c chooses its route
-    per point.
-    """
+    ndarrays of z's shape: the closed form runs once on the whole array
+    with numpy (for f_cn, hyp2f1_1c_array routes every root term of every
+    point by mask)."""
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
-    if params.family == "f_cn":
-        return per_point(lambda p: evaluate(params, p), z, "h", "g")
     return _FORMS[params.family](np, params, z, family_phi(params).phi(z))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
+from .analytic import R_MAX
 
 
 # SVG width in pixels (the height follows the figure's aspect ratio, at
@@ -34,8 +35,8 @@ class RenderConfig:
             raise ValueError("samples_per_curve must be >= 16")
         if self.rings < 1 or self.spokes < 1:
             raise ValueError("rings and spokes must be >= 1")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
+        if not 0.0 < self.r_max <= R_MAX:
+            raise ValueError(f"r_max must lie in (0, {R_MAX}]")
 
 
 @dataclass(frozen=True)

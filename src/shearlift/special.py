@@ -15,8 +15,10 @@ outside both domains.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -154,6 +156,30 @@ def _horner(coeffs, m, x):
     return acc
 
 
+def _horner_many(series):
+    """The sums sum_{k<m} coeffs[k] y^k of several series (coeffs, m, y),
+    with y a complex ndarray, in one in-place Horner pass over all their
+    points.  A series of fewer terms than the longest starts at its own
+    top term, so each sum is bit for bit that of _horner at each point."""
+    sizes = np.array([y.size for _, _, y in series])
+    table = np.zeros((len(series), max(m for _, m, _ in series)))
+    for row, (coeffs, m, _) in zip(table, series):
+        row[:m] = coeffs[:m]
+    y = np.concatenate([y for _, _, y in series])
+    acc = np.zeros(y.shape, dtype=complex)
+    for column in table.T[::-1]:
+        acc *= y
+        acc += column.repeat(sizes)
+    return np.split(acc, np.cumsum(sizes)[:-1])
+
+
+def _terms_at_most(coeffs, y, growth=0.0):
+    """The terms of coeffs that _terms asks for at the largest |y|."""
+    if not y.size:
+        return 0
+    return min(len(coeffs), _terms(float(np.abs(y).max()), growth))
+
+
 def _digamma(x):
     """psi(x) for x > 0: recurrence up to x >= 10, then the asymptotic
     series through the x^-12 term."""
@@ -176,6 +202,40 @@ def cexpm1(u):
     s = math.sin(0.5 * b)
     return complex(math.expm1(a) * math.cos(b) - 2.0 * s * s,
                    math.exp(a) * math.sin(b))
+
+
+def cexpm1_array(u):
+    """cexpm1 over a complex ndarray, switching between the same two
+    formulas at |u| = 0.5."""
+    out = np.exp(u) - 1.0
+    near = np.abs(u) <= 0.5
+    a, b = u.real[near], u.imag[near]
+    s = np.sin(0.5 * b)
+    out.real[near] = np.expm1(a) * np.cos(b) - 2.0 * s * s
+    out.imag[near] = np.exp(a) * np.sin(b)
+    return out
+
+
+def cdiv(a, b):
+    """a / b for a complex array a and b a float or an array of a's
+    shape, by the algorithm of Python's complex division (Smith's, with
+    true divisions where numpy's multiplies by a reciprocal), so that
+    each quotient is bit for bit Python's."""
+    a = np.asarray(a, dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
+    if isinstance(b, float):
+        # Smith's algorithm divides by a real b part by part
+        out.real = a.real / b
+        out.imag = a.imag / b
+        return out
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    wide = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, bi / br, br / bi)
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        out.real = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
+        out.imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
 
 
 def _log_sinc_pi(eps):
@@ -220,27 +280,36 @@ def _f1c_tables(c):
         pfaff=tuple(pfaff), log_b=tuple(log_b), log_a=tuple(log_a))
 
 
-def _f1c_inverse(c, x, tables):
+# Math namespaces for formulas written once: cmath's log and exp, the
+# complex expm1 that cmath lacks and Python's division for one point, and
+# numpy with the same expm1 and division for arrays.
+_CMATH = SimpleNamespace(log=cmath.log, exp=cmath.exp, expm1=cexpm1,
+                         divide=operator.truediv)
+_NUMPY_AS_CMATH = SimpleNamespace(log=np.log, exp=np.exp, expm1=cexpm1_array,
+                                  divide=cdiv)
+
+
+def _f1c_inverse(m, c, x, y, series):
     """DLMF 15.8.2 for |x| > 1:
 
         pi c (-x)^-c / sin(pi c) + sum_{j>=1} c x^-j / (j - c),
 
     with the j = N term (N the nearest integer to c, if N >= 1) folded
-    into the first one, since both grow like 1/(N - c) and cancel."""
-    y = 1.0 / x
-    log_mx = cmath.log(-x)
-    total = y * _horner(tables.inverse, _terms(abs(y)), y)
+    into the first one, since both grow like 1/(N - c) and cancel.  y is
+    1/x and series the sum of the inverse table in y."""
+    log_mx = m.log(-x)
+    total = y * series
     near = round(c)
     if near < 1:
         return total + (math.pi * c / math.sin(math.pi * c)
-                        * cmath.exp(-c * log_mx))
+                        * m.exp(-c * log_mx))
     eps = near - c
     # pi c (-x)^-c / sin(pi c) + c x^-N / eps
     #   = -c x^-N (exp(eps log(-x) - log sinc(pi eps)) - 1) / eps
     if eps == 0.0:
         folded = -log_mx
     else:
-        folded = -cexpm1(eps * log_mx - _log_sinc_pi(eps)) / eps
+        folded = -m.expm1(eps * log_mx - _log_sinc_pi(eps)) / eps
     return total + c * y ** near * folded
 
 
@@ -270,7 +339,9 @@ def hyp2f1_1c(c, x):
     if r <= _POWER_RADIUS:
         return _horner(tables.power, _terms(r), x)
     if r >= _INVERSE_RADIUS:
-        return _f1c_inverse(c, x, tables)
+        y = 1.0 / x
+        return _f1c_inverse(_CMATH, c, x, y,
+                            _horner(tables.inverse, _terms(abs(y)), y))
     u = 1.0 - x
     ru = abs(u)
     if r <= _PFAFF_RADIUS * ru:
@@ -296,6 +367,94 @@ def hyp2f1_1c(c, x):
     x1 = r1 * direction
     return (math.pow(r1 / r, c) * _horner(tables.power, len(tables.power), x1)
             + c * half * acc)
+
+
+# Panels a broadcast of the ray continuation takes at once: its
+# temporaries hold 24 values a panel.
+_RAY_CHUNK = 1024
+
+
+def _f1c_ray_array(c, r, direction, pole_gap, at_x1):
+    """The ray continuation of hyp2f1_1c at the points |x| = r, x/|x| =
+    direction, given F at x1 = direction/2: the 24 nodes of every panel
+    of every point as one broadcast, summed per point."""
+    r1 = _POWER_RADIUS
+    panels = np.ceil((r - r1) / (2.0 * pole_gap))
+    half = 0.5 * (r - r1) / panels
+    point, panel = np.nonzero(np.arange(_MAX_PANELS) < panels[:, None])
+    nodes, weights = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
+    acc = np.zeros(r.shape, dtype=complex)
+    for start in range(0, point.size, _RAY_CHUNK):
+        p = point[start:start + _RAY_CHUNK, None]
+        rho = (r1 + (2 * panel[start:start + _RAY_CHUNK, None] + 1) * half[p]
+               + half[p] * nodes)
+        f = (weights * np.power(rho / r[p], c)
+             / (rho * (1.0 - rho * direction[p])))
+        np.add.at(acc, p[:, 0], f.sum(axis=1))
+    return np.power(r1 / r, c) * at_x1 + c * half * acc
+
+
+def hyp2f1_1c_array(c, x):
+    """hyp2f1_1c at every point of an array x of any shape, as a complex
+    ndarray of x's shape.
+
+    Each route of hyp2f1_1c is a boolean mask over x, taken in the same
+    order.  The series of all routes are summed in one Horner pass, each
+    to the tail bound at the largest |argument| of its route; the ray
+    continuation is one broadcast over its points' panels and nodes.  The
+    values agree with hyp2f1_1c to a few units of roundoff."""
+    c = float(c)
+    x = np.asarray(x, dtype=complex)
+    if not 0.0 < c <= 2.0:
+        raise DomainError("hyp2f1_1c needs 0 < c <= 2")
+    on_cut = (x.imag == 0.0) & (x.real >= 1.0)
+    if on_cut.any():
+        raise DomainError(f"hyp2f1_1c: x = {x[on_cut][0]} lies on the "
+                          "branch cut [1, inf)")
+    shape, x = x.shape, x.ravel()
+    out = np.empty(x.shape, dtype=complex)
+    if not x.size:
+        return out.reshape(shape)
+    tables = _f1c_tables(c)
+    r = np.abs(x)
+    u = 1.0 - x
+    ru = np.abs(u)
+    power = r <= _POWER_RADIUS
+    inverse = ~power & (r >= _INVERSE_RADIUS)
+    pfaff = ~(power | inverse) & (r <= _PFAFF_RADIUS * ru)
+    rest = ~(power | inverse | pfaff)
+    # the log series and the ray continuation split what is left
+    x_rest, r_rest = x[rest], r[rest]
+    direction = x_rest / r_rest
+    pole_gap = np.abs(1.0 - np.minimum(np.maximum(direction.real,
+                                                  _POWER_RADIUS), r_rest)
+                      * direction)
+    near = ((ru[rest] <= _LOG_RADIUS)
+            | (r_rest - _POWER_RADIUS > 2.0 * _MAX_PANELS * pole_gap))
+    far = ~near
+    log, ray = rest.copy(), rest.copy()
+    log[rest] = near
+    ray[rest] = far
+
+    y_power, y_inverse = x[power], 1.0 / x[inverse]
+    y_pfaff, u_log = -x[pfaff] / u[pfaff], u[log]
+    x1 = _POWER_RADIUS * direction[far]
+    m_log = _terms_at_most(tables.log_a, u_log, 3.0)
+    s_power, s_inverse, s_pfaff, s_log_a, s_log_b, s_x1 = _horner_many([
+        (tables.power, _terms_at_most(tables.power, y_power), y_power),
+        (tables.inverse, _terms_at_most(tables.inverse, y_inverse),
+         y_inverse),
+        (tables.pfaff, _terms_at_most(tables.pfaff, y_pfaff), y_pfaff),
+        (tables.log_a, m_log, u_log), (tables.log_b, m_log, u_log),
+        (tables.power, len(tables.power), x1)])
+    out[power] = s_power
+    out[inverse] = _f1c_inverse(_NUMPY_AS_CMATH, c, x[inverse], y_inverse,
+                                s_inverse)
+    out[pfaff] = s_pfaff / u[pfaff]
+    out[log] = c * (s_log_a - np.log(u_log) * s_log_b)
+    out[ray] = _f1c_ray_array(c, r_rest[far], direction[far], pole_gap[far],
+                              s_x1)
+    return out.reshape(shape)
 
 
 def _series_applicable(p, x, y):

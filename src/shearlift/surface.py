@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import require_disk_point, require_disk_points
+from .analytic import R_MAX, require_disk_point, require_disk_points
 from .errors import DilatationNotSquareError, UnsupportedParameterError
 from .families import (_POWER_FAMILIES, FamilyParams, evaluate,
-                       evaluate_array, family_phi, fcn_h_and_lift, per_point,
-                       resolve_family)
+                       evaluate_array, family_phi, fcn_h_and_lift,
+                       fcn_h_and_lift_array, resolve_family)
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
@@ -40,8 +40,8 @@ class GridSpec:
             raise ValueError("rings must be >= 1")
         if self.spokes < 3:
             raise ValueError("spokes must be >= 3")
-        if not 0.0 < self.r_max <= 0.999:
-            raise ValueError("r_max must lie in (0, 0.999]")
+        if not 0.0 < self.r_max <= R_MAX:
+            raise ValueError(f"r_max must lie in (0, {R_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -151,17 +151,19 @@ def lift_array(params, z):
     """u, v and F3 of the lift at an array of disk points, as float
     ndarrays of z's shape.
 
-    The closed-form lifts run once on the whole array with numpy; f_cn
-    goes point by point through lift_sample, because hyp2f1_1c chooses
-    its route per point.
+    The closed-form lifts run once on the whole array with numpy; for
+    f_cn the planar map and F3 both come from one fcn_h_and_lift_array
+    call.
     """
     n = _liftable(params)
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
-    if params.family == "f_cn":
-        return per_point(lambda p: lift_sample(params, p), z, "u", "v", "f3")
-    h, g = evaluate_array(params, z)
-    return (h + g).real, (h - g).imag, _F3_FORMS[params.family](np, n, z)
+    if params.family != "f_cn":
+        h, g = evaluate_array(params, z)
+        return (h + g).real, (h - g).imag, _F3_FORMS[params.family](np, n, z)
+    h, t = fcn_h_and_lift_array(float(params.c), n, z)
+    g = h - family_phi(params).phi(z)
+    return (h + g).real, (h - g).imag, 2.0 * t.imag
 
 
 def build_mesh(params, grid):

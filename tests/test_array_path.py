@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from shearlift import verify
+from shearlift import families, surface, verify
 from shearlift._kernels import fallback
 from shearlift.analytic import QuadratureConfig
 from shearlift.cli import main
@@ -44,7 +44,12 @@ CLOSED_FORMS = (
     + [FamilyParams(family=f, n=n)
        for f in ("f_0n", "f_1n", "f_2n") for n in (1, 2, 3, 4, 7, 8)]
     + [FamilyParams(family="f_cn", c=c, n=n)
-       for c in (0.0, 0.5, 1.0, 2.0) for n in (3, 4)])
+       for c in (0.0, 0.5, 1.0, 2.0) for n in (3, 4)]
+    # the general f_cn form: the small-c branch, the folded near-integer
+    # 1/x term of hyp2f1_1c on both sides of c = 1, and both parities of
+    # n/2
+    + [FamilyParams(family="f_cn", c=c, n=n)
+       for c in (1e-6, 0.1, 0.9995, 1.0005, 1.5) for n in (2, 3, 7, 8)])
 # up to the largest r_max the CLI accepts
 GRID = GridSpec(rings=6, spokes=14, r_max=0.999)
 
@@ -106,6 +111,22 @@ def test_arrays_keep_their_shape():
     assert h.shape == g.shape == (3, 4)
     u, v, f3 = lift_array(FamilyParams(family="f_1n", n=2), z)
     assert u.shape == v.shape == f3.shape == (3, 4)
+
+
+def test_fcn_arrays_do_not_go_point_by_point(monkeypatch):
+    def scalar(*args):
+        raise AssertionError("a scalar f_cn call on the array path")
+
+    # the constants of the roots come from hyp2f1_1c, once per (c, n)
+    families._fcn_roots(0.7, 6)
+    for module, name in ((families, "evaluate"),
+                         (families, "fcn_h_and_lift"),
+                         (families, "hyp2f1_1c"), (surface, "lift_sample")):
+        monkeypatch.setattr(module, name, scalar)
+    z = np.array(grid_points(GridSpec(rings=3, spokes=4, r_max=0.8)))
+    h, g = evaluate_array(FamilyParams(family="f_cn", c=0.7, n=6), z)
+    u, v, f3 = lift_array(FamilyParams(family="f_cn", c=0.7, n=6), z)
+    assert np.isfinite(h).all() and np.isfinite(f3).all()
 
 
 def test_array_domain_error_names_first_offending_point():

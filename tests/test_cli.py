@@ -276,3 +276,52 @@ def test_map_accepts_its_own_grid_at_rmax_limit(tmp_path, capsys):
         s = evaluate(p, z)
         assert not s.fallback
         assert rings[1][k] == (float(fmt9(s.u)), float(fmt9(s.v)))
+
+
+def test_verify_rejects_a_repeated_check_name(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run("verify", "--family", "f_0n", "--n", "2", "--checks",
+               "prevertex_identity,jacobian_positive,prevertex_identity",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "argument --checks" in err and "'prevertex_identity'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--family", "F_a", "--samples", "16"),
+    ("surface", "--family", "f_2n", "--n", "2"),
+], ids=lambda argv: argv[0])
+def test_map_and_surface_share_the_rmax_bound(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    grid = ("--rings", "1", "--spokes", "4", "--out", str(out))
+    assert run(*argv, *grid, "--rmax", "0.9995") == 2
+    assert "r_max must lie in (0, 0.999]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, *grid, "--rmax", "0.999") == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("map", "--family", "F_a", "--c", "1.7"), "--c"),
+    (("map", "--family", "F_a", "--n", "5"), "--n"),
+    (("surface", "--family", "f_2n", "--n", "2", "--a", "0.5"), "--a"),
+    (("verify", "--family", "f_cn", "--c", "0.5", "--n", "3",
+      "--a", "-0.2", "--checks", "prevertex_identity"), "--a"),
+    (("map", "--family", "f_0n", "--n", "3", "--c", "5"), "--c"),
+], ids=lambda v: v if isinstance(v, str) else v[0] + "-" + v[2])
+def test_parameter_the_family_does_not_use_exits_two(tmp_path, capsys, argv,
+                                                      name):
+    out = tmp_path / "x.out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{name} " in err and "does not apply to family" in err
+    assert not out.exists()
+
+
+def test_unused_parameters_at_their_defaults_are_accepted(tmp_path):
+    out = tmp_path / "x.svg"
+    assert run("map", "--family", "F_a", "--c", "0", "--n", "1", "--a",
+               "0.3", "--rings", "1", "--spokes", "4", "--samples", "16",
+               "--out", str(out)) == 0
+    assert "family: F_a c=0 a=0.3 n=1" in out.read_text()

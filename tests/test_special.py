@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shearlift.errors import DomainError, UnsupportedDomainError
 from shearlift.special import (F1Params, appell_f1, appell_f1_integral,
-                               appell_f1_series, gauss_2f1, hyp2f1_1c,
+                               appell_f1_series, cdiv, cexpm1, cexpm1_array,
+                               gauss_2f1, hyp2f1_1c, hyp2f1_1c_array,
                                pochhammer)
 
 
@@ -123,6 +125,48 @@ def test_hyp2f1_1c_domain_errors():
         hyp2f1_1c(0.5, 1.0)
     with pytest.raises(DomainError):
         hyp2f1_1c(0.5, 3.0)
+
+
+@pytest.mark.parametrize("c", (1e-6, 0.1, 0.5, 0.9995, 1.0, 1.0005, 1.5,
+                               2.0))
+def test_hyp2f1_1c_array_matches_scalar(c):
+    # a 2-D array over every route and the route radii; a route sums its
+    # series to the tail bound of its largest argument, so values may
+    # differ in the last bits
+    x = np.array(ROUTE_POINTS + [0j, 0.5, -5.0 / 3.0, 0.6 + 0.8j])
+    x = x.reshape(3, -1)
+    got = hyp2f1_1c_array(c, x)
+    assert got.shape == x.shape
+    for p, value in zip(x.ravel().tolist(), got.ravel().tolist()):
+        want = hyp2f1_1c(c, p)
+        assert abs(value - want) <= 1e-14 * abs(want), (c, p)
+
+
+def test_hyp2f1_1c_array_shapes_and_domain_errors():
+    assert hyp2f1_1c_array(0.5, np.zeros((0, 3))).shape == (0, 3)
+    point = hyp2f1_1c_array(0.5, 0.3 - 0.2j)
+    assert point.shape == ()
+    assert abs(point - hyp2f1_1c(0.5, 0.3 - 0.2j)) <= 1e-15
+    with pytest.raises(DomainError):
+        hyp2f1_1c_array(0.0, np.array([0.3]))
+    with pytest.raises(DomainError, match=r"x = \(3\+0j\)"):
+        hyp2f1_1c_array(0.5, np.array([[0.3, 0.2j], [3.0, 1.0]]))
+
+
+def test_cdiv_is_python_division_bit_for_bit():
+    # numpy multiplies by a reciprocal and rounds differently
+    a = np.array(ROUTE_POINTS)
+    b = np.array(ROUTE_POINTS[::-1]) * (1.0 - 0.3j)
+    assert cdiv(a, b).tolist() == [p / q for p, q in
+                                   zip(a.tolist(), b.tolist())]
+    assert cdiv(a, 1.7).tolist() == [p / 1.7 for p in a.tolist()]
+
+
+def test_cexpm1_array_matches_cexpm1():
+    u = np.array([1e-12 + 1e-9j, -0.3 + 0.4j, 0.5, 0.2 - 0.6j, 3.0 - 1.0j,
+                  -1e-300j])
+    for value, p in zip(cexpm1_array(u).tolist(), u.tolist()):
+        assert abs(value - cexpm1(p)) <= 2e-16 * abs(cexpm1(p)), p
 
 
 def test_f1_at_origin():
