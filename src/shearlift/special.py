@@ -332,6 +332,8 @@ def hyp2f1_1c(c, x):
     x = complex(x)
     if not 0.0 < c <= 2.0:
         raise DomainError("hyp2f1_1c needs 0 < c <= 2")
+    if cmath.isnan(x):
+        raise DomainError(f"hyp2f1_1c: x = {x} is NaN")
     if x.imag == 0.0 and x.real >= 1.0:
         raise DomainError("hyp2f1_1c: x lies on the branch cut [1, inf)")
     tables = _f1c_tables(c)
@@ -407,6 +409,9 @@ def hyp2f1_1c_array(c, x):
     x = np.asarray(x, dtype=complex)
     if not 0.0 < c <= 2.0:
         raise DomainError("hyp2f1_1c needs 0 < c <= 2")
+    nan = np.isnan(x)
+    if nan.any():
+        raise DomainError(f"hyp2f1_1c: x = {x[nan][0]} is NaN")
     on_cut = (x.imag == 0.0) & (x.real >= 1.0)
     if on_cut.any():
         raise DomainError(f"hyp2f1_1c: x = {x[on_cut][0]} lies on the "

@@ -125,6 +125,9 @@ def test_hyp2f1_1c_domain_errors():
         hyp2f1_1c(0.5, 1.0)
     with pytest.raises(DomainError):
         hyp2f1_1c(0.5, 3.0)
+    for x in (math.nan, complex(math.nan, 1.0), complex(0.3, math.nan)):
+        with pytest.raises(DomainError, match="NaN"):
+            hyp2f1_1c(0.5, x)
 
 
 @pytest.mark.parametrize("c", (1e-6, 0.1, 0.5, 0.9995, 1.0, 1.0005, 1.5,
@@ -151,6 +154,9 @@ def test_hyp2f1_1c_array_shapes_and_domain_errors():
         hyp2f1_1c_array(0.0, np.array([0.3]))
     with pytest.raises(DomainError, match=r"x = \(3\+0j\)"):
         hyp2f1_1c_array(0.5, np.array([[0.3, 0.2j], [3.0, 1.0]]))
+    for x in (math.nan, complex(math.nan, 1.0), complex(0.3, math.nan)):
+        with pytest.raises(DomainError, match="NaN"):
+            hyp2f1_1c_array(0.5, np.array([0.3, x, 3.0]))
 
 
 def test_cdiv_is_python_division_bit_for_bit():

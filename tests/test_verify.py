@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from shearlift import families, surface, verify
 from shearlift.errors import UnsupportedParameterError
 from shearlift.families import FamilyParams
+from shearlift.shear import grid_points
 from shearlift.surface import GridSpec
 from shearlift.verify import (boundary_curve, check_chd_heuristic,
                               check_dilatation, check_jacobian_positive,
@@ -106,6 +109,57 @@ def test_surface_check():
     assert r.passed
     r = check_surface(FamilyParams(family="f_0n", n=4))
     assert r.passed
+
+
+def _paraboloid(z):
+    """1e-3 |z - z_k|^2, z_k the surface grid point nearest to each z."""
+    grid = np.array(grid_points(verify.SURFACE_GRID))
+    nearest = grid[np.argmin(np.abs(z[..., None] - grid), axis=-1)]
+    return 1e-3 * np.abs(z - nearest) ** 2
+
+
+# each defect breaks one of the three properties: u shifted off the planar
+# map, F3 scaled (no longer isothermal), and F3 plus a paraboloid about
+# every grid point (central differences and the projection unchanged, but
+# the Laplacian no longer halves its error with the step)
+@pytest.mark.parametrize("defect, residual", (
+    (lambda z, u, v, f3: (u + 1e-9, v, f3), 10.0),
+    (lambda z, u, v, f3: (u, v, 1.1 * f3), 9.086e3),
+    (lambda z, u, v, f3: (u, v, f3 + _paraboloid(z)), 3.375),
+), ids=("projection", "isothermal", "harmonic"))
+def test_surface_check_fails_on_a_broken_lift(monkeypatch, defect, residual):
+    lift = verify.lift_array
+    monkeypatch.setattr(verify, "lift_array",
+                        lambda params, z: defect(z, *lift(params, z)))
+    r = check_surface(FamilyParams(family="f_2n", n=2))
+    assert not r.passed
+    assert r.max_residual == pytest.approx(residual, rel=1e-3)
+
+
+def test_surface_check_passes_on_a_plane(monkeypatch):
+    # the plane F3 = 0 over the identity map is minimal; its Laplacians
+    # are pure roundoff, so their step-halving ratio is noise that the
+    # check must not read as a failure
+    monkeypatch.setattr(verify, "lift_array",
+                        lambda params, z: (z.real, z.imag, np.zeros(z.shape)))
+    monkeypatch.setattr(families, "evaluate_array",
+                        lambda params, z: (z, np.zeros_like(z)))
+    r = check_surface(FamilyParams(family="f_2n", n=2))
+    assert r.passed and r.max_residual < 1e-6
+
+
+def test_checks_make_no_scalar_evaluation(monkeypatch):
+    def scalar(*args):
+        raise AssertionError("a scalar call in a verify check")
+
+    for module, name in ((families, "evaluate"), (surface, "lift_sample"),
+                         (verify, "lift_sample")):
+        monkeypatch.setattr(module, name, scalar)
+    for p in (FamilyParams(family="f_2n", n=2),
+              FamilyParams(family="f_cn", c=0.5, n=4)):
+        reports = run_checks(p)
+        assert "surface_properties" in [r.check_name for r in reports]
+        assert all(r.passed for r in reports)
 
 
 def test_report_dict_schema():
