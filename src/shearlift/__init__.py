@@ -15,7 +15,7 @@ from .families import (FAMILY_NAMES, FamilyParams, PartialFractionCoeffs,
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, grid_points,
                     sample_grid, shear_array, shear_at)
 from .special import (F1Params, appell_f1, gauss_2f1, hyp2f1_1c,
-                      hyp2f1_1c_array, pochhammer)
+                      pochhammer)
 from .surface import (GridSpec, SurfaceMesh, SurfaceSample, build_mesh,
                       lift_array, lift_sample)
 from .verify import VerificationReport, run_checks
@@ -33,8 +33,7 @@ __all__ = [
     "evaluate_array",
     "DilatationSpec", "MapSample", "PrevertexSpec", "grid_points",
     "sample_grid", "shear_array", "shear_at",
-    "F1Params", "appell_f1", "gauss_2f1", "hyp2f1_1c", "hyp2f1_1c_array",
-    "pochhammer",
+    "F1Params", "appell_f1", "gauss_2f1", "hyp2f1_1c", "pochhammer",
     "GridSpec", "SurfaceMesh", "SurfaceSample", "build_mesh", "lift_array",
     "lift_sample",
     "VerificationReport", "run_checks",

@@ -32,7 +32,7 @@ from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
                        require_disk_points)
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
-from .special import _CMATH, _NUMPY_AS_CMATH, hyp2f1_1c, hyp2f1_1c_array
+from .special import _CMATH, _NUMPY_AS_CMATH, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1
 # and families.shear_at; no closed form calls them.
 from .special import appell_f1  # noqa: F401
@@ -115,7 +115,8 @@ def derivatives_array(params, z):
 # --- closed forms ----------------------------------------------------------
 #
 # Each closed form is written once, against a math namespace m: _CMATH
-# for evaluate, numpy for evaluate_array.  Constants that do not depend on
+# for evaluate, numpy for evaluate_array (f_cn takes no namespace: its one
+# form takes a point or an array).  Constants that do not depend on
 # z (sines, roots of unity) are scalars either way.  A form takes the
 # family parameters p, the point z and the prevertex value phi at z, and
 # returns (h, g); _FORMS below registers them by family name.
@@ -382,57 +383,29 @@ def _fcn_roots(c, n):
     return tuple(roots)
 
 
-def _fcn_real_roots(m, c, n, z):
-    """What both forms of fcn_h_and_lift share, written against the math
-    namespace m: w, w^c, (w^c - 1)/c, and h and T summed over the roots
-    e_k = +-1."""
+def fcn_h_and_lift(c, n, z):
+    """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds, for c in (0, 2)
+    other than 1 (T is None for odd n): Python complex values at a disk
+    point z, complex ndarrays of z's shape at an array of disk points.
+    The minimal-surface height is F3 = 2 Im T.  The roots e_k = +-1 give
+    elementary terms; the others go through one hyp2f1_1c call over
+    (roots, points)."""
+    number = np.isscalar(z)
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
+    # Python's division and expm1 (see special._NUMPY_AS_CMATH)
+    m = _NUMPY_AS_CMATH
     w = m.divide(1.0 + z, 1.0 - z)
     log_w = m.log(w)
     wc = m.exp(c * log_w)
     base = _powm1_over(m, c, log_w)
     # e_k = 1
-    i_k = 0.5 * (_powm1_over(m, c + 1.0, log_w) + base)
-    h = i_k
-    t = i_k
+    h = t = 0.5 * (_powm1_over(m, c + 1.0, log_w) + base)
     if n % 2 == 0:
         # e_k = -1, k = n/2
         i_k = 0.5 * (base + _powm1_over(m, c - 1.0, log_w))
         h = h + i_k
         t = t + (-1.0) ** (n // 2) * i_k
-    return w, wc, base, h, t
-
-
-def fcn_h_and_lift(c, n, z):
-    """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds at a disk point z,
-    from one 2F1 value per root of unity (c in (0, 2) other than 1; T is
-    None for odd n).  The minimal-surface height is F3 = 2 Im T."""
-    w, wc, base, h, t = _fcn_real_roots(_CMATH, c, n, z)
-    small = c < _SMALL_C
-    for root in _fcn_roots(c, n):
-        x_w = w * root.neg_inv_beta
-        if small:
-            d = base + (wc * x_w * hyp2f1_1c(c + 1.0, x_w) / (c + 1.0)
-                        - root.at_one)
-        else:
-            d = wc * hyp2f1_1c(c, x_w) - root.at_one
-        i_k = root.scale * base + root.weight * d
-        h += i_k
-        t += root.sign * i_k
-    scale = 0.5 / n
-    if n % 2:
-        return scale * h, None
-    return scale * h, scale * t
-
-
-def fcn_h_and_lift_array(c, n, z):
-    """fcn_h_and_lift at an array of disk points, as complex ndarrays of
-    z's shape (T is None for odd n).  The root terms other than +-1 go
-    through one hyp2f1_1c_array call over (roots, points)."""
-    z = np.asarray(z, dtype=complex)
-    # At a real z, Im T is what is left of conjugate terms that cancel:
-    # it matches the scalar residue only with the scalar's division and
-    # expm1, and with the roots added in the scalar order.
-    w, wc, base, h, t = _fcn_real_roots(_NUMPY_AS_CMATH, c, n, z.ravel())
     roots = _fcn_roots(c, n)
     if roots:
         # the constants of each root as a column, one row per root
@@ -441,23 +414,24 @@ def fcn_h_and_lift_array(c, n, z):
              for r in roots]).T[..., None]
         x_w = w * neg_inv_beta
         if c < _SMALL_C:
-            d = base + (wc * x_w * hyp2f1_1c_array(c + 1.0, x_w) / (c + 1.0)
+            d = base + (wc * x_w * hyp2f1_1c(c + 1.0, x_w) / (c + 1.0)
                         - at_one)
         else:
-            d = wc * hyp2f1_1c_array(c, x_w) - at_one
+            d = wc * hyp2f1_1c(c, x_w) - at_one
         for root, i_k in zip(roots, scale * base + weight * d):
             h = h + i_k
             t = t + root.sign * i_k
     scale = 0.5 / n
-    h = (scale * h).reshape(z.shape)
-    if n % 2:
-        return h, None
-    return h, (scale * t).reshape(z.shape)
+    h = (scale * h).reshape(shape)
+    t = None if n % 2 else (scale * t).reshape(shape)
+    if number:
+        return h.item(), None if t is None else t.item()
+    return h, t
 
 
 def _f_cn(m, p, z, phi):
-    fcn = fcn_h_and_lift if m is _CMATH else fcn_h_and_lift_array
-    h, _ = fcn(float(p.c), int(p.n), z)
+    # one form for a point and an array: fcn_h_and_lift takes either
+    h, _ = fcn_h_and_lift(float(p.c), int(p.n), z)
     return h, h - phi
 
 
@@ -492,8 +466,8 @@ def evaluate(params, z):
 def evaluate_array(params, z):
     """h and g of the family at an array of disk points, as complex
     ndarrays of z's shape: the closed form runs once on the whole array
-    with numpy (for f_cn, hyp2f1_1c_array routes every root term of every
-    point by mask)."""
+    with numpy (for f_cn, one hyp2f1_1c call routes every root term of
+    every point by mask)."""
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
     return _FORMS[params.family](np, params, z, family_phi(params).phi(z))

@@ -1,7 +1,9 @@
 """Pochhammer symbols, Gauss 2F1 and the two-variable Appell F1.
 
-``hyp2f1_1c`` evaluates 2F1(1, c; c+1; x) on the whole cut plane; the
-f_cn family and its lift are built from it.  F1 is the paper's form of
+``hyp2f1_1c`` evaluates 2F1(1, c; c+1; x) on the whole cut plane, for a
+number or an array of any shape by the same code: each route is a mask
+over the points and every series is summed in one Horner pass.  The f_cn
+family and its lift are built from it.  F1 is the paper's form of
 the same family and is kept as a reference.  F1 carries two independent
 representations:
 
@@ -148,19 +150,11 @@ def _terms(r, growth=0.0):
     return m
 
 
-def _horner(coeffs, m, x):
-    """sum_{k<m} coeffs[k] x^k."""
-    acc = 0j
-    for a in coeffs[m - 1::-1]:
-        acc = acc * x + a
-    return acc
-
-
 def _horner_many(series):
     """The sums sum_{k<m} coeffs[k] y^k of several series (coeffs, m, y),
     with y a complex ndarray, in one in-place Horner pass over all their
     points.  A series of fewer terms than the longest starts at its own
-    top term, so each sum is bit for bit that of _horner at each point."""
+    top term, so each sum is bit for bit that of a pass of its own."""
     sizes = np.array([y.size for _, _, y in series])
     table = np.zeros((len(series), max(m for _, m, _ in series)))
     for row, (coeffs, m, _) in zip(table, series):
@@ -206,7 +200,8 @@ def cexpm1(u):
 
 def cexpm1_array(u):
     """cexpm1 over a complex ndarray, switching between the same two
-    formulas at |u| = 0.5."""
+    formulas at |u| = 0.5 (numpy's complex expm1 rounds differently; see
+    _NUMPY_AS_CMATH for where that shows)."""
     out = np.exp(u) - 1.0
     near = np.abs(u) <= 0.5
     a, b = u.real[near], u.imag[near]
@@ -220,7 +215,8 @@ def cdiv(a, b):
     """a / b for a complex array a and b a float or an array of a's
     shape, by the algorithm of Python's complex division (Smith's, with
     true divisions where numpy's multiplies by a reciprocal), so that
-    each quotient is bit for bit Python's."""
+    each quotient is bit for bit Python's (see _NUMPY_AS_CMATH for where
+    that shows)."""
     a = np.asarray(a, dtype=complex)
     out = np.empty(a.shape, dtype=complex)
     if isinstance(b, float):
@@ -281,94 +277,40 @@ def _f1c_tables(c):
 
 
 # Math namespaces for formulas written once: cmath's log and exp, the
-# complex expm1 that cmath lacks and Python's division for one point, and
-# numpy with the same expm1 and division for arrays.
+# complex expm1 that cmath lacks and Python's division for one point
+# (families.evaluate), and numpy with the same expm1 and division for the
+# f_cn terms of the roots +-1.  The step-1e-4 differences of verify's
+# surface_properties magnify the last bits of those terms: with numpy's
+# own division and expm1, its residual for f_cn at c = 0.5, n = 4 moves
+# from the pinned 0.0703104916 to 0.0703104941 (tests/golden).
 _CMATH = SimpleNamespace(log=cmath.log, exp=cmath.exp, expm1=cexpm1,
                          divide=operator.truediv)
 _NUMPY_AS_CMATH = SimpleNamespace(log=np.log, exp=np.exp, expm1=cexpm1_array,
                                   divide=cdiv)
 
 
-def _f1c_inverse(m, c, x, y, series):
+def _f1c_inverse(c, x, y, series):
     """DLMF 15.8.2 for |x| > 1:
 
         pi c (-x)^-c / sin(pi c) + sum_{j>=1} c x^-j / (j - c),
 
     with the j = N term (N the nearest integer to c, if N >= 1) folded
     into the first one, since both grow like 1/(N - c) and cancel.  y is
-    1/x and series the sum of the inverse table in y."""
-    log_mx = m.log(-x)
+    1/x and series the sum of the inverse table in y, all ndarrays."""
+    log_mx = np.log(-x)
     total = y * series
     near = round(c)
     if near < 1:
         return total + (math.pi * c / math.sin(math.pi * c)
-                        * m.exp(-c * log_mx))
+                        * np.exp(-c * log_mx))
     eps = near - c
     # pi c (-x)^-c / sin(pi c) + c x^-N / eps
     #   = -c x^-N (exp(eps log(-x) - log sinc(pi eps)) - 1) / eps
     if eps == 0.0:
         folded = -log_mx
     else:
-        folded = -m.expm1(eps * log_mx - _log_sinc_pi(eps)) / eps
+        folded = -cexpm1_array(eps * log_mx - _log_sinc_pi(eps)) / eps
     return total + c * y ** near * folded
-
-
-def hyp2f1_1c(c, x):
-    """Gauss 2F1(1, c; c+1; x) for 0 < c <= 2 and complex x off the cut
-    [1, inf), principal branch.
-
-    Equivalently c x^-c int_0^x s^(c-1)/(1-s) ds.  The route depends on x:
-
-    * |x| <= 1/2: the power series sum_m c/(c+m) x^m;
-    * |x| >= 5/3: the 1/x connection formula (DLMF 15.8.2);
-    * |x/(x-1)| <= 0.6: the Pfaff transform (DLMF 15.8.1);
-    * |1-x| <= 1/2, or x just past the pole along its ray: the
-      logarithmic series about x = 1 (DLMF 15.8.10, a + b = c + 1);
-    * otherwise the integral continued from |x| = 1/2 along the ray
-      through x, by a 24-point Gauss-Legendre rule on at most three
-      panels, each no longer than twice its distance to the pole s = 1.
-    """
-    c = float(c)
-    x = complex(x)
-    if not 0.0 < c <= 2.0:
-        raise DomainError("hyp2f1_1c needs 0 < c <= 2")
-    if cmath.isnan(x):
-        raise DomainError(f"hyp2f1_1c: x = {x} is NaN")
-    if x.imag == 0.0 and x.real >= 1.0:
-        raise DomainError("hyp2f1_1c: x lies on the branch cut [1, inf)")
-    tables = _f1c_tables(c)
-    r = abs(x)
-    if r <= _POWER_RADIUS:
-        return _horner(tables.power, _terms(r), x)
-    if r >= _INVERSE_RADIUS:
-        y = 1.0 / x
-        return _f1c_inverse(_CMATH, c, x, y,
-                            _horner(tables.inverse, _terms(abs(y)), y))
-    u = 1.0 - x
-    ru = abs(u)
-    if r <= _PFAFF_RADIUS * ru:
-        y = -x / u
-        return _horner(tables.pfaff, _terms(abs(y)), y) / u
-    direction = x / r
-    r1 = _POWER_RADIUS
-    pole_gap = abs(1.0 - min(max(direction.real, r1), r) * direction)
-    if ru <= _LOG_RADIUS or r - r1 > 2.0 * _MAX_PANELS * pole_gap:
-        m = _terms(ru, 3.0)
-        return c * (_horner(tables.log_a, m, u)
-                    - cmath.log(u) * _horner(tables.log_b, m, u))
-    # F(x) = (r1/r)^c F(x1) + c x^-c int_{x1}^x s^(c-1)/(1-s) ds with
-    # x1 = x/(2r); on the ray x^-c s^(c-1) ds = (rho/r)^c drho/rho.
-    panels = math.ceil((r - r1) / (2.0 * pole_gap))
-    half = 0.5 * (r - r1) / panels
-    acc = 0j
-    for i in range(panels):
-        mid = r1 + (2 * i + 1) * half
-        for t, wt in zip(_GL_NODES, _GL_WEIGHTS):
-            rho = mid + half * t
-            acc += wt * math.pow(rho / r, c) / (rho * (1.0 - rho * direction))
-    x1 = r1 * direction
-    return (math.pow(r1 / r, c) * _horner(tables.power, len(tables.power), x1)
-            + c * half * acc)
 
 
 # Panels a broadcast of the ray continuation takes at once: its
@@ -378,8 +320,12 @@ _RAY_CHUNK = 1024
 
 def _f1c_ray_array(c, r, direction, pole_gap, at_x1):
     """The ray continuation of hyp2f1_1c at the points |x| = r, x/|x| =
-    direction, given F at x1 = direction/2: the 24 nodes of every panel
-    of every point as one broadcast, summed per point."""
+    direction, given F at x1 = direction/2:
+
+        F(x) = (r1/r)^c F(x1) + c x^-c int_{x1}^x s^(c-1)/(1-s) ds,
+
+    and on the ray x^-c s^(c-1) ds = (rho/r)^c drho/rho.  The 24 nodes of
+    every panel of every point are one broadcast, summed per point."""
     r1 = _POWER_RADIUS
     panels = np.ceil((r - r1) / (2.0 * pole_gap))
     half = 0.5 * (r - r1) / panels
@@ -396,22 +342,36 @@ def _f1c_ray_array(c, r, direction, pole_gap, at_x1):
     return np.power(r1 / r, c) * at_x1 + c * half * acc
 
 
-def hyp2f1_1c_array(c, x):
-    """hyp2f1_1c at every point of an array x of any shape, as a complex
-    ndarray of x's shape.
+def hyp2f1_1c(c, x):
+    """Gauss 2F1(1, c; c+1; x) for 0 < c <= 2 and complex x off the cut
+    [1, inf), principal branch: a Python complex for a number x, a
+    complex ndarray of x's shape for an array.
 
-    Each route of hyp2f1_1c is a boolean mask over x, taken in the same
-    order.  The series of all routes are summed in one Horner pass, each
-    to the tail bound at the largest |argument| of its route; the ray
-    continuation is one broadcast over its points' panels and nodes.  The
-    values agree with hyp2f1_1c to a few units of roundoff."""
+    Equivalently c x^-c int_0^x s^(c-1)/(1-s) ds.  Each point takes the
+    first route whose test its x meets:
+
+    * |x| <= 1/2: the power series sum_m c/(c+m) x^m;
+    * |x| >= 5/3: the 1/x connection formula (DLMF 15.8.2);
+    * |x/(x-1)| <= 0.6: the Pfaff transform (DLMF 15.8.1);
+    * |1-x| <= 1/2, or x just past the pole along its ray: the
+      logarithmic series about x = 1 (DLMF 15.8.10, a + b = c + 1);
+    * otherwise the integral continued from |x| = 1/2 along the ray
+      through x, by a 24-point Gauss-Legendre rule on at most three
+      panels, each no longer than twice its distance to the pole s = 1.
+
+    Each route is a boolean mask over the points.  The series of all
+    routes are summed in one Horner pass, each to the tail bound at the
+    largest |argument| of its route, so a point's value can differ in the
+    last bits between batches; the ray continuation is one broadcast over
+    its points' panels and nodes."""
     c = float(c)
+    number = np.isscalar(x)
     x = np.asarray(x, dtype=complex)
     if not 0.0 < c <= 2.0:
         raise DomainError("hyp2f1_1c needs 0 < c <= 2")
-    nan = np.isnan(x)
-    if nan.any():
-        raise DomainError(f"hyp2f1_1c: x = {x[nan][0]} is NaN")
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise DomainError(f"hyp2f1_1c: x = {x[bad][0]} is NaN or infinite")
     on_cut = (x.imag == 0.0) & (x.real >= 1.0)
     if on_cut.any():
         raise DomainError(f"hyp2f1_1c: x = {x[on_cut][0]} lies on the "
@@ -451,15 +411,15 @@ def hyp2f1_1c_array(c, x):
          y_inverse),
         (tables.pfaff, _terms_at_most(tables.pfaff, y_pfaff), y_pfaff),
         (tables.log_a, m_log, u_log), (tables.log_b, m_log, u_log),
-        (tables.power, len(tables.power), x1)])
+        (tables.power, len(tables.power) if x1.size else 0, x1)])
     out[power] = s_power
-    out[inverse] = _f1c_inverse(_NUMPY_AS_CMATH, c, x[inverse], y_inverse,
-                                s_inverse)
+    out[inverse] = _f1c_inverse(c, x[inverse], y_inverse, s_inverse)
     out[pfaff] = s_pfaff / u[pfaff]
     out[log] = c * (s_log_a - np.log(u_log) * s_log_b)
     out[ray] = _f1c_ray_array(c, r_rest[far], direction[far], pole_gap[far],
                               s_x1)
-    return out.reshape(shape)
+    out = out.reshape(shape)
+    return out.item() if number else out
 
 
 def _series_applicable(p, x, y):

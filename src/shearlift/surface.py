@@ -22,7 +22,7 @@ from .analytic import R_MAX, require_disk_point, require_disk_points
 from .errors import DilatationNotSquareError, UnsupportedParameterError
 from .families import (_POWER_FAMILIES, FamilyParams, evaluate,
                        evaluate_array, family_phi, fcn_h_and_lift,
-                       fcn_h_and_lift_array, resolve_family)
+                       resolve_family)
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
@@ -152,8 +152,8 @@ def lift_array(params, z):
     ndarrays of z's shape.
 
     The closed-form lifts run once on the whole array with numpy; for
-    f_cn the planar map and F3 both come from one fcn_h_and_lift_array
-    call.
+    f_cn the planar map and F3 both come from one fcn_h_and_lift call,
+    the same that lift_sample makes for one point.
     """
     n = _liftable(params)
     z = require_disk_points(z, r_max=1.0)
@@ -161,7 +161,7 @@ def lift_array(params, z):
     if params.family != "f_cn":
         h, g = evaluate_array(params, z)
         return (h + g).real, (h - g).imag, _F3_FORMS[params.family](np, n, z)
-    h, t = fcn_h_and_lift_array(float(params.c), n, z)
+    h, t = fcn_h_and_lift(float(params.c), n, z)
     g = h - family_phi(params).phi(z)
     return (h + g).real, (h - g).imag, 2.0 * t.imag
 

@@ -1,7 +1,8 @@
 """The array entry points against the scalar calls that share their
 formulas: evaluate_array against evaluate, derivatives_array against
 hprime/gprime, lift_array against lift_sample, shear_array (the batched
-quadrature) against shear_at (the one-point quadrature).
+quadrature) against shear_at (the one-point quadrature).  For f_cn both
+sides run the same code, on a batch and on one point.
 
 numpy and cmath round differently in the last bits, so agreement means
 within 1e-14 * max(1, |x|).  Near the unit circle, where the closed forms
@@ -25,9 +26,10 @@ from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
                               DomainError, UnsupportedParameterError)
 from shearlift.families import (FamilyParams, derivatives_array, evaluate,
                                 evaluate_array, family_omega, family_phi,
-                                gprime, hprime)
+                                fcn_h_and_lift, gprime, hprime)
 from shearlift.shear import (DilatationSpec, PrevertexSpec, grid_points,
                              sample_grid, shear_array, shear_at)
+from shearlift.special import hyp2f1_1c
 from shearlift.surface import GridSpec, lift_array, lift_sample
 from shearlift.verify import DEFAULT_GRID
 
@@ -115,18 +117,41 @@ def test_arrays_keep_their_shape():
 
 def test_fcn_arrays_do_not_go_point_by_point(monkeypatch):
     def scalar(*args):
-        raise AssertionError("a scalar f_cn call on the array path")
+        raise AssertionError("a one-point f_cn call on the array path")
 
     # the constants of the roots come from hyp2f1_1c, once per (c, n)
     families._fcn_roots(0.7, 6)
-    for module, name in ((families, "evaluate"),
-                         (families, "fcn_h_and_lift"),
-                         (families, "hyp2f1_1c"), (surface, "lift_sample")):
+    calls = []
+
+    def counted(c, x):
+        calls.append(np.shape(x))
+        return hyp2f1_1c(c, x)
+
+    monkeypatch.setattr(families, "hyp2f1_1c", counted)
+    for module, name in ((families, "evaluate"), (surface, "lift_sample")):
         monkeypatch.setattr(module, name, scalar)
+    params = FamilyParams(family="f_cn", c=0.7, n=6)
     z = np.array(grid_points(GridSpec(rings=3, spokes=4, r_max=0.8)))
-    h, g = evaluate_array(FamilyParams(family="f_cn", c=0.7, n=6), z)
-    u, v, f3 = lift_array(FamilyParams(family="f_cn", c=0.7, n=6), z)
+    h, g = evaluate_array(params, z)
+    assert len(calls) == 1
+    u, v, f3 = lift_array(params, z)
+    # one call each over (roots other than +-1, points)
+    assert calls == [(4, z.size)] * 2
     assert np.isfinite(h).all() and np.isfinite(f3).all()
+
+
+def test_one_point_calls_give_python_numbers():
+    # a 0-d ndarray would leak into MapSample, SurfaceSample and JSON
+    params = FamilyParams(family="f_cn", c=0.7, n=6)
+    z = 0.3 + 0.4j
+    assert type(hyp2f1_1c(0.7, 0.3 - 0.2j)) is complex
+    h, t = fcn_h_and_lift(0.7, 6, z)
+    assert type(h) is complex and type(t) is complex
+    assert fcn_h_and_lift(0.7, 3, z)[1] is None
+    sample = evaluate(params, z)
+    assert type(sample.h) is complex and type(sample.u) is float
+    lift = lift_sample(params, z)
+    assert type(lift.u) is float and type(lift.f3) is float
 
 
 def test_array_domain_error_names_first_offending_point():

@@ -1,8 +1,8 @@
 """High-precision references: for the f_cn route, 2F1(1, c; c+1; x)
-(hyp2f1_1c and its array form) against mpmath.hyp2f1, h and F3 against
-30-digit mpmath.quad of the defining integrals, and the paper's Appell F1
-form of h against the 2F1 route; h and F3 of every closed form, the
-former c bands of F_ca and f_cn included, against 30-digit mpmath.quad;
+(hyp2f1_1c at one point and on an array) against mpmath.hyp2f1, h and F3
+against 30-digit mpmath.quad of the defining integrals, and the paper's
+Appell F1 form of h against the 2F1 route; h and F3 of every closed form,
+the former c bands of F_ca and f_cn included, against 30-digit mpmath.quad;
 appell_f1 against mpmath.appellf1; for the quadrature oracle, h and F3
 near the unit circle against 30-digit mpmath.quad.
 
@@ -21,8 +21,7 @@ import numpy as np
 from shearlift.families import (FamilyParams, evaluate, evaluate_array,
                                 family_omega, family_phi, fcn_h_and_lift)
 from shearlift.shear import grid_points, shear_array, shear_at
-from shearlift.special import (F1Params, appell_f1, hyp2f1_1c,
-                               hyp2f1_1c_array)
+from shearlift.special import F1Params, appell_f1, hyp2f1_1c
 from shearlift.surface import lift_array, lift_sample
 from shearlift.verify import DEFAULT_GRID
 
@@ -88,7 +87,7 @@ def _region_array():
 def test_hyp2f1_1c_array_against_mpmath(mp, c):
     tol = _tolerance(c)
     x = _region_array()
-    got = hyp2f1_1c_array(c, x)
+    got = hyp2f1_1c(c, x)
     assert got.shape == x.shape
     for p, value in zip(x.ravel().tolist(), got.ravel().tolist()):
         ref = complex(mp.hyp2f1(1, c, c + 1, p))
@@ -99,7 +98,7 @@ def test_hyp2f1_1c_array_against_mpmath(mp, c):
 def test_hyp2f1_1c_array_matches_scalar_on_the_region(c):
     # every route, the pole neighbourhoods and both sides of the cut
     x = _region_array()
-    got = hyp2f1_1c_array(c, x)
+    got = hyp2f1_1c(c, x)
     for p, value in zip(x.ravel().tolist(), got.ravel().tolist()):
         want = hyp2f1_1c(c, p)
         assert abs(value - want) <= 1e-14 * abs(want), (c, p)
