@@ -32,7 +32,7 @@ from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
                        require_disk_points)
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
-from .special import _CMATH, _NUMPY_AS_CMATH, hyp2f1_1c
+from .special import _CMATH, _powm1_over, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1
 # and families.shear_at; no closed form calls them.
 from .special import appell_f1  # noqa: F401
@@ -143,15 +143,6 @@ def _F_1a(m, p, z, phi):
     a = float(p.a)
     return _from_sum(0.25 * (1.0 - a) * m.log((1.0 + z) / (1.0 - z))
                      + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi)
-
-
-def _powm1_over(m, p, log_w):
-    # (w^p - 1)/p without cancellation for small p log w.  Below
-    # |p| = 1e-20 it is log w to double precision, and p log w could
-    # lose its digits to underflow.
-    if abs(p) < 1e-20:
-        return log_w
-    return m.divide(m.expm1(p * log_w), p)
 
 
 def _F_ca(m, p, z, phi):
@@ -393,17 +384,15 @@ def fcn_h_and_lift(c, n, z):
     number = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
-    # Python's division and expm1 (see special._NUMPY_AS_CMATH)
-    m = _NUMPY_AS_CMATH
-    w = m.divide(1.0 + z, 1.0 - z)
-    log_w = m.log(w)
-    wc = m.exp(c * log_w)
-    base = _powm1_over(m, c, log_w)
+    w = (1.0 + z) / (1.0 - z)
+    log_w = np.log(w)
+    wc = np.exp(c * log_w)
+    base = _powm1_over(np, c, log_w)
     # e_k = 1
-    h = t = 0.5 * (_powm1_over(m, c + 1.0, log_w) + base)
+    h = t = 0.5 * (_powm1_over(np, c + 1.0, log_w) + base)
     if n % 2 == 0:
         # e_k = -1, k = n/2
-        i_k = 0.5 * (base + _powm1_over(m, c - 1.0, log_w))
+        i_k = 0.5 * (base + _powm1_over(np, c - 1.0, log_w))
         h = h + i_k
         t = t + (-1.0) ** (n // 2) * i_k
     roots = _fcn_roots(c, n)

@@ -20,6 +20,7 @@ from .analytic import (DEFAULT_QUADRATURE, QuadratureConfig,
                        integrate_segment, require_disk_point,
                        require_disk_points, vectorize)
 from .errors import ConvergenceError, InvalidDilatationError
+from .special import _powm1_over
 
 # Deterministic lattice used for constructor-time sampled invariant checks.
 _CHECK_RADII = (0.25, 0.5, 0.75, 0.9)
@@ -33,15 +34,10 @@ def _check_points():
 
 
 def koebe_phi(c, z):
-    """Generalized Koebe function k_c(z) = ((1+z)/(1-z))^c - 1) / (2c).
-
-    The c = 0 limit is (1/2) log((1+z)/(1-z)); the switch happens below
-    c = 1e-8 where the difference quotient loses all precision.
-    """
-    w = (1.0 + z) / (1.0 - z)
-    if c <= 1e-8:
-        return 0.5 * np.log(w)
-    return (np.power(w, c) - 1.0) / (2.0 * c)
+    """Generalized Koebe function k_c(z) = (((1+z)/(1-z))^c - 1) / (2c),
+    through expm1, so that it tends to its c = 0 limit
+    (1/2) log((1+z)/(1-z)) without cancellation."""
+    return 0.5 * _powm1_over(np, c, np.log((1.0 + z) / (1.0 - z)))
 
 
 def koebe_phi_prime(c, z):

@@ -17,7 +17,6 @@ outside both domains.
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -198,40 +197,13 @@ def cexpm1(u):
                    math.exp(a) * math.sin(b))
 
 
-def cexpm1_array(u):
-    """cexpm1 over a complex ndarray, switching between the same two
-    formulas at |u| = 0.5 (numpy's complex expm1 rounds differently; see
-    _NUMPY_AS_CMATH for where that shows)."""
-    out = np.exp(u) - 1.0
-    near = np.abs(u) <= 0.5
-    a, b = u.real[near], u.imag[near]
-    s = np.sin(0.5 * b)
-    out.real[near] = np.expm1(a) * np.cos(b) - 2.0 * s * s
-    out.imag[near] = np.exp(a) * np.sin(b)
-    return out
-
-
-def cdiv(a, b):
-    """a / b for a complex array a and b a float or an array of a's
-    shape, by the algorithm of Python's complex division (Smith's, with
-    true divisions where numpy's multiplies by a reciprocal), so that
-    each quotient is bit for bit Python's (see _NUMPY_AS_CMATH for where
-    that shows)."""
-    a = np.asarray(a, dtype=complex)
-    out = np.empty(a.shape, dtype=complex)
-    if isinstance(b, float):
-        # Smith's algorithm divides by a real b part by part
-        out.real = a.real / b
-        out.imag = a.imag / b
-        return out
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    wide = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wide, bi / br, br / bi)
-        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-        out.real = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
-        out.imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
-    return out
+def _powm1_over(m, p, log_w):
+    """(w^p - 1)/p from log w, in the math namespace m, without
+    cancellation for small p log w.  Below |p| = 1e-20 it is log w to
+    double precision, and p log w could lose its digits to underflow."""
+    if abs(p) < 1e-20:
+        return log_w
+    return m.expm1(p * log_w) / p
 
 
 def _log_sinc_pi(eps):
@@ -276,17 +248,10 @@ def _f1c_tables(c):
         pfaff=tuple(pfaff), log_b=tuple(log_b), log_a=tuple(log_a))
 
 
-# Math namespaces for formulas written once: cmath's log and exp, the
-# complex expm1 that cmath lacks and Python's division for one point
-# (families.evaluate), and numpy with the same expm1 and division for the
-# f_cn terms of the roots +-1.  The step-1e-4 differences of verify's
-# surface_properties magnify the last bits of those terms: with numpy's
-# own division and expm1, its residual for f_cn at c = 0.5, n = 4 moves
-# from the pinned 0.0703104916 to 0.0703104941 (tests/golden).
-_CMATH = SimpleNamespace(log=cmath.log, exp=cmath.exp, expm1=cexpm1,
-                         divide=operator.truediv)
-_NUMPY_AS_CMATH = SimpleNamespace(log=np.log, exp=np.exp, expm1=cexpm1_array,
-                                  divide=cdiv)
+# Math namespace for formulas written once, for one point
+# (families.evaluate): cmath's log and the complex expm1 that cmath lacks.
+# numpy is the namespace for arrays.
+_CMATH = SimpleNamespace(log=cmath.log, expm1=cexpm1)
 
 
 def _f1c_inverse(c, x, y, series):
@@ -309,7 +274,7 @@ def _f1c_inverse(c, x, y, series):
     if eps == 0.0:
         folded = -log_mx
     else:
-        folded = -cexpm1_array(eps * log_mx - _log_sinc_pi(eps)) / eps
+        folded = -np.expm1(eps * log_mx - _log_sinc_pi(eps)) / eps
     return total + c * y ** near * folded
 
 
@@ -401,7 +366,10 @@ def hyp2f1_1c(c, x):
     log[rest] = near
     ray[rest] = far
 
-    y_power, y_inverse = x[power], 1.0 / x[inverse]
+    # 1/x through |x|, since numpy's 1/x overflows on the way for |x|
+    # near the largest double
+    r_inverse = r[inverse]
+    y_power, y_inverse = x[power], np.conj(x[inverse] / r_inverse) / r_inverse
     y_pfaff, u_log = -x[pfaff] / u[pfaff], u[log]
     x1 = _POWER_RADIUS * direction[far]
     m_log = _terms_at_most(tables.log_a, u_log, 3.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from shearlift.families import (FamilyParams, evaluate, evaluate_array,
                                 family_omega, family_phi, fcn_h_and_lift)
-from shearlift.shear import grid_points, shear_array, shear_at
+from shearlift.shear import grid_points, koebe_phi, shear_array, shear_at
 from shearlift.special import F1Params, appell_f1, hyp2f1_1c
 from shearlift.surface import lift_array, lift_sample
 from shearlift.verify import DEFAULT_GRID
@@ -92,6 +92,18 @@ def test_hyp2f1_1c_array_against_mpmath(mp, c):
     for p, value in zip(x.ravel().tolist(), got.ravel().tolist()):
         ref = complex(mp.hyp2f1(1, c, c + 1, p))
         assert abs(value - ref) <= tol * abs(ref), (c, p, value, ref)
+
+
+def test_hyp2f1_1c_near_the_largest_double(mp):
+    # 1/x is formed from |x|, so it does not overflow on the way; the
+    # bound allows for (-x)^-c = exp(-c log(-x)), which magnifies the
+    # rounding of its argument by c |log(-x)| ~ 355 here
+    x = np.array([1e308 + 1e308j, -1.7e308 + 1e300j])
+    got = hyp2f1_1c(0.5, x)
+    assert got[0] == hyp2f1_1c(0.5, 1e308 + 1e308j)
+    for p, value in zip(x.tolist(), got.tolist()):
+        ref = complex(mp.hyp2f1(1, 0.5, 1.5, p))
+        assert abs(value - ref) <= 1e-13 * abs(ref), (p, value, ref)
 
 
 @pytest.mark.parametrize("c", REFERENCE_C + (1e-12, 1e-6, 0.9995, 2.0))
@@ -330,3 +342,38 @@ def test_fcn_oracle_band_lift_near_the_unit_circle(mp, z):
     assert not s.fallback
     assert abs(s.u - ref_u) <= 1e-12 * max(1.0, abs(ref_u))
     assert abs(s.f3 - ref_f3) <= 1e-12 * max(1.0, abs(complex(ref_t)))
+
+
+# c near 0, where k_c = (w^c - 1)/(2c) cancels unless it goes through
+# expm1: the point of the first report and five default-grid points
+SMALL_C = (1e-4, 1e-6, 1e-8, 1e-10)
+SMALL_C_POINTS = [0.7 + 0.3j] + grid_points(DEFAULT_GRID)[::47]
+
+
+@pytest.mark.parametrize("c", SMALL_C)
+def test_koebe_phi_near_c_zero(mp, c):
+    # within 4e-16 relative, more where log w is small: rounding
+    # w = (1+z)/(1-z) moves log w by up to eps/|log w| relative
+    z = np.array(SMALL_C_POINTS)
+    k_array = koebe_phi(c, z)
+    for i, p in enumerate(SMALL_C_POINTS):
+        ref = complex(_koebe(mp, c, p))
+        bound = 4e-16 * abs(ref) * max(1.0, 1.0 / abs(cmath.log((1 + p)
+                                                                / (1 - p))))
+        assert abs(koebe_phi(c, p) - ref) <= bound, p
+        assert abs(k_array[i] - ref) <= bound, p
+
+
+@pytest.mark.parametrize("family", ("F_ca", "f_cn"))
+@pytest.mark.parametrize("c", SMALL_C)
+def test_g_near_c_zero_against_quadrature(mp, family, c):
+    # g = h - k_c of the scalar and the array call within 1e-14 of
+    # 30-digit quadrature relative to max(1, |reference|)
+    params = FamilyParams(family=family, c=c, a=-0.5, n=4)
+    hprime = _mp_hprime(mp, params)
+    _, g_array = evaluate_array(params, np.array(SMALL_C_POINTS))
+    for i, p in enumerate(SMALL_C_POINTS):
+        ref = complex(mp.mpc(_ray_quad(mp, hprime, p)) - _koebe(mp, c, p))
+        bound = 1e-14 * max(1.0, abs(ref))
+        assert abs(evaluate(params, p).g - ref) <= bound, p
+        assert abs(g_array[i] - ref) <= bound, p

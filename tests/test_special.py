@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from shearlift.errors import DomainError, UnsupportedDomainError
 from shearlift.special import (F1Params, appell_f1, appell_f1_integral,
-                               appell_f1_series, cdiv, cexpm1, cexpm1_array,
-                               gauss_2f1, hyp2f1_1c, pochhammer)
+                               appell_f1_series, gauss_2f1, hyp2f1_1c,
+                               pochhammer)
 
 
 def f1_brute(p, x, y, orders=80):
@@ -160,22 +160,6 @@ def test_hyp2f1_1c_array_shapes_and_domain_errors():
     for x in (math.nan, complex(math.nan, 1.0), complex(0.3, math.nan)):
         with pytest.raises(DomainError, match="NaN"):
             hyp2f1_1c(0.5, np.array([0.3, x, 3.0]))
-
-
-def test_cdiv_is_python_division_bit_for_bit():
-    # numpy multiplies by a reciprocal and rounds differently
-    a = np.array(ROUTE_POINTS)
-    b = np.array(ROUTE_POINTS[::-1]) * (1.0 - 0.3j)
-    assert cdiv(a, b).tolist() == [p / q for p, q in
-                                   zip(a.tolist(), b.tolist())]
-    assert cdiv(a, 1.7).tolist() == [p / 1.7 for p in a.tolist()]
-
-
-def test_cexpm1_array_matches_cexpm1():
-    u = np.array([1e-12 + 1e-9j, -0.3 + 0.4j, 0.5, 0.2 - 0.6j, 3.0 - 1.0j,
-                  -1e-300j])
-    for value, p in zip(cexpm1_array(u).tolist(), u.tolist()):
-        assert abs(value - cexpm1(p)) <= 2e-16 * abs(cexpm1(p)), p
 
 
 def test_f1_at_origin():
