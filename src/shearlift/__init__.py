@@ -5,7 +5,6 @@ quadrature oracles, numerical verification, and SVG/OBJ/JSON export.
 """
 
 from ._kernels import BACKEND
-from .analytic import QuadratureConfig, DEFAULT_QUADRATURE
 from .errors import (ConvergenceError, DilatationNotSquareError, DomainError,
                      InvalidDilatationError, UnsupportedDomainError,
                      UnsupportedParameterError)
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "__version__",
-    "QuadratureConfig", "DEFAULT_QUADRATURE",
     "ConvergenceError", "DilatationNotSquareError", "DomainError",
     "InvalidDilatationError", "UnsupportedDomainError",
     "UnsupportedParameterError",

@@ -8,7 +8,6 @@ part on the open unit disk, so no branch tracking is needed anywhere.
 
 import cmath
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,22 +17,6 @@ from .errors import DomainError
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_SUBDIVISIONS = 2000
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = DEFAULT_ABS_TOL
-    rel_tol: float = DEFAULT_REL_TOL
-    max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 # The near-boundary cutoff of the quadrature oracle, and the largest grid
@@ -71,9 +54,10 @@ def require_disk_points(z, r_max=R_MAX):
     return z
 
 
-def integrate_segment(integrand, z0, z1, cfg=DEFAULT_QUADRATURE):
+def integrate_segment(integrand, z0, z1):
     """Adaptive G7/K15 line integral of ``integrand`` along the straight
-    segment [z0, z1].
+    segment [z0, z1], to DEFAULT_ABS_TOL and DEFAULT_REL_TOL within
+    DEFAULT_MAX_SUBDIVISIONS bisections.
 
     The integrand must be analytic on the closed segment.  It is called
     with an ndarray of points when it accepts one, otherwise point-wise.
@@ -84,10 +68,12 @@ def integrate_segment(integrand, z0, z1, cfg=DEFAULT_QUADRATURE):
     """
     fvec = vectorize(integrand)
     if np.ndim(z0) == 0 and np.ndim(z1) == 0:
-        return fallback.adaptive_segment(fvec, z0, z1, cfg.abs_tol,
-                                         cfg.rel_tol, cfg.max_subdivisions)
-    return fallback.adaptive_segments(fvec, z0, z1, cfg.abs_tol, cfg.rel_tol,
-                                      cfg.max_subdivisions)
+        return fallback.adaptive_segment(fvec, z0, z1, DEFAULT_ABS_TOL,
+                                         DEFAULT_REL_TOL,
+                                         DEFAULT_MAX_SUBDIVISIONS)
+    return fallback.adaptive_segments(fvec, z0, z1, DEFAULT_ABS_TOL,
+                                      DEFAULT_REL_TOL,
+                                      DEFAULT_MAX_SUBDIVISIONS)
 
 
 def vectorize(f):

@@ -28,11 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import (DEFAULT_QUADRATURE, require_disk_point,
-                       require_disk_points)
+from .analytic import require_disk_point, require_disk_points
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
-from .special import _CMATH, _powm1_over, hyp2f1_1c
+from .special import _powm1_over, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1
 # and families.shear_at; no closed form calls them.
 from .special import appell_f1  # noqa: F401
@@ -89,17 +88,19 @@ def family_omega(params):
 
 
 def hprime(params, z):
-    """Closed-form h'(z) = phi'(z)/(1 - omega(z)) of the family."""
-    z = complex(z)
+    """Closed-form h'(z) = phi'(z)/(1 - omega(z)) of the family at a disk
+    point."""
+    z = require_disk_point(z, r_max=1.0)
     phi = family_phi(params)
     omega = family_omega(params)
     return complex(phi.derivative(z)) / (1.0 - complex(omega(z)))
 
 
 def gprime(params, z):
-    """Closed-form g'(z) = omega(z) * h'(z) of the family."""
-    z = complex(z)
-    return complex(family_omega(params)(z)) * hprime(params, z)
+    """Closed-form g'(z) = omega(z) * h'(z) of the family at a disk
+    point."""
+    hp = hprime(params, z)
+    return complex(family_omega(params)(complex(z))) * hp
 
 
 def derivatives_array(params, z):
@@ -114,10 +115,8 @@ def derivatives_array(params, z):
 
 # --- closed forms ----------------------------------------------------------
 #
-# Each closed form is written once, against a math namespace m: _CMATH
-# for evaluate, numpy for evaluate_array (f_cn takes no namespace: its one
-# form takes a point or an array).  Constants that do not depend on
-# z (sines, roots of unity) are scalars either way.  A form takes the
+# Each closed form is written once with numpy, whose functions take a
+# number (evaluate) or an array (evaluate_array) alike.  A form takes the
 # family parameters p, the point z and the prevertex value phi at z, and
 # returns (h, g); _FORMS below registers them by family name.
 
@@ -127,32 +126,32 @@ def _from_sum(p, phi):
     return 0.5 * (p + phi), 0.5 * (p - phi)
 
 
-def _F_a(m, p, z, phi):
+def _F_a(p, z, phi):
     a = float(p.a)
-    return _from_sum(-z + (1.0 - a) * m.log(1.0 + z)
-                     - (1.0 + a) * m.log(1.0 - z), phi)
+    return _from_sum(-z + (1.0 - a) * np.log(1.0 + z)
+                     - (1.0 + a) * np.log(1.0 - z), phi)
 
 
-def _F_0a(m, p, z, phi):
+def _F_0a(p, z, phi):
     a = float(p.a)
     return _from_sum(0.5 * (1.0 + a) * z / (1.0 - z)
                      + 0.5 * (1.0 - a) * z / (1.0 + z), phi)
 
 
-def _F_1a(m, p, z, phi):
+def _F_1a(p, z, phi):
     a = float(p.a)
-    return _from_sum(0.25 * (1.0 - a) * m.log((1.0 + z) / (1.0 - z))
+    return _from_sum(0.25 * (1.0 - a) * np.log((1.0 + z) / (1.0 - z))
                      + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi)
 
 
-def _F_ca(m, p, z, phi):
+def _F_ca(p, z, phi):
     # the w-plane form with (w^p - 1)/p terms, so that nothing cancels as
     # c nears 0 or 1
     c, a = float(p.c), float(p.a)
-    log_w = m.log((1.0 + z) / (1.0 - z))
-    h = 0.125 * ((a + 1.0) * _powm1_over(m, c + 1.0, log_w)
-                 + 2.0 * _powm1_over(m, c, log_w)
-                 - (a - 1.0) * _powm1_over(m, c - 1.0, log_w))
+    log_w = np.log((1.0 + z) / (1.0 - z))
+    h = 0.125 * ((a + 1.0) * _powm1_over(c + 1.0, log_w)
+                 + 2.0 * _powm1_over(c, log_w)
+                 - (a - 1.0) * _powm1_over(c - 1.0, log_w))
     return h, h - phi
 
 
@@ -166,7 +165,7 @@ def _pole_angles(n):
     return range(1, n // 2)
 
 
-def _f_0n(m, p, z, phi):
+def _f_0n(p, z, phi):
     n = int(p.n)
     if n % 2 == 1:
         s = z / (1.0 - z)
@@ -174,27 +173,27 @@ def _f_0n(m, p, z, phi):
         s = 2.0 * z / (1.0 - z * z)
     for k in _pole_angles(n):
         t = 2.0 * math.pi * k / n
-        s -= (1j / math.sin(t)) * m.log(
+        s -= (1j / math.sin(t)) * np.log(
             (1.0 - z * cmath.exp(-1j * t)) / (1.0 - z * cmath.exp(1j * t)))
     s /= n
     return _from_sum(s, phi)
 
 
-def _f_1n(m, p, z, phi):
+def _f_1n(p, z, phi):
     n = int(p.n)
     h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
          + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
-         - (n * n - 1.0) / (12.0 * n) * m.log(1.0 - z))
+         - (n * n - 1.0) / (12.0 * n) * np.log(1.0 - z))
     if n % 2 == 0:
-        h += m.log(1.0 + z) / (4.0 * n)
+        h += np.log(1.0 + z) / (4.0 * n)
     for k in _pole_angles(n):
         t = math.pi * k / n
-        h += (m.log(1.0 - 2.0 * z * math.cos(2.0 * t) + z * z)
+        h += (np.log(1.0 - 2.0 * z * math.cos(2.0 * t) + z * z)
               / (4.0 * n * math.sin(t) ** 2))
     return h, h - phi
 
 
-def _f_2n(m, p, z, phi):
+def _f_2n(p, z, phi):
     n = int(p.n)
     h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
@@ -202,16 +201,16 @@ def _f_2n(m, p, z, phi):
     for k in _pole_angles(n):
         t = math.pi * k / n
         h += (1j / (4.0 * n) * math.cos(t) / math.sin(t) ** 3
-              * m.log((1.0 - z * cmath.exp(-2j * t))
+              * np.log((1.0 - z * cmath.exp(-2j * t))
                       / (1.0 - z * cmath.exp(2j * t))))
     return h, h - phi
 
 
 # Bound here only so that perfbench/spans.py can wrap
 # families._oracle_sample; no closed form calls it.
-def _oracle_sample(params, z, cfg=DEFAULT_QUADRATURE):
+def _oracle_sample(params, z):
     try:
-        sample = shear_at(family_phi(params), family_omega(params), z, cfg)
+        sample = shear_at(family_phi(params), family_omega(params), z)
     except ConvergenceError as exc:
         raise ConvergenceError(f"shear quadrature at z={z}: {exc}") from exc
     return MapSample.from_hg(sample.z, sample.h, sample.g, fallback=True)
@@ -387,12 +386,12 @@ def fcn_h_and_lift(c, n, z):
     w = (1.0 + z) / (1.0 - z)
     log_w = np.log(w)
     wc = np.exp(c * log_w)
-    base = _powm1_over(np, c, log_w)
+    base = _powm1_over(c, log_w)
     # e_k = 1
-    h = t = 0.5 * (_powm1_over(np, c + 1.0, log_w) + base)
+    h = t = 0.5 * (_powm1_over(c + 1.0, log_w) + base)
     if n % 2 == 0:
         # e_k = -1, k = n/2
-        i_k = 0.5 * (base + _powm1_over(np, c - 1.0, log_w))
+        i_k = 0.5 * (base + _powm1_over(c - 1.0, log_w))
         h = h + i_k
         t = t + (-1.0) ** (n // 2) * i_k
     roots = _fcn_roots(c, n)
@@ -418,8 +417,7 @@ def fcn_h_and_lift(c, n, z):
     return h, t
 
 
-def _f_cn(m, p, z, phi):
-    # one form for a point and an array: fcn_h_and_lift takes either
+def _f_cn(p, z, phi):
     h, _ = fcn_h_and_lift(float(p.c), int(p.n), z)
     return h, h - phi
 
@@ -447,8 +445,7 @@ def evaluate(params, z):
     """The family's closed form at a disk point, as a MapSample."""
     params = resolve_family(params)
     z = require_disk_point(z, r_max=1.0)
-    phi = complex(family_phi(params).phi(z))
-    h, g = _FORMS[params.family](_CMATH, params, z, phi)
+    h, g = _FORMS[params.family](params, z, family_phi(params).phi(z))
     return MapSample.from_hg(z, h, g)
 
 
@@ -459,7 +456,7 @@ def evaluate_array(params, z):
     every point by mask)."""
     z = require_disk_points(z, r_max=1.0)
     params = resolve_family(params)
-    return _FORMS[params.family](np, params, z, family_phi(params).phi(z))
+    return _FORMS[params.family](params, z, family_phi(params).phi(z))
 
 
 # --- shorthands: evaluate of one family ------------------------------------

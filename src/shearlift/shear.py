@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (DEFAULT_QUADRATURE, QuadratureConfig,
-                       integrate_segment, require_disk_point,
+from .analytic import (integrate_segment, require_disk_point,
                        require_disk_points, vectorize)
 from .errors import ConvergenceError, InvalidDilatationError
 from .special import _powm1_over
@@ -37,7 +36,7 @@ def koebe_phi(c, z):
     """Generalized Koebe function k_c(z) = (((1+z)/(1-z))^c - 1) / (2c),
     through expm1, so that it tends to its c = 0 limit
     (1/2) log((1+z)/(1-z)) without cancellation."""
-    return 0.5 * _powm1_over(np, c, np.log((1.0 + z) / (1.0 - z)))
+    return 0.5 * _powm1_over(c, np.log((1.0 + z) / (1.0 - z)))
 
 
 def koebe_phi_prime(c, z):
@@ -170,16 +169,16 @@ def _shear_integrand(phi, omega):
     return integrand
 
 
-def shear_at(phi, omega, z, cfg=DEFAULT_QUADRATURE):
+def shear_at(phi, omega, z):
     """Evaluate the sheared map at a disk point by radial quadrature of
     h' = phi'/(1 - omega)."""
     z = require_disk_point(z)
-    h = integrate_segment(_shear_integrand(phi, omega), 0j, z, cfg)
+    h = integrate_segment(_shear_integrand(phi, omega), 0j, z)
     g = h - complex(phi.phi(z))
     return MapSample.from_hg(z, h, g)
 
 
-def shear_array(phi, omega, z, cfg=DEFAULT_QUADRATURE):
+def shear_array(phi, omega, z):
     """h and g of the sheared map at an array of disk points, as complex
     ndarrays of z's shape: shear_at's quadrature on every point at once.
 
@@ -188,7 +187,7 @@ def shear_array(phi, omega, z, cfg=DEFAULT_QUADRATURE):
     """
     z = require_disk_points(z)
     try:
-        h = integrate_segment(_shear_integrand(phi, omega), 0j, z, cfg)
+        h = integrate_segment(_shear_integrand(phi, omega), 0j, z)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"at grid point z={complex(z.flat[exc.index])}: {exc}",
@@ -196,7 +195,7 @@ def shear_array(phi, omega, z, cfg=DEFAULT_QUADRATURE):
     return h, h - vectorize(phi.phi)(z)
 
 
-def lift_third_coordinate(hprime, q, z, cfg=DEFAULT_QUADRATURE):
+def lift_third_coordinate(hprime, q, z):
     """Third Weierstrass-Enneper coordinate 2 Im int_0^z h'(s) q(s) ds.
 
     The caller guarantees omega = q^2; with that, the lifted graph
@@ -207,7 +206,7 @@ def lift_third_coordinate(hprime, q, z, cfg=DEFAULT_QUADRATURE):
     def integrand(zs):
         return np.asarray(hprime(zs)) * np.asarray(q(zs))
 
-    return 2.0 * integrate_segment(integrand, 0j, z, cfg).imag
+    return 2.0 * integrate_segment(integrand, 0j, z).imag
 
 
 def grid_points(grid):
@@ -219,10 +218,10 @@ def grid_points(grid):
             for j in range(1, grid.rings + 1) for e in turn]
 
 
-def sample_grid(phi, omega, grid, cfg=DEFAULT_QUADRATURE):
+def sample_grid(phi, omega, grid):
     """One MapSample per grid node, ring-major then spoke order, from one
     shear_array call."""
     points = grid_points(grid)
-    h, g = shear_array(phi, omega, np.array(points), cfg)
+    h, g = shear_array(phi, omega, np.array(points))
     return [MapSample.from_hg(z, a, b)
             for z, a, b in zip(points, h.tolist(), g.tolist())]

@@ -15,16 +15,15 @@ plus a dispatcher that picks whichever applies and refuses to extrapolate
 outside both domains.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
 from ._kernels import fallback
-from .analytic import DEFAULT_QUADRATURE
+from .analytic import (DEFAULT_ABS_TOL, DEFAULT_MAX_SUBDIVISIONS,
+                       DEFAULT_REL_TOL)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 
@@ -187,23 +186,13 @@ def _digamma(x):
     return acc + math.log(x) - 0.5 / x - tail
 
 
-def cexpm1(u):
-    """exp(u) - 1 for complex u without cancellation near u = 0."""
-    if abs(u) > 0.5:
-        return cmath.exp(u) - 1.0
-    a, b = u.real, u.imag
-    s = math.sin(0.5 * b)
-    return complex(math.expm1(a) * math.cos(b) - 2.0 * s * s,
-                   math.exp(a) * math.sin(b))
-
-
-def _powm1_over(m, p, log_w):
-    """(w^p - 1)/p from log w, in the math namespace m, without
+def _powm1_over(p, log_w):
+    """(w^p - 1)/p from log w (a number or an array), without
     cancellation for small p log w.  Below |p| = 1e-20 it is log w to
     double precision, and p log w could lose its digits to underflow."""
     if abs(p) < 1e-20:
         return log_w
-    return m.expm1(p * log_w) / p
+    return np.expm1(p * log_w) / p
 
 
 def _log_sinc_pi(eps):
@@ -246,12 +235,6 @@ def _f1c_tables(c):
         inverse=tuple(0.0 if j == near else c / (j - c)
                       for j in range(1, _terms(1.0 / _INVERSE_RADIUS) + 1)),
         pfaff=tuple(pfaff), log_b=tuple(log_b), log_a=tuple(log_a))
-
-
-# Math namespace for formulas written once, for one point
-# (families.evaluate): cmath's log and the complex expm1 that cmath lacks.
-# numpy is the namespace for arrays.
-_CMATH = SimpleNamespace(log=cmath.log, expm1=cexpm1)
 
 
 def _f1c_inverse(c, x, y, series):
@@ -486,8 +469,8 @@ def appell_f1_integral(p, x, y):
             return scale * np.power(s, q) * smooth(t)
 
         return fallback.adaptive_segment(
-            transformed, 0.0, 1.0, DEFAULT_QUADRATURE.abs_tol,
-            DEFAULT_QUADRATURE.rel_tol, DEFAULT_QUADRATURE.max_subdivisions)
+            transformed, 0.0, 1.0, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
+            DEFAULT_MAX_SUBDIVISIONS)
 
     il = half_integral(a - 1.0,
                        lambda t: np.power(1.0 - t, d - 1.0) * regular(t))

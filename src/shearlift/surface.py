@@ -74,31 +74,30 @@ def _liftable(params):
     return n
 
 
-# F3 of each lift, written once against a math namespace m (cmath for the
-# scalar lifts, numpy for lift_array), in the manner of the closed forms
-# in families.
+# F3 of each lift, written once with numpy for a point (lift_sample) or an
+# array (lift_array), in the manner of the closed forms in families.
 
-def _f3_f0n(m, n, z):
+def _f3_f0n(n, z):
     t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
     for k in range(1, n // 2):
         th = 2.0 * math.pi * k / n
-        t -= (1j * (-1.0) ** k / math.sin(th)) * m.log(
+        t -= (1j * (-1.0) ** k / math.sin(th)) * np.log(
             (1.0 - z * cmath.exp(-1j * th)) / (1.0 - z * cmath.exp(1j * th)))
     return (t / n).imag
 
 
-def _f3_f1n(m, n, z):
+def _f3_f1n(n, z):
     t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
-         + (n * n + 2.0) / 12.0 * m.log(1.0 - z)
-         + (-1.0) ** (n // 2) / 2.0 * m.log(1.0 + z))
+         + (n * n + 2.0) / 12.0 * np.log(1.0 - z)
+         + (-1.0) ** (n // 2) / 2.0 * np.log(1.0 + z))
     for k in range(1, n // 2):
         th = math.pi * k / n
         t += (0.5 * (-1.0) ** k / math.sin(th) ** 2
-              * m.log(1.0 - 2.0 * z * math.cos(2.0 * th) + z * z))
+              * np.log(1.0 - 2.0 * z * math.cos(2.0 * th) + z * z))
     return (t / n).imag
 
 
-def _f3_f2n(m, n, z):
+def _f3_f2n(n, z):
     t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
          - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
          + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
@@ -106,7 +105,7 @@ def _f3_f2n(m, n, z):
         th = math.pi * k / n
         t += (1j / (2.0 * n) * (-1.0) ** k
               * math.cos(th) / math.sin(th) ** 3
-              * m.log((1.0 - z * cmath.exp(-2j * th))
+              * np.log((1.0 - z * cmath.exp(-2j * th))
                       / (1.0 - z * cmath.exp(2j * th))))
     return t.imag
 
@@ -139,8 +138,9 @@ def lift_sample(params, z):
     params = resolve_family(params)
     if params.family != "f_cn":
         planar = evaluate(params, z)
-        return SurfaceSample(z=planar.z, u=planar.u, v=planar.v,
-                             f3=_F3_FORMS[params.family](cmath, n, planar.z))
+        return SurfaceSample(
+            z=planar.z, u=planar.u, v=planar.v,
+            f3=float(_F3_FORMS[params.family](n, planar.z)))
     z = require_disk_point(z, r_max=1.0)
     h, t = fcn_h_and_lift(float(params.c), n, z)
     planar = MapSample.from_hg(z, h, h - complex(family_phi(params).phi(z)))
@@ -160,7 +160,7 @@ def lift_array(params, z):
     params = resolve_family(params)
     if params.family != "f_cn":
         h, g = evaluate_array(params, z)
-        return (h + g).real, (h - g).imag, _F3_FORMS[params.family](np, n, z)
+        return (h + g).real, (h - g).imag, _F3_FORMS[params.family](n, z)
     h, t = fcn_h_and_lift(float(params.c), n, z)
     g = h - family_phi(params).phi(z)
     return (h + g).real, (h - g).imag, 2.0 * t.imag

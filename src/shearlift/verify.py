@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .analytic import DEFAULT_QUADRATURE, cauchy_derivatives
+from .analytic import cauchy_derivatives
 # Bound here only so that perfbench/spans.py can wrap
 # verify.cauchy_derivative; the checks call cauchy_derivatives.
 from .analytic import cauchy_derivative  # noqa: F401
@@ -91,8 +91,7 @@ def check_oracle_equivalence(params, grid=DEFAULT_GRID, tol=1e-8):
     z = np.array(grid_points(grid))
     h, g = families.evaluate_array(params, z)
     oh, og = shear_array(families.family_phi(params),
-                         families.family_omega(params), z,
-                         DEFAULT_QUADRATURE)
+                         families.family_omega(params), z)
     residuals = np.maximum(np.abs(h - oh), np.abs(g - og))
     return _report("oracle_equivalence", params, grid, z, residuals, tol)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shearlift.analytic import (cauchy_derivative, integrate_segment,
-                                require_disk_point, QuadratureConfig)
+                                require_disk_point)
 from shearlift.errors import DomainError
 
 
@@ -49,13 +49,6 @@ def test_integrate_scalar_integrand_fallback():
     # point-wise (non-vectorized) integrands are accepted too
     val = integrate_segment(lambda z: cmath.exp(complex(z)), 0j, 1.0)
     assert abs(val - (math.e - 1.0)) < 1e-12
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 @given(st.complex_numbers(max_magnitude=0.8, allow_nan=False,

@@ -1,15 +1,17 @@
 """The array entry points against the scalar calls that share their
 formulas: evaluate_array against evaluate, derivatives_array against
 hprime/gprime, lift_array against lift_sample, shear_array (the batched
-quadrature) against shear_at (the one-point quadrature).  For f_cn both
-sides run the same code, on a batch and on one point.
+quadrature) against shear_at (the one-point quadrature).  The closed
+forms run the same numpy code on a batch and on one point.
 
-numpy and cmath round differently in the last bits, so agreement means
-within 1e-14 * max(1, |x|).  Near the unit circle, where the closed forms
-have their poles, a last-bit difference in an argument is amplified by
-about 1/(1 - |z|) (h' of the Mobius families differs by 1.1e-13 at
-z = 0.999); there the bound is four units of roundoff times that factor,
-which exceeds 1e-14 from |z| = 0.91 on.
+numpy's scalar math and its array loops round differently in the last
+bits, and a batch of f_cn terms sums each series to the tail bound of its
+largest argument, so agreement means within 1e-14 * max(1, |x|).  Near
+the unit circle, where the closed forms have their poles, a last-bit
+difference in an argument is amplified by about 1/(1 - |z|) (h' of the
+Mobius families differs by 1.1e-13 at z = 0.999); there the bound is
+four units of roundoff times that factor, which exceeds 1e-14 from
+|z| = 0.91 on.
 """
 
 import functools
@@ -18,9 +20,8 @@ import re
 import numpy as np
 import pytest
 
-from shearlift import families, surface, verify
+from shearlift import analytic, families, surface, verify
 from shearlift._kernels import fallback
-from shearlift.analytic import QuadratureConfig
 from shearlift.cli import main
 from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
                               DomainError, UnsupportedParameterError)
@@ -141,17 +142,32 @@ def test_fcn_arrays_do_not_go_point_by_point(monkeypatch):
 
 
 def test_one_point_calls_give_python_numbers():
-    # a 0-d ndarray would leak into MapSample, SurfaceSample and JSON
-    params = FamilyParams(family="f_cn", c=0.7, n=6)
+    # a numpy scalar or a 0-d ndarray would leak into MapSample,
+    # SurfaceSample and JSON; np.float64 subclasses float, so the types
+    # are compared exactly
     z = 0.3 + 0.4j
+    for params in (FamilyParams(family="F_a", a=0.3),
+                   FamilyParams(family="F_0a", a=-0.6),
+                   FamilyParams(family="F_1a", a=0.45),
+                   FamilyParams(family="F_ca", c=0.5, a=-0.3),
+                   FamilyParams(family="f_0n", n=6),
+                   FamilyParams(family="f_1n", n=6),
+                   FamilyParams(family="f_2n", n=6),
+                   FamilyParams(family="f_cn", c=0.7, n=6)):
+        sample = evaluate(params, z)
+        assert [type(x) for x in (sample.h, sample.g, sample.u,
+                                  sample.v)] == [complex, complex, float,
+                                                 float], params
+        assert type(hprime(params, z)) is complex, params
+        assert type(gprime(params, z)) is complex, params
+        if params.family.startswith("f_"):
+            lift = lift_sample(params, z)
+            assert [type(x) for x in (lift.u, lift.v, lift.f3)] == [
+                float] * 3, params
     assert type(hyp2f1_1c(0.7, 0.3 - 0.2j)) is complex
     h, t = fcn_h_and_lift(0.7, 6, z)
     assert type(h) is complex and type(t) is complex
     assert fcn_h_and_lift(0.7, 3, z)[1] is None
-    sample = evaluate(params, z)
-    assert type(sample.h) is complex and type(sample.u) is float
-    lift = lift_sample(params, z)
-    assert type(lift.u) is float and type(lift.f3) is float
 
 
 def test_array_domain_error_names_first_offending_point():
@@ -235,20 +251,21 @@ def test_shear_array_matches_shear_at(phi, omega, grid):
     assert_close(g, [s.g for s in samples], z)
 
 
-def test_batched_quadrature_names_the_first_point_that_fails():
+def test_batched_quadrature_names_the_first_point_that_fails(monkeypatch):
     # three bisections reach |z| = 0.5 but not the points near the circle;
     # the point named is the first in C order, not the first to fail
-    cfg = QuadratureConfig(max_subdivisions=3)
+    monkeypatch.setattr(analytic, "DEFAULT_MAX_SUBDIVISIONS", 3)
     phi, omega = PrevertexSpec.koebe(2.0), DilatationSpec.power(1)
     z = np.array([[0.1, 0.5j], [0.95, -0.5], [0.99, 0.3]])
     with pytest.raises(ConvergenceError):
-        shear_at(phi, omega, 0.95, cfg)
-    shear_at(phi, omega, 0.5j, cfg)
+        shear_at(phi, omega, 0.95)
+    shear_at(phi, omega, 0.5j)
     with pytest.raises(ConvergenceError,
                        match=re.escape("at grid point z=(0.95+0j)")) as info:
-        shear_array(phi, omega, z, cfg)
+        shear_array(phi, omega, z)
     assert info.value.index == 2
+    monkeypatch.setattr(analytic, "DEFAULT_MAX_SUBDIVISIONS", 1)
     grid = GridSpec(rings=2, spokes=4, r_max=0.99)
     with pytest.raises(ConvergenceError,
                        match=re.escape("at grid point z=(0.495+0j)")):
-        sample_grid(phi, omega, grid, QuadratureConfig(max_subdivisions=1))
+        sample_grid(phi, omega, grid)

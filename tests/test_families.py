@@ -246,6 +246,21 @@ def test_rejects_points_outside_disk():
         evaluate(FamilyParams(family="F_a", a=0.5), 1.0 + 0j)
 
 
+def test_derivatives_reject_points_outside_disk():
+    # the check of evaluate: no ZeroDivisionError at z = 1, and no value
+    # from outside the disk or from a NaN
+    for params in (FamilyParams(family="F_a", a=0.3),
+                   FamilyParams(family="F_ca", c=0.5, a=0.2),
+                   FamilyParams(family="f_2n", n=2),
+                   FamilyParams(family="f_cn", c=0.7, n=3)):
+        for z in (1.0, 1.5, 2j, -1.0 + 0j, complex("nan"),
+                  complex(0.2, float("nan")), 1e200):
+            for derivative in (hprime, gprime):
+                with pytest.raises(DomainError,
+                                   match="not inside the unit disk"):
+                    derivative(params, z)
+
+
 # --- partial fractions --------------------------------------------------------
 
 def test_coeffs_f1n_odd():
