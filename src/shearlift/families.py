@@ -119,6 +119,18 @@ def derivatives_array(params, z):
 # number (evaluate) or an array (evaluate_array) alike.  A form takes the
 # family parameters p, the point z and the prevertex value phi at z, and
 # returns (h, g); _FORMS below registers them by family name.
+#
+# The four power-dilatation forms take lift=True from the lifts in surface
+# (even n) and then return (h, g, F3), with
+#
+#     F3 = 2 Im T,   T(z) = int_0^z h'(s) q(s) ds,
+#
+# and the principal root q = +z^(n/2) (the mirrored surface has -F3).  T
+# sums the same root terms as h with weights e_k^(n/2) = (-1)^k, so each
+# logarithm is taken once for both.  The forms of T were checked
+# against the quadrature lift; the partial-fraction derivation forces the
+# f_1n log(1 - z) coefficient (n^2+2)/12 and the numerator 2z^2 - 3z + 3
+# of the slit surface (f_2n, n = 2).
 
 
 def _from_sum(p, phi):
@@ -165,45 +177,66 @@ def _pole_angles(n):
     return range(1, n // 2)
 
 
-def _f_0n(p, z, phi):
+def _f_0n(p, z, phi, lift=False):
     n = int(p.n)
     if n % 2 == 1:
         s = z / (1.0 - z)
     else:
         s = 2.0 * z / (1.0 - z * z)
+    if lift:
+        t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
     for k in _pole_angles(n):
-        t = 2.0 * math.pi * k / n
-        s -= (1j / math.sin(t)) * np.log(
-            (1.0 - z * cmath.exp(-1j * t)) / (1.0 - z * cmath.exp(1j * t)))
+        th = 2.0 * math.pi * k / n
+        log_k = np.log((1.0 - z * cmath.exp(-1j * th))
+                       / (1.0 - z * cmath.exp(1j * th)))
+        s -= (1j / math.sin(th)) * log_k
+        if lift:
+            t -= (1j * (-1.0) ** k / math.sin(th)) * log_k
     s /= n
-    return _from_sum(s, phi)
+    h, g = _from_sum(s, phi)
+    return (h, g, (t / n).imag) if lift else (h, g)
 
 
-def _f_1n(p, z, phi):
+def _f_1n(p, z, phi, lift=False):
     n = int(p.n)
+    log_1mz = np.log(1.0 - z)
     h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
          + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
-         - (n * n - 1.0) / (12.0 * n) * np.log(1.0 - z))
+         - (n * n - 1.0) / (12.0 * n) * log_1mz)
     if n % 2 == 0:
-        h += np.log(1.0 + z) / (4.0 * n)
+        log_1pz = np.log(1.0 + z)
+        h += log_1pz / (4.0 * n)
+    if lift:
+        t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
+             + (n * n + 2.0) / 12.0 * log_1mz
+             + (-1.0) ** (n // 2) / 2.0 * log_1pz)
     for k in _pole_angles(n):
-        t = math.pi * k / n
-        h += (np.log(1.0 - 2.0 * z * math.cos(2.0 * t) + z * z)
-              / (4.0 * n * math.sin(t) ** 2))
-    return h, h - phi
+        th = math.pi * k / n
+        log_k = np.log(1.0 - 2.0 * z * math.cos(2.0 * th) + z * z)
+        h += log_k / (4.0 * n * math.sin(th) ** 2)
+        if lift:
+            t += 0.5 * (-1.0) ** k / math.sin(th) ** 2 * log_k
+    return (h, h - phi, (t / n).imag) if lift else (h, h - phi)
 
 
-def _f_2n(p, z, phi):
+def _f_2n(p, z, phi, lift=False):
     n = int(p.n)
     h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
          + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
+    if lift:
+        t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
+             - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
+             + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
     for k in _pole_angles(n):
-        t = math.pi * k / n
-        h += (1j / (4.0 * n) * math.cos(t) / math.sin(t) ** 3
-              * np.log((1.0 - z * cmath.exp(-2j * t))
-                      / (1.0 - z * cmath.exp(2j * t))))
-    return h, h - phi
+        th = math.pi * k / n
+        log_k = np.log((1.0 - z * cmath.exp(-2j * th))
+                       / (1.0 - z * cmath.exp(2j * th)))
+        h += 1j / (4.0 * n) * math.cos(th) / math.sin(th) ** 3 * log_k
+        if lift:
+            t += (1j / (2.0 * n) * (-1.0) ** k
+                  * math.cos(th) / math.sin(th) ** 3 * log_k)
+    return (h, h - phi, t.imag) if lift else (h, h - phi)
 
 
 # Bound here only so that perfbench/spans.py can wrap
@@ -377,9 +410,14 @@ def fcn_h_and_lift(c, n, z):
     """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds, for c in (0, 2)
     other than 1 (T is None for odd n): Python complex values at a disk
     point z, complex ndarrays of z's shape at an array of disk points.
-    The minimal-surface height is F3 = 2 Im T.  The roots e_k = +-1 give
-    elementary terms; the others go through one hyp2f1_1c call over
-    (roots, points)."""
+    The minimal-surface height is F3 = 2 Im T."""
+    return _fcn_sums(c, n, z, n % 2 == 0)
+
+
+def _fcn_sums(c, n, z, lift):
+    """h of f_cn, and T when lift (even n) or else None.  The roots
+    e_k = +-1 give elementary terms; the others go through one hyp2f1_1c
+    call over (roots, points)."""
     number = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
@@ -393,7 +431,8 @@ def fcn_h_and_lift(c, n, z):
         # e_k = -1, k = n/2
         i_k = 0.5 * (base + _powm1_over(c - 1.0, log_w))
         h = h + i_k
-        t = t + (-1.0) ** (n // 2) * i_k
+        if lift:
+            t = t + (-1.0) ** (n // 2) * i_k
     roots = _fcn_roots(c, n)
     if roots:
         # the constants of each root as a column, one row per root
@@ -408,18 +447,19 @@ def fcn_h_and_lift(c, n, z):
             d = wc * hyp2f1_1c(c, x_w) - at_one
         for root, i_k in zip(roots, scale * base + weight * d):
             h = h + i_k
-            t = t + root.sign * i_k
+            if lift:
+                t = t + root.sign * i_k
     scale = 0.5 / n
     h = (scale * h).reshape(shape)
-    t = None if n % 2 else (scale * t).reshape(shape)
+    t = (scale * t).reshape(shape) if lift else None
     if number:
         return h.item(), None if t is None else t.item()
     return h, t
 
 
-def _f_cn(p, z, phi):
-    h, _ = fcn_h_and_lift(float(p.c), int(p.n), z)
-    return h, h - phi
+def _f_cn(p, z, phi, lift=False):
+    h, t = _fcn_sums(float(p.c), int(p.n), z, lift)
+    return (h, h - phi, 2.0 * t.imag) if lift else (h, h - phi)
 
 
 _FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a, "F_ca": _F_ca,

@@ -5,23 +5,17 @@ the harmonic map lifts to a minimal graph
 
     X(z) = (u, v, F3),   F3 = 2 Im int_0^z h'(s) q(s) ds.
 
-The principal root q = +z^(n/2) is fixed throughout; the mirrored surface
-is obtained by negating F3.  Closed forms below were validated against the
-quadrature lift; the f_1n log coefficient is (n^2+2)/12 and the slit
-(n = 2) reference carries the numerator 2z^2 - 3z + 3, both of which the
-partial-fraction derivation forces.
+The closed forms of h and F3 live together in families: a lift makes one
+call of the family's form, which returns h, g and F3 from the same terms.
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import R_MAX, require_disk_point, require_disk_points
 from .errors import DilatationNotSquareError, UnsupportedParameterError
-from .families import (_POWER_FAMILIES, FamilyParams, evaluate,
-                       evaluate_array, family_phi, fcn_h_and_lift,
+from .families import (_FORMS, _POWER_FAMILIES, FamilyParams, family_phi,
                        resolve_family)
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
@@ -61,7 +55,7 @@ class SurfaceMesh:
 
 def _liftable(params):
     """The check of every lift: the family has a power dilatation, then
-    n is even.  Returns n."""
+    n is even."""
     if params.family not in _POWER_FAMILIES:
         raise UnsupportedParameterError(
             f"family {params.family!r} has no power dilatation; nothing to "
@@ -71,46 +65,14 @@ def _liftable(params):
         raise DilatationNotSquareError(
             f"omega = z^{n} is not the square of a single-valued analytic "
             "function; the lift needs even n")
-    return n
 
 
-# F3 of each lift, written once with numpy for a point (lift_sample) or an
-# array (lift_array), in the manner of the closed forms in families.
-
-def _f3_f0n(n, z):
-    t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
-    for k in range(1, n // 2):
-        th = 2.0 * math.pi * k / n
-        t -= (1j * (-1.0) ** k / math.sin(th)) * np.log(
-            (1.0 - z * cmath.exp(-1j * th)) / (1.0 - z * cmath.exp(1j * th)))
-    return (t / n).imag
-
-
-def _f3_f1n(n, z):
-    t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
-         + (n * n + 2.0) / 12.0 * np.log(1.0 - z)
-         + (-1.0) ** (n // 2) / 2.0 * np.log(1.0 + z))
-    for k in range(1, n // 2):
-        th = math.pi * k / n
-        t += (0.5 * (-1.0) ** k / math.sin(th) ** 2
-              * np.log(1.0 - 2.0 * z * math.cos(2.0 * th) + z * z))
-    return (t / n).imag
-
-
-def _f3_f2n(n, z):
-    t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
-         - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
-         + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
-    for k in range(1, n // 2):
-        th = math.pi * k / n
-        t += (1j / (2.0 * n) * (-1.0) ** k
-              * math.cos(th) / math.sin(th) ** 3
-              * np.log((1.0 - z * cmath.exp(-2j * th))
-                      / (1.0 - z * cmath.exp(2j * th))))
-    return t.imag
-
-
-_F3_FORMS = {"f_0n": _f3_f0n, "f_1n": _f3_f1n, "f_2n": _f3_f2n}
+def _lift_form(params, z):
+    """h, g and F3 of a liftable family at checked disk points, from one
+    call of its closed form."""
+    params = resolve_family(params)
+    return _FORMS[params.family](params, z, family_phi(params).phi(z),
+                                 lift=True)
 
 
 def slit_surface_reference(z):
@@ -132,38 +94,24 @@ def slit_surface_reference(z):
 
 def lift_sample(params, z):
     """Lift of a power-dilatation family with even n at a disk point:
-    the planar map from evaluate and F3 from its closed form, or for f_cn
-    both from one fcn_h_and_lift call."""
-    n = _liftable(params)
-    params = resolve_family(params)
-    if params.family != "f_cn":
-        planar = evaluate(params, z)
-        return SurfaceSample(
-            z=planar.z, u=planar.u, v=planar.v,
-            f3=float(_F3_FORMS[params.family](n, planar.z)))
+    u, v and F3 from one call of the family's closed form, u and v
+    exactly those of evaluate."""
+    _liftable(params)
     z = require_disk_point(z, r_max=1.0)
-    h, t = fcn_h_and_lift(float(params.c), n, z)
-    planar = MapSample.from_hg(z, h, h - complex(family_phi(params).phi(z)))
-    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=2.0 * t.imag)
+    h, g, f3 = _lift_form(params, z)
+    planar = MapSample.from_hg(z, h, g)
+    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=float(f3))
 
 
 def lift_array(params, z):
     """u, v and F3 of the lift at an array of disk points, as float
-    ndarrays of z's shape.
-
-    The closed-form lifts run once on the whole array with numpy; for
-    f_cn the planar map and F3 both come from one fcn_h_and_lift call,
-    the same that lift_sample makes for one point.
-    """
-    n = _liftable(params)
+    ndarrays of z's shape: the closed form runs once on the whole array,
+    the same that lift_sample runs for one point, and u, v are exactly
+    those of evaluate_array."""
+    _liftable(params)
     z = require_disk_points(z, r_max=1.0)
-    params = resolve_family(params)
-    if params.family != "f_cn":
-        h, g = evaluate_array(params, z)
-        return (h + g).real, (h - g).imag, _F3_FORMS[params.family](n, z)
-    h, t = fcn_h_and_lift(float(params.c), n, z)
-    g = h - family_phi(params).phi(z)
-    return (h + g).real, (h - g).imag, 2.0 * t.imag
+    h, g, f3 = _lift_form(params, z)
+    return (h + g).real, (h - g).imag, f3
 
 
 def build_mesh(params, grid):
@@ -213,5 +161,5 @@ def lift_f2n(n, z):
 
 def lift_fcn(c, n, z):
     """Lift of the general family f_cn (even n); F3 comes from the same
-    2F1 terms as the planar map (families.fcn_h_and_lift)."""
+    2F1 terms as the planar map."""
     return lift_sample(FamilyParams("f_cn", c=c, n=n), z)

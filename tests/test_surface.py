@@ -1,13 +1,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from shearlift.errors import DilatationNotSquareError
-from shearlift.families import FamilyParams, evaluate
-from shearlift.shear import koebe_phi_prime, lift_third_coordinate
-from shearlift.surface import (GridSpec, build_mesh, lift_f0n, lift_f1n,
-                               lift_f2n, lift_fcn, lift_sample,
+from shearlift.families import FamilyParams, evaluate, evaluate_array
+from shearlift.shear import (grid_points, koebe_phi_prime,
+                             lift_third_coordinate)
+from shearlift.surface import (GridSpec, build_mesh, lift_array, lift_f0n,
+                               lift_f1n, lift_f2n, lift_fcn, lift_sample,
                                slit_surface_reference)
 
 TEST_POINTS = [0.3 + 0.4j, -0.2 + 0.5j, 0.55j, -0.6 - 0.1j,
@@ -44,20 +46,20 @@ def test_real_axis_f3_vanishes():
 def test_f0n_lift_oracle():
     assert abs(lift_f0n(4, 0.3 + 0.4j).f3 - numeric_f3(0.0, 4, 0.3 + 0.4j)) < 1e-9
     for z in TEST_POINTS:
-        for n in (2, 6):
+        for n in (2, 6, 8):
             assert abs(lift_f0n(n, z).f3 - numeric_f3(0.0, n, z)) < 1e-9
 
 
 def test_f1n_lift_oracle():
     assert abs(lift_f1n(2, 0.5j).f3 - numeric_f3(1.0, 2, 0.5j)) < 1e-9
     for z in TEST_POINTS:
-        for n in (4, 8):
+        for n in (4, 6, 8):
             assert abs(lift_f1n(n, z).f3 - numeric_f3(1.0, n, z)) < 1e-9
 
 
 def test_f2n_lift_oracle():
     for z in TEST_POINTS:
-        for n in (2, 4, 6):
+        for n in (2, 4, 6, 8):
             assert abs(lift_f2n(n, z).f3 - numeric_f3(2.0, n, z)) < 1e-9
 
 
@@ -94,14 +96,43 @@ def test_slit_reference_real_axis():
 
 
 def test_lift_projects_onto_planar_map():
-    for fam, kw in (("f_0n", dict(n=4)), ("f_1n", dict(n=2)),
-                    ("f_2n", dict(n=4)), ("f_cn", dict(c=1.5, n=4))):
-        p = FamilyParams(family=fam, **kw)
-        for z in TEST_POINTS[:3]:
-            s = lift_sample(p, z)
-            planar = evaluate(p, z)
-            assert abs(s.u - planar.u) < 1e-10
-            assert abs(s.v - planar.v) < 1e-10
+    # a lift runs the family's closed form with its F3 terms switched on;
+    # its planar part must be the planar map's, bit for bit
+    z = np.array(grid_points(GridSpec(rings=6, spokes=11, r_max=0.999)))
+    for p in ([FamilyParams(family=f, n=n) for f in ("f_0n", "f_1n", "f_2n")
+               for n in (2, 4, 6, 8)]
+              + [FamilyParams(family="f_cn", c=c, n=n)
+                 for c in (0.1, 0.5, 1.5) for n in (2, 4, 8)]):
+        h, g = evaluate_array(p, z)
+        u, v, _ = lift_array(p, z)
+        assert np.array_equal(u, (h + g).real), p
+        assert np.array_equal(v, (h - g).imag), p
+        for point in TEST_POINTS:
+            s = lift_sample(p, point)
+            planar = evaluate(p, point)
+            assert (s.u, s.v) == (planar.u, planar.v), (p, point)
+
+
+def test_lift_takes_each_log_once(monkeypatch):
+    # h and F3 share the logarithms of the root terms and of 1 -+ z, so a
+    # lift takes no more logs than the planar map alone
+    calls = []
+
+    def log(x):
+        calls.append(1)
+        return np_log(x)
+
+    np_log = np.log
+    monkeypatch.setattr(np, "log", log)
+    z = np.array(TEST_POINTS)
+    for p in (FamilyParams(family="f_1n", n=4),
+              FamilyParams(family="f_2n", n=6)):
+        calls.clear()
+        evaluate_array(p, z)
+        planar = len(calls)
+        calls.clear()
+        lift_array(p, z)
+        assert len(calls) == planar, p
 
 
 def test_mesh_counts_minimal_fan():
