@@ -15,7 +15,7 @@ Families:
 * f_0n   -- phi = k_0, omega = z^n (strip images)
 * f_1n   -- phi = k_1, omega = z^n (wave planes)
 * f_2n   -- phi = k_2, omega = z^n (slit planes)
-* f_cn   -- phi = k_c, omega = z^n, through one Gauss 2F1(1, c; c+1; x)
+* f_cn   -- phi = k_c, omega = z^n, through one Gauss 2F1(1, c+1; c+2; x)
            per n-th root of unity (the paper writes h with Appell F1,
            which special.appell_f1 keeps as the reference form)
 """
@@ -347,83 +347,56 @@ def coeffs_f2n(n):
 # ((1 - conj(e_k)) t + 1 + conj(e_k)) dt.  The lift integral
 # T = int_0^z h'(s) s^(n/2) ds carries the weights e_k^(n/2) = (-1)^k on
 # the same terms, because z^m/(1 - z^n) = (1/n) sum_k e_k^m/(1 - z conj(e_k))
-# for 0 <= m < n.  I_k is elementary for e_k = 1 and e_k = -1; otherwise,
-# with beta_k = (1 + conj(e_k))/(1 - conj(e_k)),
-#
-#     I_k(w) = ((w^c - 1)/c + (1 - beta_k) (J_k(w) - J_k(1))) / (1 - conj(e_k)),
-#     J_k(t) = int_0^t s^(c-1)/(s + beta_k) ds
-#            = t^c/(c beta_k) 2F1(1, c; c+1; -t/beta_k).
-#
-# beta_k is imaginary and w lies in the right half-plane, so -w/beta_k
-# never meets the cut [1, inf) of 2F1.
-#
-# The 1/c of J_k costs about eps/c of accuracy as c -> 0.  Below
-# _SMALL_C the identity F(x) = 1 + c x/(c+1) G(x), G = 2F1(1, c+1; c+2; x)
-# (the series of DLMF 15.2.1 term by term), cancels it: with
-# x_w = -w/beta_k and x_1 = -1/beta_k,
+# for 0 <= m < n.  I_k is elementary for e_k = 1 and e_k = -1.  Otherwise,
+# with beta_k = (1 + conj(e_k))/(1 - conj(e_k)), (t+1)/(t+beta_k) =
+# 1 + (1 - beta_k)/(t + beta_k) and int_0^t s^(c-1)/(s + beta_k) ds =
+# t^c/(c beta_k) F(-t/beta_k), F = 2F1(1, c; c+1; .).  The identity
+# F(x) = 1 + c x G(x)/(c+1), G = 2F1(1, c+1; c+2; .) (DLMF 15.2.1 term by
+# term), takes the 1/c out of every term but one: with x_w = -w/beta_k and
+# x_1 = -1/beta_k,
 #
 #     I_k(w) = ((w^c - 1)/c + (1 - beta_k)/beta_k D_k) / (1 - conj(e_k)),
-#     D_k = (w^c - 1)/c + (w^c x_w G(x_w) - x_1 G(x_1))/(c+1).
+#     D_k = (w^c - 1)/c + (w^c x_w G(x_w) - x_1 G(x_1))/(c+1),
 #
-# The form above stays in use from _SMALL_C up: there, and near c = 1, it
-# is already accurate to a few units of roundoff.
+# and (w^c - 1)/c goes through expm1.  So the form holds for every c in
+# (0, 2), with G = hyp2f1_1c(c+1, .).  beta_k is imaginary and w lies in
+# the right half-plane, so x_w never meets the cut [1, inf) of G.
 
-_SMALL_C = 0.25
 
-
-@dataclass(frozen=True)
-class _FcnRoot:
-    """One root e_k other than +-1: I_k(w) = scale (w^c - 1)/c
-    + weight (w^c F(x_w) - F(x_1)) from _SMALL_C up, and
-    I_k(w) = scale (w^c - 1)/c + weight D_k below it."""
-
-    sign: float  # e_k^(n/2) = (-1)^k, the weight of I_k in T
-    scale: complex  # 1/(1 - conj(e_k))
-    weight: complex  # scale (1 - beta_k)/beta_k, over c from _SMALL_C up
-    neg_inv_beta: complex  # x_1 = -1/beta_k
-    at_one: complex  # F(x_1), or x_1 G(x_1)/(c+1) below _SMALL_C
+def _x_g(c, x):
+    """x G(x)/(c+1), the expression D_k takes at x_w and at x_1, so that
+    the two are bit for bit equal at z = 0."""
+    return x * hyp2f1_1c(c + 1.0, x) / (c + 1.0)
 
 
 @lru_cache(maxsize=64)
 def _fcn_roots(c, n):
-    """Constants of the roots other than +-1, once per (c, n)."""
-    roots = []
-    for k in range(1, n):
-        if 2 * k == n:
-            continue
-        ebar = cmath.exp(-2j * math.pi * k / n)
-        beta = (1.0 + ebar) / (1.0 - ebar)
-        scale = 1.0 / (1.0 - ebar)
-        x_1 = -1.0 / beta
-        if c < _SMALL_C:
-            weight = scale * (1.0 - beta) / beta
-            at_one = x_1 * hyp2f1_1c(c + 1.0, x_1) / (c + 1.0)
-        else:
-            weight = scale * (1.0 - beta) / (c * beta)
-            at_one = hyp2f1_1c(c, x_1)
-        roots.append(_FcnRoot(sign=(-1.0) ** k, scale=scale, weight=weight,
-                              neg_inv_beta=x_1, at_one=at_one))
-    return tuple(roots)
+    """The constants of the roots e_k other than +-1, once per (c, n), as
+    arrays over the roots: (-1)^k, 1/(1 - conj(e_k)), the weight
+    (1 - beta_k)/(beta_k (1 - conj(e_k))) of D_k, x_1 and x_1 G(x_1)/(c+1)
+    from one hyp2f1_1c call."""
+    k = np.array([j for j in range(1, n) if 2 * j != n])
+    ebar = np.exp(-2j * np.pi * k / n)
+    beta = (1.0 + ebar) / (1.0 - ebar)
+    scale = 1.0 / (1.0 - ebar)
+    x_1 = -1.0 / beta
+    return ((-1.0) ** k, scale, scale * (1.0 - beta) / beta, x_1,
+            _x_g(c, x_1))
 
 
 def fcn_h_and_lift(c, n, z):
     """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds, for c in (0, 2)
-    other than 1 (T is None for odd n): Python complex values at a disk
-    point z, complex ndarrays of z's shape at an array of disk points.
-    The minimal-surface height is F3 = 2 Im T."""
-    return _fcn_sums(c, n, z, n % 2 == 0)
-
-
-def _fcn_sums(c, n, z, lift):
-    """h of f_cn, and T when lift (even n) or else None.  The roots
-    e_k = +-1 give elementary terms; the others go through one hyp2f1_1c
-    call over (roots, points)."""
+    (T is None for odd n): Python complex values at a disk point z,
+    complex ndarrays of z's shape at an array of disk points.  The
+    minimal-surface height is F3 = 2 Im T.  The roots e_k = +-1 give
+    elementary terms; the others go through one hyp2f1_1c call over
+    (points, roots).  Each point sums its roots along a row of its own,
+    in the same order alone as in an array."""
     number = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
-    shape, z = z.shape, z.ravel()
+    shape, z = z.shape, z.reshape(-1, 1)
     w = (1.0 + z) / (1.0 - z)
     log_w = np.log(w)
-    wc = np.exp(c * log_w)
     base = _powm1_over(c, log_w)
     # e_k = 1
     h = t = 0.5 * (_powm1_over(c + 1.0, log_w) + base)
@@ -431,34 +404,21 @@ def _fcn_sums(c, n, z, lift):
         # e_k = -1, k = n/2
         i_k = 0.5 * (base + _powm1_over(c - 1.0, log_w))
         h = h + i_k
-        if lift:
-            t = t + (-1.0) ** (n // 2) * i_k
-    roots = _fcn_roots(c, n)
-    if roots:
-        # the constants of each root as a column, one row per root
-        scale, weight, neg_inv_beta, at_one = np.array(
-            [(r.scale, r.weight, r.neg_inv_beta, r.at_one)
-             for r in roots]).T[..., None]
-        x_w = w * neg_inv_beta
-        if c < _SMALL_C:
-            d = base + (wc * x_w * hyp2f1_1c(c + 1.0, x_w) / (c + 1.0)
-                        - at_one)
-        else:
-            d = wc * hyp2f1_1c(c, x_w) - at_one
-        for root, i_k in zip(roots, scale * base + weight * d):
-            h = h + i_k
-            if lift:
-                t = t + root.sign * i_k
-    scale = 0.5 / n
-    h = (scale * h).reshape(shape)
-    t = (scale * t).reshape(shape) if lift else None
+        t = t + (-1.0) ** (n // 2) * i_k
+    sign, scale, weight, x_1, at_one = _fcn_roots(c, n)
+    d = base + (np.exp(c * log_w) * _x_g(c, w * x_1) - at_one)
+    i_k = scale * base + weight * d
+    h = h + i_k.sum(axis=1, keepdims=True)
+    t = t + (sign * i_k).sum(axis=1, keepdims=True)
+    h = (0.5 / n * h).reshape(shape)
+    t = (0.5 / n * t).reshape(shape) if n % 2 == 0 else None
     if number:
         return h.item(), None if t is None else t.item()
     return h, t
 
 
 def _f_cn(p, z, phi, lift=False):
-    h, t = _fcn_sums(float(p.c), int(p.n), z, lift)
+    h, t = fcn_h_and_lift(float(p.c), int(p.n), z)
     return (h, h - phi, 2.0 * t.imag) if lift else (h, h - phi)
 
 

@@ -1,11 +1,11 @@
 """Pochhammer symbols, Gauss 2F1 and the two-variable Appell F1.
 
-``hyp2f1_1c`` evaluates 2F1(1, c; c+1; x) on the whole cut plane, for a
-number or an array of any shape by the same code: each route is a mask
-over the points and every series is summed in one Horner pass.  The f_cn
-family and its lift are built from it.  F1 is the paper's form of
-the same family and is kept as a reference.  F1 carries two independent
-representations:
+``hyp2f1_1c`` evaluates 2F1(1, c; c+1; x) for 0 < c <= 3 on the whole cut
+plane, for a number or an array of any shape by the same code: each route
+is a mask over the points and every series is summed in one Horner pass.
+The f_cn family and its lift are built from it, at c + 1 for the family's
+c in (0, 2).  F1 is the paper's form of the same family and is kept as a
+reference.  F1 carries two independent representations:
 
 * a double power series summed along anti-diagonals (|x| < 1, |y| < 1, or
   terminating parameter cases), and
@@ -137,14 +137,14 @@ def _gauss_legendre(m):
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
 
 
-def _terms(r, growth=0.0):
-    """Number of terms m after which r^m (or growth * m * r^m, for
-    coefficients that grow like m) is below the summation tail."""
+def _terms(r, growth=0.0, degree=1.0):
+    """Number of terms m after which r^m (or growth * m^degree * r^m, for
+    coefficients that grow like m^degree) is below the summation tail."""
     if r <= _TAIL:
         return 1
     m = int(math.log(_TAIL) / math.log(r)) + 2
     if growth:
-        m += int(math.log(growth * m) / -math.log(r)) + 1
+        m += int(math.log(growth * m ** degree) / -math.log(r)) + 1
     return m
 
 
@@ -165,11 +165,11 @@ def _horner_many(series):
     return np.split(acc, np.cumsum(sizes)[:-1])
 
 
-def _terms_at_most(coeffs, y, growth=0.0):
+def _terms_at_most(coeffs, y, growth=0.0, degree=1.0):
     """The terms of coeffs that _terms asks for at the largest |y|."""
     if not y.size:
         return 0
-    return min(len(coeffs), _terms(float(np.abs(y).max()), growth))
+    return min(len(coeffs), _terms(float(np.abs(y).max()), growth, degree))
 
 
 def _digamma(x):
@@ -225,7 +225,8 @@ def _f1c_tables(c):
     log_b, log_a = [], []
     coeff = 1.0
     gap = -_EULER_GAMMA - _digamma(c)
-    for k in range(_terms(_LOG_REACH, 3.0)):
+    # (c)_k/k! grows like k^(c-1), so like k up to c = 2
+    for k in range(_terms(_LOG_REACH, 3.0, max(1.0, c - 1.0))):
         log_b.append(coeff)
         log_a.append(coeff * gap)
         gap += 1.0 / (k + 1.0) - 1.0 / (c + k)
@@ -291,7 +292,7 @@ def _f1c_ray_array(c, r, direction, pole_gap, at_x1):
 
 
 def hyp2f1_1c(c, x):
-    """Gauss 2F1(1, c; c+1; x) for 0 < c <= 2 and complex x off the cut
+    """Gauss 2F1(1, c; c+1; x) for 0 < c <= 3 and complex x off the cut
     [1, inf), principal branch: a Python complex for a number x, a
     complex ndarray of x's shape for an array.
 
@@ -315,8 +316,8 @@ def hyp2f1_1c(c, x):
     c = float(c)
     number = np.isscalar(x)
     x = np.asarray(x, dtype=complex)
-    if not 0.0 < c <= 2.0:
-        raise DomainError("hyp2f1_1c needs 0 < c <= 2")
+    if not 0.0 < c <= 3.0:
+        raise DomainError("hyp2f1_1c needs 0 < c <= 3")
     bad = ~np.isfinite(x)
     if bad.any():
         raise DomainError(f"hyp2f1_1c: x = {x[bad][0]} is NaN or infinite")
@@ -355,7 +356,7 @@ def hyp2f1_1c(c, x):
     y_power, y_inverse = x[power], np.conj(x[inverse] / r_inverse) / r_inverse
     y_pfaff, u_log = -x[pfaff] / u[pfaff], u[log]
     x1 = _POWER_RADIUS * direction[far]
-    m_log = _terms_at_most(tables.log_a, u_log, 3.0)
+    m_log = _terms_at_most(tables.log_a, u_log, 3.0, max(1.0, c - 1.0))
     s_power, s_inverse, s_pfaff, s_log_a, s_log_b, s_x1 = _horner_many([
         (tables.power, _terms_at_most(tables.power, y_power), y_power),
         (tables.inverse, _terms_at_most(tables.inverse, y_inverse),

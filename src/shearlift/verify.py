@@ -9,7 +9,7 @@ points of families and surface.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,23 +49,9 @@ class VerificationReport:
     worst_point: complex
 
     def to_dict(self):
-        fam = None
-        if self.family is not None:
-            fam = {"family": self.family.family, "c": self.family.c,
-                   "a": self.family.a, "n": self.family.n}
-        gd = None
-        if self.grid is not None:
-            gd = {"rings": self.grid.rings, "spokes": self.grid.spokes,
-                  "r_max": self.grid.r_max}
-        return {
-            "check_name": self.check_name,
-            "family": fam,
-            "grid": gd,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_point": [self.worst_point.real, self.worst_point.imag],
-        }
+        d = asdict(self)
+        d["worst_point"] = [self.worst_point.real, self.worst_point.imag]
+        return d
 
 
 def _report(name, params, grid, points, residuals, tol):

@@ -48,9 +48,8 @@ CLOSED_FORMS = (
        for f in ("f_0n", "f_1n", "f_2n") for n in (1, 2, 3, 4, 7, 8)]
     + [FamilyParams(family="f_cn", c=c, n=n)
        for c in (0.0, 0.5, 1.0, 2.0) for n in (3, 4)]
-    # the general f_cn form: the small-c branch, the folded near-integer
-    # 1/x term of hyp2f1_1c on both sides of c = 1, and both parities of
-    # n/2
+    # the general f_cn form: small c, the folded near-integer 1/x term of
+    # hyp2f1_1c(c+1) on both sides of c = 1, and both parities of n/2
     + [FamilyParams(family="f_cn", c=c, n=n)
        for c in (1e-6, 0.1, 0.9995, 1.0005, 1.5) for n in (2, 3, 7, 8)])
 # up to the largest r_max the CLI accepts
@@ -136,8 +135,8 @@ def test_fcn_arrays_do_not_go_point_by_point(monkeypatch):
     h, g = evaluate_array(params, z)
     assert len(calls) == 1
     u, v, f3 = lift_array(params, z)
-    # one call each over (roots other than +-1, points)
-    assert calls == [(4, z.size)] * 2
+    # one call each over (points, roots other than +-1)
+    assert calls == [(z.size, 4)] * 2
     assert np.isfinite(h).all() and np.isfinite(f3).all()
 
 

@@ -33,7 +33,8 @@ def mp():
         yield mpmath
 
 
-REFERENCE_C = (0.3, 0.5, 1.0015, 1.5, 1.7, 1.999)
+# up to c = 3: f_cn takes hyp2f1_1c at c + 1
+REFERENCE_C = (0.3, 0.5, 1.0015, 1.5, 1.7, 1.999, 2.0015, 2.5, 2.999, 3.0)
 
 
 def _tolerance(c):
@@ -134,7 +135,11 @@ def test_fcn_h_and_f3_against_quadrature(mp):
     rng = random.Random(11)
     worst = 0.0
     radii = (0.5, 0.9, 0.99)
-    cases = [(c, n) for c in (0.3, 0.5, 1.5, 1.7) for n in (1, 3, 4, 8)]
+    # c = 0.1, 0.2 and 0.25 lay below and at the former small-c switch of
+    # the root terms
+    cases = [(c, n) for c in (0.1, 0.2, 0.25, 0.3, 0.5, 1.0015, 1.5, 1.7,
+                              1.999)
+             for n in (1, 3, 4, 8)]
     for i, (c, n) in enumerate(cases):
         z = radii[i % 3] * cmath.exp(2j * math.pi * rng.random())
         h, t = fcn_h_and_lift(c, n, z)

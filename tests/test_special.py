@@ -119,7 +119,7 @@ def test_hyp2f1_1c_domain_errors():
     with pytest.raises(DomainError):
         hyp2f1_1c(0.0, 0.3)
     with pytest.raises(DomainError):
-        hyp2f1_1c(2.5, 0.3)
+        hyp2f1_1c(3.5, 0.3)
     with pytest.raises(DomainError):
         hyp2f1_1c(0.5, 1.0)
     with pytest.raises(DomainError):

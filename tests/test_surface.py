@@ -30,12 +30,22 @@ def test_odd_n_rejected():
         lift_fcn(0.5, 5, 0.2)
 
 
+FCN_ORIGIN_C = (0.05, 0.1, 0.2, 0.3, 0.5, 0.9995, 1.0015, 1.3, 1.5, 1.999)
+
+
 def test_lifts_vanish_at_origin():
     for fn, n in ((lift_f0n, 4), (lift_f1n, 2), (lift_f2n, 6)):
         s = fn(n, 0j)
         assert (s.u, s.v, s.f3) == (0.0, 0.0, 0.0)
-    s = lift_fcn(0.5, 4, 0j)
-    assert (s.u, s.v, s.f3) == (0.0, 0.0, 0.0)
+    # f_cn exactly: at z = 0 each root term takes the same 2F1 values at
+    # w = 1 as its constant at 1, and they cancel bit for bit
+    for c in FCN_ORIGIN_C:
+        for n in (2, 3, 4, 5, 8, 16):
+            s = evaluate(FamilyParams(family="f_cn", c=c, n=n), 0j)
+            assert (s.h, s.g) == (0j, 0j), (c, n)
+            if n % 2 == 0:
+                s = lift_fcn(c, n, 0j)
+                assert (s.u, s.v, s.f3) == (0.0, 0.0, 0.0), (c, n)
 
 
 def test_real_axis_f3_vanishes():
