@@ -135,8 +135,8 @@ def test_fcn_h_and_f3_against_quadrature(mp):
     rng = random.Random(11)
     worst = 0.0
     radii = (0.5, 0.9, 0.99)
-    # c = 0.1, 0.2 and 0.25 lay below and at the former small-c switch of
-    # the root terms
+    # small c, where a root term written with 2F1(1, c; c+1; x) would
+    # lose ~eps/c, and c next to 1 and 2
     cases = [(c, n) for c in (0.1, 0.2, 0.25, 0.3, 0.5, 1.0015, 1.5, 1.7,
                               1.999)
              for n in (1, 3, 4, 8)]
