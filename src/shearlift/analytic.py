@@ -79,7 +79,8 @@ def integrate_segment(integrand, z0, z1):
 def vectorize(f):
     """f as a function of ndarrays of points: called on the whole array
     when it accepts one and returns values of its shape, otherwise point
-    by point."""
+    by point.  A TypeError or ValueError on the array (complex() of it, or
+    an `if` on a comparison of it) means f takes one point at a time."""
     def pointwise(zs):
         return np.array([f(complex(z)) for z in zs.ravel()],
                         dtype=complex).reshape(zs.shape)
@@ -87,7 +88,7 @@ def vectorize(f):
     def call(zs):
         try:
             out = f(zs)
-        except TypeError:
+        except (TypeError, ValueError):
             return pointwise(zs)
         out = np.asarray(out, dtype=complex)
         if out.shape != np.shape(zs):
@@ -97,23 +98,27 @@ def vectorize(f):
     return call
 
 
+def unit_roots(count):
+    """The count-th roots of unity exp(2*pi*i*k/count), k = 0, ...,
+    count - 1, as a complex ndarray.  Each comes from cmath.exp, so that
+    every lattice point r*e built from them is bit for bit
+    r*cmath.exp(i*theta)."""
+    return np.array([cmath.exp(2j * cmath.pi * k / count)
+                     for k in range(count)], dtype=complex)
+
+
 def cauchy_derivative(f, z, radius, order=32):
     """Derivative of an analytic function by trapezoidal Cauchy quadrature
-    on a circle of the given radius.
+    on a circle of the given radius: cauchy_derivatives at one centre.
 
     Converges geometrically in ``order`` as long as f is analytic on the
     closed circle, so the radius can be a fixed fraction of the distance
     to the nearest singularity; this reaches near machine precision where
     finite differences top out around sqrt(eps).
     """
-    z = complex(z)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    total = 0j
-    for m in range(order):
-        w = cmath.exp(2j * cmath.pi * m / order)
-        total += f(z + radius * w) / w
-    return total / (order * radius)
+    f = vectorize(f)
+    return complex(cauchy_derivatives(lambda nodes: (f(nodes),), complex(z),
+                                      radius, order)[0])
 
 
 def cauchy_derivatives(f, z, radius, order=32):
@@ -128,7 +133,6 @@ def cauchy_derivatives(f, z, radius, order=32):
     radius = np.asarray(radius, dtype=float)
     if np.any(radius <= 0):
         raise ValueError("radius must be positive")
-    w = np.array([cmath.exp(2j * cmath.pi * m / order)
-                  for m in range(order)])
+    w = unit_roots(order)
     values = f(z[..., None] + radius[..., None] * w)
     return tuple((v / w).sum(axis=-1) / (order * radius) for v in values)

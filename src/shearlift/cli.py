@@ -81,7 +81,8 @@ def build_parser():
 
     p_co = sub.add_parser("coeffs",
                           help="partial-fraction coefficients as JSON")
-    p_co.add_argument("--family", required=True, choices=("f_1n", "f_2n"))
+    p_co.add_argument("--family", required=True,
+                      choices=families.PARTIAL_FRACTIONS)
     p_co.add_argument("--n", type=int, required=True)
     p_co.add_argument("--out", default=None,
                       help="output path (default: standard output)")
@@ -145,8 +146,7 @@ def cmd_verify(args):
 
 
 def cmd_coeffs(args):
-    coeffs = (families.coeffs_f1n if args.family == "f_1n"
-              else families.coeffs_f2n)(args.n)
+    coeffs = families.PARTIAL_FRACTIONS[args.family](args.n)
     text = render.coeffs_document(coeffs)
     if args.out is None:
         sys.stdout.write(text)

@@ -41,6 +41,10 @@ FAMILY_NAMES = ("F_a", "F_0a", "F_1a", "F_ca", "f_0n", "f_1n", "f_2n", "f_cn")
 
 _MOBIUS_FAMILIES = {"F_a", "F_0a", "F_1a", "F_ca"}
 _POWER_FAMILIES = {"f_0n", "f_1n", "f_2n", "f_cn"}
+# each family that is a general family at one fixed c: (general family, c)
+_FIXED_C = {"F_0a": ("F_ca", 0.0), "F_1a": ("F_ca", 1.0),
+            "f_0n": ("f_cn", 0.0), "f_1n": ("f_cn", 1.0),
+            "f_2n": ("f_cn", 2.0)}
 # the families whose maps depend on each parameter of FamilyParams
 PARAMETER_FAMILIES = {"c": {"F_ca", "f_cn"}, "a": _MOBIUS_FAMILIES,
                       "n": _POWER_FAMILIES}
@@ -70,11 +74,10 @@ class FamilyParams:
 def family_phi(params):
     """PrevertexSpec of the family (phi = z or k_c), built once per
     parameter set."""
-    f = params.family
-    if f == "F_a":
+    if params.family == "F_a":
         return PrevertexSpec.identity()
-    c = {"F_0a": 0.0, "F_1a": 1.0, "f_0n": 0.0, "f_1n": 1.0, "f_2n": 2.0}
-    return PrevertexSpec.koebe(c.get(f, params.c))
+    _, c = _FIXED_C.get(params.family, (params.family, params.c))
+    return PrevertexSpec.koebe(c)
 
 
 @lru_cache(maxsize=64)
@@ -118,7 +121,8 @@ def derivatives_array(params, z):
 # Each closed form is written once with numpy, whose functions take a
 # number (evaluate) or an array (evaluate_array) alike.  A form takes the
 # family parameters p, the point z and the prevertex value phi at z, and
-# returns (h, g); _FORMS below registers them by family name.
+# returns (h, g); _FORMS below registers them by family name, and
+# _closed_form is the one caller of them.
 #
 # The four power-dilatation forms take lift=True from the lifts in surface
 # (even n) and then return (h, g, F3), with
@@ -168,13 +172,11 @@ def _F_ca(p, z, phi):
 
 
 def _pole_angles(n):
-    """Simple-pole angle indices k with theta_k = 2*k*pi/n: the odd case
-    pairs all non-real n-th roots of unity, the even case additionally
-    drops z = -1 (k = n/2), which is handled by a dedicated term or is
-    removable."""
-    if n % 2 == 1:
-        return range(1, (n - 1) // 2 + 1)
-    return range(1, n // 2)
+    """Simple-pole angle indices k with theta_k = 2*k*pi/n, one of each
+    conjugate pair of non-real n-th roots of unity: k = 1, ...,
+    ceil(n/2) - 1.  z = 1 and, for even n, z = -1 (k = n/2) are handled by
+    dedicated terms or are removable."""
+    return range(1, (n + 1) // 2)
 
 
 def _f_0n(p, z, phi, lift=False):
@@ -335,6 +337,10 @@ def coeffs_f2n(n):
                                  pole_coeffs=tuple(poles))
 
 
+# the partial-fraction decomposition of h' of each family that has one
+PARTIAL_FRACTIONS = {"f_1n": coeffs_f1n, "f_2n": coeffs_f2n}
+
+
 # --- f_cn through one Gauss 2F1 per root of unity ------------------------
 #
 # With w = (1+z)/(1-z), k_c'(z) dz = w^(c-1) dw / 2, and with
@@ -361,6 +367,13 @@ def coeffs_f2n(n):
 # and (w^c - 1)/c goes through expm1.  So the form holds for every c in
 # (0, 2), with G = hyp2f1_1c(c+1, .).  beta_k is imaginary and w lies in
 # the right half-plane, so x_w never meets the cut [1, inf) of G.
+#
+# The roots other than +-1 come in conjugate pairs e_k, e_(n-k) =
+# conj(e_k), and every constant of e_(n-k) is the conjugate of that of
+# e_k, so the term of e_(n-k) at z is conj(term of e_k at conj(z)), with
+# the same weight (-1)^(n-k) = (-1)^k in T for even n.  Each pair is summed
+# as term(z) + conj(term(conj z)): on the real axis the two terms are the
+# same numbers, so h and T come out exactly real there and F3 exactly 0.
 
 
 def _x_g(c, x):
@@ -371,17 +384,20 @@ def _x_g(c, x):
 
 @lru_cache(maxsize=64)
 def _fcn_roots(c, n):
-    """The constants of the roots e_k other than +-1, once per (c, n), as
-    arrays over the roots: (-1)^k, 1/(1 - conj(e_k)), the weight
-    (1 - beta_k)/(beta_k (1 - conj(e_k))) of D_k, x_1 and x_1 G(x_1)/(c+1)
-    from one hyp2f1_1c call."""
-    k = np.array([j for j in range(1, n) if 2 * j != n])
+    """The constants of one root e_k of each conjugate pair other than
+    +-1 (k = 1, ..., ceil(n/2) - 1), once per (c, n), as arrays over these
+    roots: (-1)^k, 1/(1 - conj(e_k)), the weight
+    (1 - beta_k)/(beta_k (1 - conj(e_k))) of D_k and x_1; and
+    x_1 G(x_1)/(c+1) for the terms at z and at conj(z), from one hyp2f1_1c
+    call laid out as the sums' call is at z = 0 (the roots, then the roots
+    again), so that every D_k is bit for bit 0 there."""
+    k = np.array(_pole_angles(n))
     ebar = np.exp(-2j * np.pi * k / n)
     beta = (1.0 + ebar) / (1.0 - ebar)
     scale = 1.0 / (1.0 - ebar)
     x_1 = -1.0 / beta
     return ((-1.0) ** k, scale, scale * (1.0 - beta) / beta, x_1,
-            _x_g(c, x_1))
+            _x_g(c, np.stack([x_1, x_1])))
 
 
 def fcn_h_and_lift(c, n, z):
@@ -390,26 +406,35 @@ def fcn_h_and_lift(c, n, z):
     complex ndarrays of z's shape at an array of disk points.  The
     minimal-surface height is F3 = 2 Im T.  The roots e_k = +-1 give
     elementary terms; the others go through one hyp2f1_1c call over
-    (points, roots).  Each point sums its roots along a row of its own,
-    in the same order alone as in an array."""
+    (points, one root of each conjugate pair at z and at conj z).  Each point
+    sums its roots along a row of its own, in the same order alone as in
+    an array."""
     number = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.reshape(-1, 1)
+    # column 0 at z, column 1 at conj(z)
+    z = np.concatenate([z, z.conj()], axis=1)
     w = (1.0 + z) / (1.0 - z)
     log_w = np.log(w)
     base = _powm1_over(c, log_w)
     # e_k = 1
-    h = t = 0.5 * (_powm1_over(c + 1.0, log_w) + base)
+    h = t = 0.5 * (_powm1_over(c + 1.0, log_w[:, :1]) + base[:, :1])
     if n % 2 == 0:
         # e_k = -1, k = n/2
-        i_k = 0.5 * (base + _powm1_over(c - 1.0, log_w))
+        i_k = 0.5 * (base[:, :1] + _powm1_over(c - 1.0, log_w[:, :1]))
         h = h + i_k
         t = t + (-1.0) ** (n // 2) * i_k
     sign, scale, weight, x_1, at_one = _fcn_roots(c, n)
-    d = base + (np.exp(c * log_w) * _x_g(c, w * x_1) - at_one)
+    # one hyp2f1_1c call over (points, the roots at z then at conj z)
+    x = (w[..., None] * x_1).reshape(len(z), 2 * x_1.size)
+    x_g = _x_g(c, x).reshape(len(z), 2, x_1.size)
+    base = base[..., None]
+    d = base + (np.exp(c * log_w)[..., None] * x_g - at_one)
     i_k = scale * base + weight * d
-    h = h + i_k.sum(axis=1, keepdims=True)
-    t = t + (sign * i_k).sum(axis=1, keepdims=True)
+    # e_k at z plus e_(n-k) = conj(e_k) at z, which is conj(e_k at conj z)
+    pair = i_k[:, 0] + i_k[:, 1].conj()
+    h = h + pair.sum(axis=1, keepdims=True)
+    t = t + (sign * pair).sum(axis=1, keepdims=True)
     h = (0.5 / n * h).reshape(shape)
     t = (0.5 / n * t).reshape(shape) if n % 2 == 0 else None
     if number:
@@ -425,9 +450,7 @@ def _f_cn(p, z, phi, lift=False):
 _FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a, "F_ca": _F_ca,
           "f_0n": _f_0n, "f_1n": _f_1n, "f_2n": _f_2n, "f_cn": _f_cn}
 
-_DELEGATES = {("F_ca", 0.0): "F_0a", ("F_ca", 1.0): "F_1a",
-              ("f_cn", 0.0): "f_0n", ("f_cn", 1.0): "f_1n",
-              ("f_cn", 2.0): "f_2n"}
+_DELEGATES = {general: family for family, general in _FIXED_C.items()}
 
 
 def resolve_family(params):
@@ -441,11 +464,19 @@ def resolve_family(params):
     return FamilyParams(family=family, a=params.a, n=params.n)
 
 
+def _closed_form(params, z, lift=False):
+    """(h, g) of the family at checked disk points from one call of its
+    closed form, and with lift=True (power families only) (h, g, F3)."""
+    params = resolve_family(params)
+    form = _FORMS[params.family]
+    phi = family_phi(params).phi(z)
+    return form(params, z, phi, lift=True) if lift else form(params, z, phi)
+
+
 def evaluate(params, z):
     """The family's closed form at a disk point, as a MapSample."""
-    params = resolve_family(params)
     z = require_disk_point(z, r_max=1.0)
-    h, g = _FORMS[params.family](params, z, family_phi(params).phi(z))
+    h, g = _closed_form(params, z)
     return MapSample.from_hg(z, h, g)
 
 
@@ -454,9 +485,7 @@ def evaluate_array(params, z):
     ndarrays of z's shape: the closed form runs once on the whole array
     with numpy (for f_cn, one hyp2f1_1c call routes every root term of
     every point by mask)."""
-    z = require_disk_points(z, r_max=1.0)
-    params = resolve_family(params)
-    return _FORMS[params.family](params, z, family_phi(params).phi(z))
+    return _closed_form(params, require_disk_points(z, r_max=1.0))
 
 
 # --- shorthands: evaluate of one family ------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .analytic import R_MAX
+from .analytic import R_MAX, unit_roots
 
 
 # SVG width in pixels (the height follows the figure's aspect ratio, at
@@ -63,10 +63,7 @@ def fmt9(x):
     close to zero are rounding residue here, so they flush to 0.
     """
     x = float(x)
-    if x == 0.0 or abs(x) < 1e-12:
-        return "0"
-    s = f"{x:.9g}"
-    return "0" if s in ("-0", "0") else s
+    return "0" if abs(x) < 1e-12 else f"{x:.9g}"
 
 
 def map_curves(params, cfg):
@@ -77,14 +74,10 @@ def map_curves(params, cfg):
     whose errors name the offending point.
     """
     s = cfg.samples_per_curve
-    # unit vectors from cmath, so that every point is bit for bit
-    # r*cmath.exp(i*theta)
-    turn = np.array([cmath.exp(2j * math.pi * i / s) for i in range(s)])
     radii = cfg.r_max * np.arange(1, cfg.rings + 1) / cfg.rings
-    rings = radii[:, None] * turn
-    directions = np.array([cmath.exp(2j * math.pi * k / cfg.spokes)
-                           for k in range(cfg.spokes)])
-    spokes = (cfg.r_max * np.arange(1, s + 1) / s) * directions[:, None]
+    rings = radii[:, None] * unit_roots(s)
+    steps = cfg.r_max * np.arange(1, s + 1) / s
+    spokes = steps * unit_roots(cfg.spokes)[:, None]
     h, g = families.evaluate_array(params, np.concatenate([rings, spokes]))
     curves = [list(zip(u, v)) for u, v in zip((h + g).real.tolist(),
                                                (h - g).imag.tolist())]

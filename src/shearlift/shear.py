@@ -11,25 +11,22 @@ quadrature-defined values are the ground truth every closed-form family is
 verified against.
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import (integrate_segment, require_disk_point,
-                       require_disk_points, vectorize)
+                       require_disk_points, unit_roots, vectorize)
 from .errors import ConvergenceError, InvalidDilatationError
 from .special import _powm1_over
 
 # Deterministic lattice used for constructor-time sampled invariant checks.
 _CHECK_RADII = (0.25, 0.5, 0.75, 0.9)
-_CHECK_ANGLES = tuple(2.0 * np.pi * k / 12 for k in range(12))
 
 
 def _check_points():
-    for r in _CHECK_RADII:
-        for t in _CHECK_ANGLES:
-            yield r * cmath.exp(1j * t)
+    turn = unit_roots(12).tolist()
+    return [r * e for r in _CHECK_RADII for e in turn]
 
 
 def koebe_phi(c, z):
@@ -155,15 +152,15 @@ class MapSample:
 
 
 def _shear_integrand(phi, omega):
-    """h' = phi'/(1 - omega) on an array of path points, refusing a path
-    point where |omega| >= 1."""
+    """h' = phi'/(1 - omega) on an array of path points (or one point),
+    refusing a path point where |omega| >= 1."""
     def integrand(zs):
         w = np.asarray(omega(zs))
         bad = np.abs(w) >= 1.0
         if bad.any():
             raise InvalidDilatationError(
-                f"dilatation modulus >= 1 at {complex(zs[bad][0])} on the "
-                "integration path")
+                f"dilatation modulus >= 1 at {complex(np.asarray(zs)[bad][0])}"
+                " on the integration path")
         return np.asarray(phi.derivative(zs)) / (1.0 - w)
 
     return integrand
@@ -212,8 +209,7 @@ def lift_third_coordinate(hprime, q, z):
 def grid_points(grid):
     """Deterministic ring-major lattice: for each ring radius (innermost
     first), the spoke angles 2*pi*k/spokes in increasing k."""
-    turn = [cmath.exp(2j * cmath.pi * k / grid.spokes)
-            for k in range(grid.spokes)]
+    turn = unit_roots(grid.spokes).tolist()
     return [grid.r_max * j / grid.rings * e
             for j in range(1, grid.rings + 1) for e in turn]
 

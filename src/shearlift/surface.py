@@ -15,8 +15,7 @@ import numpy as np
 
 from .analytic import R_MAX, require_disk_point, require_disk_points
 from .errors import DilatationNotSquareError, UnsupportedParameterError
-from .families import (_FORMS, _POWER_FAMILIES, FamilyParams, family_phi,
-                       resolve_family)
+from .families import _POWER_FAMILIES, FamilyParams, _closed_form
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
@@ -67,14 +66,6 @@ def _liftable(params):
             "function; the lift needs even n")
 
 
-def _lift_form(params, z):
-    """h, g and F3 of a liftable family at checked disk points, from one
-    call of its closed form."""
-    params = resolve_family(params)
-    return _FORMS[params.family](params, z, family_phi(params).phi(z),
-                                 lift=True)
-
-
 def slit_surface_reference(z):
     """Minimal surface over the slit plane k_2(D): the n = 2 lift in fully
     explicit rational form (q = +z convention).
@@ -98,7 +89,7 @@ def lift_sample(params, z):
     exactly those of evaluate."""
     _liftable(params)
     z = require_disk_point(z, r_max=1.0)
-    h, g, f3 = _lift_form(params, z)
+    h, g, f3 = _closed_form(params, z, lift=True)
     planar = MapSample.from_hg(z, h, g)
     return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=float(f3))
 
@@ -110,7 +101,7 @@ def lift_array(params, z):
     those of evaluate_array."""
     _liftable(params)
     z = require_disk_points(z, r_max=1.0)
-    h, g, f3 = _lift_form(params, z)
+    h, g, f3 = _closed_form(params, z, lift=True)
     return (h + g).real, (h - g).imag, f3
 
 

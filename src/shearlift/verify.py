@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import families
-from .analytic import cauchy_derivatives
+from .analytic import cauchy_derivatives, unit_roots
 # Bound here only so that perfbench/spans.py can wrap
 # verify.cauchy_derivative; the checks call cauchy_derivatives.
 from .analytic import cauchy_derivative  # noqa: F401
@@ -169,8 +169,7 @@ def check_slit_limit(params):
 
 def boundary_curve(params, samples=512):
     """Sampled image of the circle |z| = CHD_RADIUS, as (u, v) pairs."""
-    z = np.array([CHD_RADIUS * cmath.exp(2j * math.pi * k / samples)
-                  for k in range(samples)])
+    z = CHD_RADIUS * unit_roots(samples)
     u, v = _uv(params, z)
     return list(zip(u.tolist(), v.tolist()))
 
@@ -273,8 +272,7 @@ def default_check_set(params):
     if (params.family == "F_ca" and params.c == 2.0) or (
             params.family == "f_2n" and params.n in (1, 2)):
         checks.append(("slit_limit", lambda: check_slit_limit(params)))
-    if params.family in ("f_0n", "f_1n", "f_2n",
-                         "f_cn") and params.n % 2 == 0:
+    if params.family in families._POWER_FAMILIES and params.n % 2 == 0:
         checks.append(("surface_properties", lambda: check_surface(params)))
     return checks
 

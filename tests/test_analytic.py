@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shearlift.analytic import (cauchy_derivative, integrate_segment,
-                                require_disk_point)
+from shearlift.analytic import (cauchy_derivative, cauchy_derivatives,
+                                integrate_segment, require_disk_point,
+                                unit_roots)
 from shearlift.errors import DomainError
 
 
@@ -49,6 +50,12 @@ def test_integrate_scalar_integrand_fallback():
     # point-wise (non-vectorized) integrands are accepted too
     val = integrate_segment(lambda z: cmath.exp(complex(z)), 0j, 1.0)
     assert abs(val - (math.e - 1.0)) < 1e-12
+    # a number for an array of nodes does not have the nodes' shape, so
+    # it is called point by point as well
+    assert abs(integrate_segment(lambda z: 2.0, 0j, 0.5) - 1.0) < 1e-15
+    # nor does an integrand that branches on its argument
+    val = integrate_segment(lambda z: z if abs(z) < 2.0 else 0.0, 0j, 0.6)
+    assert abs(val - 0.18) < 1e-14
 
 
 @given(st.complex_numbers(max_magnitude=0.8, allow_nan=False,
@@ -69,8 +76,25 @@ def test_cauchy_derivative_precision():
     d = cauchy_derivative(lambda w: 1.0 / (1.0 - w), z,
                           radius=0.25 * (1.0 - abs(z)))
     assert abs(d - 1.0 / (1.0 - z) ** 2) < 1e-12
+    # f that takes one point at a time, as an `if` on its argument does
+    d = cauchy_derivative(lambda w: w * w if abs(w) < 2.0 else 0.0, 0.3,
+                          radius=0.1)
+    assert abs(d - 0.6) < 1e-14
 
 
 def test_cauchy_derivative_rejects_bad_radius():
     with pytest.raises(ValueError):
         cauchy_derivative(lambda w: w, 0j, radius=0.0)
+    with pytest.raises(ValueError):
+        cauchy_derivatives(lambda w: (w,), np.array([0j, 0.1]),
+                           np.array([0.1, -0.1]))
+    with pytest.raises(ValueError):
+        cauchy_derivatives(lambda w: (w,), 0.2j, 0.0)
+
+
+def test_unit_roots_are_cmath_exp():
+    for count in (1, 7, 12, 256):
+        e = unit_roots(count)
+        assert e.dtype == complex and e.shape == (count,)
+        assert e.tolist() == [cmath.exp(2j * math.pi * k / count)
+                              for k in range(count)]

@@ -131,14 +131,40 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("option", [("--tol", "-1"), ("--tol", "nan"),
-                                    ("--checks", ",")],
-                         ids=("tol-negative", "tol-nan", "checks-empty"))
+                                    ("--tol", "abc"), ("--checks", ",")],
+                         ids=("tol-negative", "tol-nan", "tol-text",
+                              "checks-empty"))
 def test_verify_bad_arguments_exit_two(tmp_path, capsys, option):
     out = tmp_path / "r.json"
     assert run("verify", "--family", "f_0n", "--n", "2", *option,
                "--out", str(out)) == 2
     assert f"argument {option[0]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (("--samples", "8"), "samples_per_curve must be >= 16"),
+    (("--spokes", "0"), "rings and spokes must be >= 1"),
+], ids=("samples", "spokes"))
+def test_map_bad_grid_exits_two(tmp_path, capsys, option, message):
+    out = tmp_path / "x.svg"
+    assert run("map", "--family", "F_a", *option, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"shearlift map: {message}\n"
+    assert not out.exists()
+
+
+def test_fcn_surface_height_is_zero_on_the_real_axis(tmp_path):
+    # F3 of a real z is exactly 0, not roundoff residue above fmt9's flush:
+    # the two terms of each conjugate root pair are the same numbers there
+    out = tmp_path / "x.obj"
+    assert run("surface", "--family", "f_cn", "--c", "1.999", "--n", "4",
+               "--rmax", "0.999", "--rings", "10", "--spokes", "8",
+               "--out", str(out)) == 0
+    axis = [line.split() for line in out.read_text().splitlines()
+            if line.startswith("v ") and line.split()[2] == "0"]
+    # the centre and the spokes at angles 0 and pi
+    assert len(axis) == 21
+    assert all(f3 == "0" for _, _, _, f3 in axis)
 
 
 def test_verify_pass_and_report(tmp_path):

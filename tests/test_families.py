@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from shearlift.analytic import cauchy_derivative
@@ -10,7 +11,7 @@ from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
                                 coeffs_f2n, eval_F_0a, eval_F_1a, eval_F_a,
                                 eval_F_ca, eval_f0n, eval_f1n, eval_f2n,
                                 eval_fcn, evaluate, family_omega, family_phi,
-                                gprime, hprime)
+                                fcn_h_and_lift, gprime, hprime)
 from shearlift.shear import DilatationSpec, koebe_phi, shear_at
 
 SAMPLE_POINTS = [0.3, -0.25 + 0.4j, 0.55j, 0.5 * cmath.exp(1.9j),
@@ -171,6 +172,36 @@ def test_fcn_delegations_are_continuous():
             for c in NEAR_ONE:
                 gap = abs(eval_fcn(c, n, z).f - eval_f1n(n, z).f)
                 assert gap < abs(c - 1.0) + 1e-15, (n, z, c)
+
+
+def test_fixed_c_families_are_the_general_ones_at_their_c():
+    # F_ca at c = 0, 1 and f_cn at c = 0, 1, 2 are these families bit for
+    # bit, and share their prevertex map
+    for fam, general, c in (("F_0a", "F_ca", 0.0), ("F_1a", "F_ca", 1.0),
+                            ("f_0n", "f_cn", 0.0), ("f_1n", "f_cn", 1.0),
+                            ("f_2n", "f_cn", 2.0)):
+        fixed = FamilyParams(family=fam, a=0.3 * (fam[0] == "F"), n=4)
+        p = FamilyParams(family=general, c=c, a=fixed.a, n=4)
+        for spec in (family_phi(fixed), family_phi(p)):
+            assert (spec.kind, spec.c) == ("koebe_c", c)
+        for z in SAMPLE_POINTS:
+            assert evaluate(p, z) == evaluate(fixed, z), (fam, z)
+
+
+def test_fcn_is_real_on_the_real_axis():
+    # the conjugate root terms are summed as term(z) + conj(term(conj z)),
+    # so h and the lift integral T have no roundoff imaginary part there
+    x = np.linspace(-0.999, 0.999, 37)
+    for c in (0.3, 0.5, 1.5, 1.999):
+        for n in (3, 4, 8):
+            h, t = fcn_h_and_lift(c, n, x)
+            assert (h.imag == 0).all(), (c, n)
+            assert (t is None) == (n % 2 == 1)
+            if t is not None:
+                assert (t.imag == 0).all(), (c, n)
+            for z in (-0.95, -0.3, 0.01, 0.5, 0.999):
+                h, t = fcn_h_and_lift(c, n, z)
+                assert h.imag == 0 and (t is None or t.imag == 0), (c, n, z)
 
 
 def test_fcn_coincides_with_F_ca_at_n_two():

@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 
+import numpy as np
 import pytest
 
 from shearlift.errors import (DilatationNotSquareError, DomainError,
@@ -8,7 +10,8 @@ from shearlift.errors import (DilatationNotSquareError, DomainError,
 from shearlift.families import eval_f0n, eval_f2n
 from shearlift.shear import (DilatationSpec, MapSample, PrevertexSpec,
                              grid_points, koebe_phi, koebe_phi_prime,
-                             lift_third_coordinate, sample_grid, shear_at)
+                             lift_third_coordinate, sample_grid, shear_array,
+                             shear_at)
 from shearlift.surface import GridSpec, slit_surface_reference
 
 
@@ -41,6 +44,21 @@ def test_dilatation_validation():
         DilatationSpec.power(0)
     with pytest.raises(ValueError):
         DilatationSpec.mobius(1.5)
+
+
+def test_shear_refuses_a_path_point_where_omega_leaves_the_disk():
+    # |2 z^60| < 1 on the 48-point lattice (|z| <= 0.9) but not beyond
+    # |z| = 2^(-1/60) ~ 0.9885, which the path to 0.995 crosses
+    omega = DilatationSpec.custom(lambda z: 2 * z ** 60)
+    phi = PrevertexSpec.identity()
+    for call in (lambda: shear_at(phi, omega, 0.995),
+                 lambda: shear_array(phi, omega, np.array([0.5, 0.995]))):
+        with pytest.raises(InvalidDilatationError) as info:
+            call()
+        m = re.fullmatch(r"dilatation modulus >= 1 at (\S+) on the "
+                         r"integration path", str(info.value))
+        assert m, str(info.value)
+        assert 2.0 ** (-1.0 / 60.0) <= abs(complex(m.group(1))) <= 0.995
 
 
 def test_prevertex_validation():
