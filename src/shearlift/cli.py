@@ -2,8 +2,8 @@
 reports, and partial-fraction coefficient dumps.
 
 Exit codes: 0 ok, 1 a verification check failed, 2 usage or domain error
-(including a quadrature that did not converge at some point, and an
-output path that cannot be written).
+(including a quadrature that did not converge at some point, an output
+path that cannot be written, and a grid or n too large for the memory).
 """
 
 import argparse
@@ -171,6 +171,13 @@ def main(argv=None):
     except (DomainError, DilatationNotSquareError, ValueError,
             ConvergenceError) as exc:
         print(f"shearlift {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        sizes = ", ".join(f"--{name}" for name in ("rings", "spokes",
+                                                   "samples", "n")
+                          if hasattr(args, name))
+        print(f"shearlift {args.command}: out of memory; lower {sizes}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

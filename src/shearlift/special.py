@@ -101,40 +101,19 @@ _POWER_RADIUS = 0.5
 _INVERSE_RADIUS = 5.0 / 3.0
 _LOG_RADIUS = 0.5
 _PFAFF_RADIUS = 0.6
-_MAX_PANELS = 3
-# The log series also takes the points whose ray passes so close to s = 1
-# that the quadrature would need more than _MAX_PANELS panels: the ray then
-# comes within (5/3 - 1/2)/6 of s = 1, which keeps |1-x| below 0.72.
-_LOG_REACH = 0.75
-
-
-def _legendre(m, x):
-    """P_m(x) and P_m'(x) by the three-term recurrence."""
-    p0, p1 = 1.0, x
-    for k in range(2, m + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, m * (x * p1 - p0) / (x * x - 1.0)
-
-
-def _gauss_legendre(m):
-    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1],
-    by Newton iteration on P_m."""
-    nodes, weights = [], []
-    for i in range(1, m + 1):
-        x = math.cos(math.pi * (i - 0.25) / (m + 0.5))
-        for _ in range(100):
-            p, dp = _legendre(m, x)
-            step = p / dp
-            x -= step
-            if abs(step) < 1e-15:
-                break
-        dp = _legendre(m, x)[1]
-        nodes.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return tuple(nodes), tuple(weights)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
+# The rest of the cut plane lies in 1/2 < |x| < 5/3, outside the Pfaff and
+# log discs.  Taylor series about these centres x0 and their conjugates
+# cover it: a centre serves the points within _TAYLOR_RATIO of its radius
+# min(|x0|, |1 - x0|), on its own side of the real axis.  Beyond |x0| the
+# coefficient recurrence would grow the solution x^-c, singular at 0, out
+# of rounding, and a disc across (1, inf) holds the other branch on its
+# far side.  Each centre lies in one of the series routes above.
+_TAYLOR_CENTRES = np.array([0.48 + 1.6j, -1.4 + 1.02j, 1.5 + 0.74j,
+                            0.68 + 0.38j, 0.19 + 0.51j, 1.48 + 0.02j,
+                            0.86 + 0.47j, -0.74 + 0.92j, 0.36 + 0.02j, -2.3])
+_TAYLOR_RADII = np.minimum(np.abs(_TAYLOR_CENTRES),
+                           np.abs(1.0 - _TAYLOR_CENTRES))
+_TAYLOR_RATIO = 0.6
 
 
 def _terms(r, growth=0.0, degree=1.0):
@@ -154,7 +133,8 @@ def _horner_many(series):
     points.  A series of fewer terms than the longest starts at its own
     top term, so each sum is bit for bit that of a pass of its own."""
     sizes = np.array([y.size for _, _, y in series])
-    table = np.zeros((len(series), max(m for _, m, _ in series)))
+    table = np.zeros((len(series), max(m for _, m, _ in series)),
+                     dtype=complex)
     for row, (coeffs, m, _) in zip(table, series):
         row[:m] = coeffs[:m]
     y = np.concatenate([y for _, _, y in series])
@@ -226,7 +206,7 @@ def _f1c_tables(c):
     coeff = 1.0
     gap = -_EULER_GAMMA - _digamma(c)
     # (c)_k/k! grows like k^(c-1), so like k up to c = 2
-    for k in range(_terms(_LOG_REACH, 3.0, max(1.0, c - 1.0))):
+    for k in range(_terms(_LOG_RADIUS, 3.0, max(1.0, c - 1.0))):
         log_b.append(coeff)
         log_a.append(coeff * gap)
         gap += 1.0 / (k + 1.0) - 1.0 / (c + k)
@@ -262,33 +242,47 @@ def _f1c_inverse(c, x, y, series):
     return total + c * y ** near * folded
 
 
-# Panels a broadcast of the ray continuation takes at once: its
-# temporaries hold 24 values a panel.
-_RAY_CHUNK = 1024
+@lru_cache(maxsize=64)
+def _f1c_centres(c):
+    """The series of hyp2f1_1c about each Taylor centre x0 in y = (x -
+    x0)/R, R its radius, one row per centre: a_k R^k, lowest order first.
+    a_0 = F(x0), a_1 = F'(x0) = c (1/(1 - x0) - F(x0))/x0, and the
+    hypergeometric equation of F gives
+
+        x0 (1-x0) (k+2) a_(k+2)
+            = -((1 - 2 x0) k + c + 1 - (c+2) x0) a_(k+1) + (k + c) a_k."""
+    x0, radius = _TAYLOR_CENTRES, _TAYLOR_RADII
+    f0 = hyp2f1_1c(c, x0)
+    rows = [f0, radius * c * (1.0 / (1.0 - x0) - f0) / x0]
+    for k in range(_terms(_TAYLOR_RATIO) - 2):
+        rows.append(radius * (
+            radius * (k + c) * rows[-2]
+            - ((1.0 - 2.0 * x0) * k + c + 1.0 - (c + 2.0) * x0) * rows[-1])
+            / ((k + 2.0) * x0 * (1.0 - x0)))
+    return np.array(rows).T
 
 
-def _f1c_ray_array(c, r, direction, pole_gap, at_x1):
-    """The ray continuation of hyp2f1_1c at the points |x| = r, x/|x| =
-    direction, given F at x1 = direction/2:
-
-        F(x) = (r1/r)^c F(x1) + c x^-c int_{x1}^x s^(c-1)/(1-s) ds,
-
-    and on the ray x^-c s^(c-1) ds = (rho/r)^c drho/rho.  The 24 nodes of
-    every panel of every point are one broadcast, summed per point."""
-    r1 = _POWER_RADIUS
-    panels = np.ceil((r - r1) / (2.0 * pole_gap))
-    half = 0.5 * (r - r1) / panels
-    point, panel = np.nonzero(np.arange(_MAX_PANELS) < panels[:, None])
-    nodes, weights = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
-    acc = np.zeros(r.shape, dtype=complex)
-    for start in range(0, point.size, _RAY_CHUNK):
-        p = point[start:start + _RAY_CHUNK, None]
-        rho = (r1 + (2 * panel[start:start + _RAY_CHUNK, None] + 1) * half[p]
-               + half[p] * nodes)
-        f = (weights * np.power(rho / r[p], c)
-             / (rho * (1.0 - rho * direction[p])))
-        np.add.at(acc, p[:, 0], f.sum(axis=1))
-    return np.power(r1 / r, c) * at_x1 + c * half * acc
+def _f1c_taylor(c, x):
+    """The Taylor route at the points x.  Each point is mirrored to the
+    upper half-plane (F(conj x) = conj F(x)) and takes the centre nearest
+    to it relative to the centre's radius.  Returns the order that sorts
+    the points by centre and, in that order, one series (coeffs, m, y) for
+    each centre in use."""
+    table = _f1c_centres(c)
+    x = np.where(x.imag < 0.0, x.conj(), x)
+    nearest = np.full(x.shape, np.inf)
+    centre = np.zeros(x.shape, dtype=int)
+    for j, (x0, radius) in enumerate(zip(_TAYLOR_CENTRES, _TAYLOR_RADII)):
+        ratio = np.abs(x - x0) / radius
+        closer = ratio < nearest
+        nearest[closer] = ratio[closer]
+        centre[closer] = j
+    order = np.argsort(centre, kind="stable")
+    centre = centre[order]
+    y = (x[order] - _TAYLOR_CENTRES[centre]) / _TAYLOR_RADII[centre]
+    bounds = np.searchsorted(centre, range(len(table) + 1)).tolist()
+    return order, [(row, _terms_at_most(row, y[a:b]), y[a:b])
+                   for row, a, b in zip(table, bounds, bounds[1:]) if a < b]
 
 
 def hyp2f1_1c(c, x):
@@ -302,17 +296,16 @@ def hyp2f1_1c(c, x):
     * |x| <= 1/2: the power series sum_m c/(c+m) x^m;
     * |x| >= 5/3: the 1/x connection formula (DLMF 15.8.2);
     * |x/(x-1)| <= 0.6: the Pfaff transform (DLMF 15.8.1);
-    * |1-x| <= 1/2, or x just past the pole along its ray: the
-      logarithmic series about x = 1 (DLMF 15.8.10, a + b = c + 1);
-    * otherwise the integral continued from |x| = 1/2 along the ray
-      through x, by a 24-point Gauss-Legendre rule on at most three
-      panels, each no longer than twice its distance to the pole s = 1.
+    * |1-x| <= 1/2: the logarithmic series about x = 1 (DLMF 15.8.10,
+      a + b = c + 1);
+    * otherwise the Taylor series about the nearest of ten fixed centres
+      on its side of the real axis, within 0.6 of the centre's distance
+      to 0 or 1.
 
     Each route is a boolean mask over the points.  The series of all
     routes are summed in one Horner pass, each to the tail bound at the
     largest |argument| of its route, so a point's value can differ in the
-    last bits between batches; the ray continuation is one broadcast over
-    its points' panels and nodes."""
+    last bits between batches."""
     c = float(c)
     number = np.isscalar(x)
     x = np.asarray(x, dtype=complex)
@@ -336,40 +329,36 @@ def hyp2f1_1c(c, x):
     power = r <= _POWER_RADIUS
     inverse = ~power & (r >= _INVERSE_RADIUS)
     pfaff = ~(power | inverse) & (r <= _PFAFF_RADIUS * ru)
-    rest = ~(power | inverse | pfaff)
-    # the log series and the ray continuation split what is left
-    x_rest, r_rest = x[rest], r[rest]
-    direction = x_rest / r_rest
-    pole_gap = np.abs(1.0 - np.minimum(np.maximum(direction.real,
-                                                  _POWER_RADIUS), r_rest)
-                      * direction)
-    near = ((ru[rest] <= _LOG_RADIUS)
-            | (r_rest - _POWER_RADIUS > 2.0 * _MAX_PANELS * pole_gap))
-    far = ~near
-    log, ray = rest.copy(), rest.copy()
-    log[rest] = near
-    ray[rest] = far
+    log = ~(power | inverse | pfaff) & (ru <= _LOG_RADIUS)
+    taylor = ~(power | inverse | pfaff | log)
+    # the centres take other routes, so the table call of _f1c_centres
+    # ends here
+    order, s_taylor = _f1c_taylor(c, x[taylor]) if taylor.any() else ((), [])
 
     # 1/x through |x|, since numpy's 1/x overflows on the way for |x|
     # near the largest double
     r_inverse = r[inverse]
     y_power, y_inverse = x[power], np.conj(x[inverse] / r_inverse) / r_inverse
     y_pfaff, u_log = -x[pfaff] / u[pfaff], u[log]
-    x1 = _POWER_RADIUS * direction[far]
     m_log = _terms_at_most(tables.log_a, u_log, 3.0, max(1.0, c - 1.0))
-    s_power, s_inverse, s_pfaff, s_log_a, s_log_b, s_x1 = _horner_many([
+    s_power, s_inverse, s_pfaff, s_log_a, s_log_b, *s_taylor = _horner_many([
         (tables.power, _terms_at_most(tables.power, y_power), y_power),
         (tables.inverse, _terms_at_most(tables.inverse, y_inverse),
          y_inverse),
         (tables.pfaff, _terms_at_most(tables.pfaff, y_pfaff), y_pfaff),
-        (tables.log_a, m_log, u_log), (tables.log_b, m_log, u_log),
-        (tables.power, len(tables.power) if x1.size else 0, x1)])
+        (tables.log_a, m_log, u_log), (tables.log_b, m_log, u_log)]
+        + s_taylor)
     out[power] = s_power
-    out[inverse] = _f1c_inverse(c, x[inverse], y_inverse, s_inverse)
+    if inverse.any():
+        out[inverse] = _f1c_inverse(c, x[inverse], y_inverse, s_inverse)
     out[pfaff] = s_pfaff / u[pfaff]
     out[log] = c * (s_log_a - np.log(u_log) * s_log_b)
-    out[ray] = _f1c_ray_array(c, r_rest[far], direction[far], pole_gap[far],
-                              s_x1)
+    if taylor.any():
+        f_taylor = np.empty(len(order), dtype=complex)
+        f_taylor[order] = np.concatenate(s_taylor)
+        lower = x[taylor].imag < 0.0
+        f_taylor[lower] = f_taylor[lower].conj()
+        out[taylor] = f_taylor
     out = out.reshape(shape)
     return out.item() if number else out
 

@@ -1,10 +1,14 @@
 import cmath
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import shearlift
 from shearlift._kernels import fallback
 from shearlift.cli import main
 from shearlift.families import FamilyParams, evaluate
@@ -128,6 +132,33 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv):
     assert str(out) in err
     assert "Traceback" not in err
     assert not out.parent.exists()
+
+
+def test_out_of_memory_exits_two(tmp_path):
+    # a grid too large for a 512 MiB address space, set on the child
+    # process only: exit 2 naming the size options, not a traceback
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    package_root = os.path.dirname(os.path.dirname(shearlift.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [package_root, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "x.obj"
+    proc = subprocess.run(
+        [sys.executable, "-m", "shearlift.cli", "surface", "--family",
+         "f_2n", "--n", "2", "--rings", "3000", "--spokes", "3000",
+         "--out", str(out)],
+        env=env, preexec_fn=cap_address_space, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("shearlift surface: out of memory")
+    assert "--rings, --spokes" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option", [("--tol", "-1"), ("--tol", "nan"),

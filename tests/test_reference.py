@@ -58,7 +58,9 @@ def _region_points():
     pts += [1.0 + 0.5 * rng.random() * cmath.exp(2j * math.pi * rng.random())
             for _ in range(4)]  # log series about x = 1
     pts += [-1.0 + 0.3j, -0.6 - 0.4j, -1.4 + 0.05j]  # Pfaff
-    pts += [0.4 + 1.2j, 1.55 + 0.5j, -0.2 - 1.1j]  # ray quadrature
+    pts += [0.4 + 1.2j, 1.55 + 0.5j, -0.2 - 1.1j]  # Taylor centres
+    # Taylor centres on and next to the real axis
+    pts += [-1.6, -1.55, 1.55 + 1e-12j, 1.55 - 1e-12j]
     for sign in (1, -1):
         for d in (0.0, 1e-3, -0.02):
             pts.append(cmath.exp(sign * 1j * (math.pi / 3 + d)))
@@ -76,6 +78,16 @@ def test_hyp2f1_1c_against_mpmath(mp, c):
         ref = complex(mp.hyp2f1(1, c, c + 1, x))
         got = hyp2f1_1c(c, x)
         assert abs(got - ref) <= tol * abs(ref), (c, x, got, ref)
+
+
+@pytest.mark.parametrize("c", (0.3, 1.5, 2.999))
+def test_hyp2f1_1c_is_conjugate_symmetric_on_the_region(c):
+    # F(conj x) = conj F(x) bit for bit: each route treats the two sides
+    # alike, and the Taylor route mirrors a point below the axis to the
+    # centre above it
+    for x in _region_points():
+        x = complex(x)
+        assert hyp2f1_1c(c, x.conjugate()) == hyp2f1_1c(c, x).conjugate(), x
 
 
 def _region_array():

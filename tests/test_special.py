@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shearlift import special
 from shearlift.errors import DomainError, UnsupportedDomainError
 from shearlift.special import (F1Params, appell_f1, appell_f1_integral,
                                appell_f1_series, gauss_2f1, hyp2f1_1c,
@@ -83,8 +84,8 @@ ELEMENTARY_1C = {
     2.0: lambda x: -2.0 * (x + cmath.log(1.0 - x)) / (x * x),
 }
 # one point per route of hyp2f1_1c: power series, 1/x connection, Pfaff,
-# log series about 1, ray quadrature, and a point just off the cut that
-# the log series takes instead of a many-panel quadrature
+# log series about 1, Taylor centres, and a point on either side of the
+# cut that the centres of its own side take
 ROUTE_POINTS = [0.3 - 0.2j, -0.45j, 2.5 + 1.0j, -40.0 + 3.0j, 120j,
                 -1.2 + 0.1j, -0.3 + 0.9j, 1.3 + 0.2j, 0.7 - 0.3j,
                 0.4 + 1.2j, 1.55 + 0.5j, cmath.exp(1j * math.pi / 3),
@@ -113,6 +114,34 @@ def test_hyp2f1_1c_sides_of_the_cut():
         below = hyp2f1_1c(c, complex(t, -1e-13))
         jump = 2j * math.pi * c * t ** -c
         assert abs((above - below) - jump) < 1e-9, t
+
+
+def test_hyp2f1_1c_taylor_centres_cover_the_zone():
+    # The Taylor route takes the zone no other route takes: 1/2 < |x| <
+    # 5/3 outside the Pfaff disc |x/(x-1)| <= 0.6, which is |x + 9/16| <=
+    # 15/16, and the log disc |1 - x| <= 1/2, off the cut.  Each lattice
+    # point of spacing h with Im >= 0 that lies within h of the zone is
+    # within (reach - h) of an upper centre.  A zone point with Im >= 0
+    # is within h/sqrt(2) of such a lattice point, so within reach of that
+    # centre; the lower half is the mirror image under the conjugate
+    # centres.
+    def in_series_route(x):
+        return (abs(x) <= 0.5 or abs(x) >= 5.0 / 3.0
+                or abs(x) <= 0.6 * abs(1.0 - x) or abs(1.0 - x) <= 0.5)
+
+    h = 0.005
+    steps = np.arange(-340, 341) * h
+    x = (steps + 1j * steps[340:, None]).ravel()
+    x = x[(np.abs(x) > 0.5 - h) & (np.abs(x) < 5.0 / 3.0 + h)
+          & (np.abs(x + 9.0 / 16.0) > 15.0 / 16.0 - h)
+          & (np.abs(1.0 - x) > 0.5 - h)]
+    slack = np.full(x.shape, np.inf)
+    for x0 in special._TAYLOR_CENTRES:
+        # F(x0) at table time takes a series route, not a centre
+        assert x0.imag >= 0.0 and in_series_route(x0), x0
+        reach = special._TAYLOR_RATIO * min(abs(x0), abs(1.0 - x0))
+        slack = np.minimum(slack, np.abs(x - x0) - reach)
+    assert slack.max() <= -h
 
 
 def test_hyp2f1_1c_domain_errors():
