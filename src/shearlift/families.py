@@ -4,7 +4,8 @@ Each family is the shear of a prevertex map phi (identity or generalized
 Koebe k_c) by a dilatation omega (z*(z+a)/(1+a*z) or z^n).  The closed
 forms store the analytic parts: either h directly or the analytic sum
 P = h + g with h = (P + phi)/2, g = (P - phi)/2 recovered from the
-prevertex relation h - g = phi.
+prevertex relation h - g = phi.  Near z = 0 the power families take one
+Taylor series instead.
 
 Families:
 
@@ -31,7 +32,7 @@ import numpy as np
 from .analytic import require_disk_point, require_disk_points
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
-from .special import _powm1_over, hyp2f1_1c
+from .special import _powm1_over, _terms, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1
 # and families.shear_at; no closed form calls them.
 from .special import appell_f1  # noqa: F401
@@ -131,10 +132,12 @@ def derivatives_array(params, z):
 #
 # and the principal root q = +z^(n/2) (the mirrored surface has -F3).  T
 # sums the same root terms as h with weights e_k^(n/2) = (-1)^k, so each
-# logarithm is taken once for both.  The forms of T were checked
-# against the quadrature lift; the partial-fraction derivation forces the
-# f_1n log(1 - z) coefficient (n^2+2)/12 and the numerator 2z^2 - 3z + 3
-# of the slit surface (f_2n, n = 2).
+# logarithm is taken once for both.  At integer c, _root_pairs sums the
+# root terms other than +-1 and each form adds its own terms at z = +-1.
+# The forms of T were checked against the quadrature lift; the
+# partial-fraction derivation forces the f_1n log(1 - z) coefficient
+# (n^2+2)/12 and the numerator 2z^2 - 3z + 3 of the slit surface (f_2n,
+# n = 2).
 
 
 def _from_sum(p, phi):
@@ -179,28 +182,48 @@ def _pole_angles(n):
     return range(1, (n + 1) // 2)
 
 
-def _f_0n(p, z, phi, lift=False):
-    n = int(p.n)
-    if n % 2 == 1:
-        s = z / (1.0 - z)
-    else:
-        s = 2.0 * z / (1.0 - z * z)
-    if lift:
-        t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
-    for k in _pole_angles(n):
-        th = 2.0 * math.pi * k / n
-        log_k = np.log((1.0 - z * cmath.exp(-1j * th))
-                       / (1.0 - z * cmath.exp(1j * th)))
-        s -= (1j / math.sin(th)) * log_k
+@lru_cache(maxsize=64)
+def _residues(c, n):
+    """(k, e_k, alpha_k) for k in _pole_angles(n), e_k = exp(2 pi i k/n):
+    h' has the term alpha_k/(1 - z conj(e_k)), alpha_k = k_c'(e_k)/n, at
+    integer c, in Python complex arithmetic as coeffs_f1n/f2n print it."""
+    roots = [(k, cmath.exp(2j * math.pi * k / n)) for k in _pole_angles(n)]
+    return tuple((k, e, (1.0 + e) ** (c - 1) / (n * (1.0 - e) ** (c + 1)))
+                 for k, e in roots)
+
+
+def _root_pairs(c, n, z, lift=False):
+    """The root terms of h, and with lift=True of T, at integer c: each pair
+    w_k log(1 - z conj(e_k)) + conj(w_k) log(1 - z e_k), w_k = -e_k alpha_k,
+    exactly real on the real axis (T weighs it by (-1)^k).  w_k is real for
+    odd c and imaginary for even c: its other part is rounding, dropped."""
+    h = t = 0.0
+    for k, e, alpha in _residues(c, n):
+        w = -e * alpha
+        w = w.real if c % 2 else 1j * w.imag
+        pair = (w * np.log(1.0 - z * e.conjugate())
+                + w.conjugate() * np.log(1.0 - z * e))
+        h += pair
         if lift:
-            t -= (1j * (-1.0) ** k / math.sin(th)) * log_k
-    s /= n
-    h, g = _from_sum(s, phi)
-    return (h, g, (t / n).imag) if lift else (h, g)
+            t += (-1.0) ** k * pair
+    return h, t
+
+
+def _f_0n(p, z, phi, lift=False):
+    # P' = (1 + z^n) h' has twice the root terms of h'
+    n = int(p.n)
+    roots, roots_t = _root_pairs(0, n, z, lift)
+    s = z / (1.0 - z) if n % 2 else 2.0 * z / (1.0 - z * z)
+    h, g = _from_sum(s / n + 2.0 * roots, phi)
+    if not lift:
+        return h, g
+    t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
+    return h, g, (t / n + 2.0 * roots_t).imag
 
 
 def _f_1n(p, z, phi, lift=False):
     n = int(p.n)
+    roots, roots_t = _root_pairs(1, n, z, lift)
     log_1mz = np.log(1.0 - z)
     h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
          + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
@@ -208,37 +231,28 @@ def _f_1n(p, z, phi, lift=False):
     if n % 2 == 0:
         log_1pz = np.log(1.0 + z)
         h += log_1pz / (4.0 * n)
-    if lift:
-        t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
-             + (n * n + 2.0) / 12.0 * log_1mz
-             + (-1.0) ** (n // 2) / 2.0 * log_1pz)
-    for k in _pole_angles(n):
-        th = math.pi * k / n
-        log_k = np.log(1.0 - 2.0 * z * math.cos(2.0 * th) + z * z)
-        h += log_k / (4.0 * n * math.sin(th) ** 2)
-        if lift:
-            t += 0.5 * (-1.0) ** k / math.sin(th) ** 2 * log_k
-    return (h, h - phi, (t / n).imag) if lift else (h, h - phi)
+    h += roots
+    if not lift:
+        return h, h - phi
+    t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
+         + (n * n + 2.0) / 12.0 * log_1mz
+         + (-1.0) ** (n // 2) / 2.0 * log_1pz)
+    return h, h - phi, (t / n + 2.0 * roots_t).imag
 
 
 def _f_2n(p, z, phi, lift=False):
     n = int(p.n)
+    roots, roots_t = _root_pairs(2, n, z, lift)
     h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
          + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
-    if lift:
-        t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
-             - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
-             + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
-    for k in _pole_angles(n):
-        th = math.pi * k / n
-        log_k = np.log((1.0 - z * cmath.exp(-2j * th))
-                       / (1.0 - z * cmath.exp(2j * th)))
-        h += 1j / (4.0 * n) * math.cos(th) / math.sin(th) ** 3 * log_k
-        if lift:
-            t += (1j / (2.0 * n) * (-1.0) ** k
-                  * math.cos(th) / math.sin(th) ** 3 * log_k)
-    return (h, h - phi, t.imag) if lift else (h, h - phi)
+    h += roots
+    if not lift:
+        return h, h - phi
+    t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
+         - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
+         + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
+    return h, h - phi, (t + 2.0 * roots_t).imag
 
 
 # Bound here only so that perfbench/spans.py can wrap
@@ -311,13 +325,9 @@ def coeffs_f1n(n):
     else:
         scalars = tuple((f"lambda{i}", v) for (i, v) in base)
         scalars += (("lambda4", Fraction(1, 4 * n)),)
-    poles = []
-    for k in _pole_angles(n):
-        e = cmath.exp(2j * math.pi * k / n)
-        alpha = 1.0 / (n * (1.0 - e) ** 2)
-        poles.append((k, alpha, alpha.conjugate()))
+    poles = tuple((k, a_k, a_k.conjugate()) for k, _, a_k in _residues(1, n))
     return PartialFractionCoeffs(family="f_1n", n=n, scalars=scalars,
-                                 pole_coeffs=tuple(poles))
+                                 pole_coeffs=poles)
 
 
 def coeffs_f2n(n):
@@ -328,13 +338,9 @@ def coeffs_f2n(n):
                ("lambda2", Fraction((n - 1) * (n - 2), 6 * n)),
                ("lambda3", Fraction(n - 2, n)),
                ("lambda4", Fraction(2, n)))
-    poles = []
-    for k in _pole_angles(n):
-        e = cmath.exp(2j * math.pi * k / n)
-        a_k = (1.0 + e) / (n * (1.0 - e) ** 3)
-        poles.append((k, a_k, a_k.conjugate()))
+    poles = tuple((k, a_k, a_k.conjugate()) for k, _, a_k in _residues(2, n))
     return PartialFractionCoeffs(family="f_2n", n=n, scalars=scalars,
-                                 pole_coeffs=tuple(poles))
+                                 pole_coeffs=poles)
 
 
 # the partial-fraction decomposition of h' of each family that has one
@@ -376,28 +382,19 @@ PARTIAL_FRACTIONS = {"f_1n": coeffs_f1n, "f_2n": coeffs_f2n}
 # same numbers, so h and T come out exactly real there and F3 exactly 0.
 
 
-def _x_g(c, x):
-    """x G(x)/(c+1), the expression D_k takes at x_w and at x_1, so that
-    the two are bit for bit equal at z = 0."""
-    return x * hyp2f1_1c(c + 1.0, x) / (c + 1.0)
-
-
 @lru_cache(maxsize=64)
 def _fcn_roots(c, n):
     """The constants of one root e_k of each conjugate pair other than
     +-1 (k = 1, ..., ceil(n/2) - 1), once per (c, n), as arrays over these
-    roots: (-1)^k, 1/(1 - conj(e_k)), the weight
-    (1 - beta_k)/(beta_k (1 - conj(e_k))) of D_k and x_1; and
-    x_1 G(x_1)/(c+1) for the terms at z and at conj(z), from one hyp2f1_1c
-    call laid out as the sums' call is at z = 0 (the roots, then the roots
-    again), so that every D_k is bit for bit 0 there."""
+    roots: (-1)^k, 1/(1 - conj(e_k)), the weight (1 - beta_k)/(beta_k
+    (1 - conj(e_k))) of D_k, x_1 and x_1 G(x_1)/(c+1)."""
     k = np.array(_pole_angles(n))
     ebar = np.exp(-2j * np.pi * k / n)
     beta = (1.0 + ebar) / (1.0 - ebar)
     scale = 1.0 / (1.0 - ebar)
     x_1 = -1.0 / beta
     return ((-1.0) ** k, scale, scale * (1.0 - beta) / beta, x_1,
-            _x_g(c, np.stack([x_1, x_1])))
+            x_1 * hyp2f1_1c(c + 1.0, x_1) / (c + 1.0))
 
 
 def fcn_h_and_lift(c, n, z):
@@ -427,7 +424,7 @@ def fcn_h_and_lift(c, n, z):
     sign, scale, weight, x_1, at_one = _fcn_roots(c, n)
     # one hyp2f1_1c call over (points, the roots at z then at conj z)
     x = (w[..., None] * x_1).reshape(len(z), 2 * x_1.size)
-    x_g = _x_g(c, x).reshape(len(z), 2, x_1.size)
+    x_g = (x * hyp2f1_1c(c + 1.0, x) / (c + 1.0)).reshape(len(z), 2, -1)
     base = base[..., None]
     d = base + (np.exp(c * log_w)[..., None] * x_g - at_one)
     i_k = scale * base + weight * d
@@ -445,6 +442,48 @@ def fcn_h_and_lift(c, n, z):
 def _f_cn(p, z, phi, lift=False):
     h, t = fcn_h_and_lift(float(p.c), int(p.n), z)
     return (h, h - phi, 2.0 * t.imag) if lift else (h, h - phi)
+
+
+# --- the near-origin series of every power family --------------------------
+#
+# Root terms of size |z| leave T, of size |z|^(n/2+1), to roundoff near 0,
+# so _closed_form sends |z| <= _SERIES_RADIUS here.  k_c'(s) = sum a_j s^j,
+# a_0 = 1, a_1 = 2c, (j+1) a_(j+1) = 2c a_j + (j+1) a_(j-1) from (1 - s^2)
+# k_c'' = 2(c + s) k_c'; h' = sum b_j s^j, b_j = a_j + b_(j-n) ~ j^(c+1);
+# P = h + g = sum (2b_j - a_j) z^(j+1)/(j+1), T = sum b_j z^(j+m)/(j+m),
+# m = n/2 + 1.
+_SERIES_RADIUS = 0.25
+
+
+@lru_cache(maxsize=64)
+def _series(c, n):
+    """The coefficients of P/z and of T/z^(n/2+1), lowest order first."""
+    m = _terms(_SERIES_RADIUS, 1.0, c + 1.0)
+    a = [1.0, 2.0 * c]
+    for j in range(1, m - 1):
+        a.append((2.0 * c * a[j] + (j + 1) * a[j - 1]) / (j + 1))
+    b = a[:]
+    for j in range(n, m):
+        b[j] += b[j - n]
+    return ([(2.0 * b[j] - a[j]) / (j + 1) for j in range(m)],
+            [b[j] / (j + n / 2 + 1) for j in range(m)])
+
+
+def _horner(coeffs, z):
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * z + a
+    return acc
+
+
+def _near_origin(p, z, phi, lift=False):
+    n = int(p.n)
+    p_coeffs, t_coeffs = _series(family_phi(p).c, n)
+    # h - g = phi, so phi's roundoff cancels in u = Re P
+    h, g = _from_sum(z * _horner(p_coeffs, z), phi)
+    if not lift:
+        return h, g
+    return h, g, 2.0 * (z ** (n // 2 + 1) * _horner(t_coeffs, z)).imag
 
 
 _FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a, "F_ca": _F_ca,
@@ -466,11 +505,22 @@ def resolve_family(params):
 
 def _closed_form(params, z, lift=False):
     """(h, g) of the family at checked disk points from one call of its
-    closed form, and with lift=True (power families only) (h, g, F3)."""
+    closed form, and with lift=True (power families only) (h, g, F3).  A
+    power family takes the near-origin series at |z| <= _SERIES_RADIUS."""
     params = resolve_family(params)
     form = _FORMS[params.family]
     phi = family_phi(params).phi(z)
-    return form(params, z, phi, lift=True) if lift else form(params, z, phi)
+    if params.family not in _POWER_FAMILIES:
+        return form(params, z, phi)
+    near = abs(z) <= _SERIES_RADIUS
+    if not isinstance(near, bool):
+        if near.any() and not near.all():
+            out = np.empty((2 + lift,) + z.shape, complex)
+            for mask, f in ((near, _near_origin), (~near, form)):
+                out[:, mask] = f(params, z[mask], phi[mask], lift)
+            return (*out[:2], out[2].real.copy()) if lift else tuple(out)
+        near = near.all()
+    return (_near_origin if near else form)(params, z, phi, lift)
 
 
 def evaluate(params, z):
@@ -482,9 +532,9 @@ def evaluate(params, z):
 
 def evaluate_array(params, z):
     """h and g of the family at an array of disk points, as complex
-    ndarrays of z's shape: the closed form runs once on the whole array
-    with numpy (for f_cn, one hyp2f1_1c call routes every root term of
-    every point by mask)."""
+    ndarrays of z's shape: the closed form, and a power family's series,
+    run once on their points with numpy (for f_cn, one hyp2f1_1c call
+    routes every root term of every point by mask)."""
     return _closed_form(params, require_disk_points(z, r_max=1.0))
 
 

@@ -58,6 +58,12 @@ GRID = GridSpec(rings=6, spokes=14, r_max=0.999)
 # c = 1.0005 lay in the former oracle band around 1, where the values
 # came from quadrature; the closed form now covers it
 ORACLE_BAND = FamilyParams(family="F_ca", c=1.0005, a=0.5)
+# points at the radius where the power families switch from the
+# near-origin series to their closed forms, and one ulp either side
+SEAM = [r * e for r in (np.nextafter(families._SERIES_RADIUS, 0.0),
+                        families._SERIES_RADIUS,
+                        np.nextafter(families._SERIES_RADIUS, 1.0))
+        for e in analytic.unit_roots(8).tolist()]
 
 
 def assert_close(got, want, z):
@@ -76,7 +82,7 @@ def _cases():
 
 @pytest.mark.parametrize("params,grid", _cases())
 def test_evaluate_array_matches_evaluate(params, grid):
-    z = np.array(grid_points(grid))
+    z = np.array(grid_points(grid) + SEAM)
     h, g = evaluate_array(params, z)
     samples = [evaluate(params, p) for p in z.tolist()]
     assert_close(h, [s.h for s in samples], z)
@@ -97,13 +103,26 @@ def test_derivatives_array_matches_hprime_gprime(params, grid):
     + [FamilyParams(family="f_cn", c=1.0005, n=4)],
     ids=lambda p: f"{p.family}-c{p.c}-n{p.n}")
 def test_lift_array_matches_lift_sample(params):
-    z = np.array(grid_points(GRID))
+    z = np.array(grid_points(GRID) + SEAM)
     u, v, f3 = lift_array(params, z)
     samples = [lift_sample(params, p) for p in z.tolist()]
     assert_close(u, [s.u for s in samples], z)
     assert_close(v, [s.v for s in samples], z)
     assert_close(f3, [s.f3 for s in samples], z)
     assert not any(s.fallback for s in samples)
+
+
+@pytest.mark.parametrize("params", [
+    p for p in CLOSED_FORMS if p.family.startswith("f_")],
+    ids=lambda p: f"{p.family}-c{p.c}-n{p.n}")
+def test_series_meets_the_closed_form_at_its_radius(params):
+    z = np.array(SEAM)
+    params = families.resolve_family(params)
+    phi = family_phi(params).phi(z)
+    lift = params.n % 2 == 0
+    for a, b in zip(families._near_origin(params, z, phi, lift),
+                    families._FORMS[params.family](params, z, phi, lift)):
+        assert_close(a, b, z)
 
 
 def test_arrays_keep_their_shape():

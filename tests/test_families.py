@@ -5,14 +5,17 @@ import random
 import numpy as np
 import pytest
 
+from shearlift import families
 from shearlift.analytic import cauchy_derivative
 from shearlift.errors import DomainError, UnsupportedParameterError
 from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
                                 coeffs_f2n, eval_F_0a, eval_F_1a, eval_F_a,
                                 eval_F_ca, eval_f0n, eval_f1n, eval_f2n,
-                                eval_fcn, evaluate, family_omega, family_phi,
-                                fcn_h_and_lift, gprime, hprime)
+                                eval_fcn, evaluate, evaluate_array,
+                                family_omega, family_phi, fcn_h_and_lift,
+                                gprime, hprime)
 from shearlift.shear import DilatationSpec, koebe_phi, shear_at
+from shearlift.surface import lift_array, lift_sample
 
 SAMPLE_POINTS = [0.3, -0.25 + 0.4j, 0.55j, 0.5 * cmath.exp(1.9j),
                  -0.7, 0.6 - 0.35j]
@@ -202,6 +205,24 @@ def test_fcn_is_real_on_the_real_axis():
             for z in (-0.95, -0.3, 0.01, 0.5, 0.999):
                 h, t = fcn_h_and_lift(c, n, z)
                 assert h.imag == 0 and (t is None or t.imag == 0), (c, n, z)
+
+
+@pytest.mark.parametrize("family", ("f_0n", "f_1n", "f_2n"))
+def test_fixed_c_families_are_real_on_the_real_axis(family):
+    # each root pair is summed as w log(1 - z conj e) + conj(w) log(1 - z e)
+    # and the near-origin series has real coefficients, so h and F3 have
+    # no roundoff imaginary part on either side of the series radius
+    r = families._SERIES_RADIUS
+    edge = [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)]
+    x = np.concatenate([np.linspace(-0.999, 0.999, 37), edge,
+                        np.negative(edge)])
+    for n in (3, 4, 5, 8, 16, 64):
+        p = FamilyParams(family=family, n=n)
+        assert (evaluate_array(p, x)[0].imag == 0).all(), n
+        assert all(evaluate(p, z).h.imag == 0 for z in x.tolist()), n
+        if n % 2 == 0:
+            assert (lift_array(p, x)[2] == 0).all(), n
+            assert all(lift_sample(p, z).f3 == 0 for z in x.tolist()), n
 
 
 def test_fcn_coincides_with_F_ca_at_n_two():

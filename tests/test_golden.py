@@ -1,6 +1,7 @@
 """Golden outputs of the command line.
 
-SVG figures are pinned by SHA-256 and must stay byte-identical.  OBJ meshes
+SVG figures are pinned by SHA-256 and must stay byte-identical, and so
+must the partial-fraction coefficients of `coeffs`.  OBJ meshes
 and verify reports are compared with the files in tests/golden/ number by
 number: two numbers agree when they differ by at most one unit in their
 9th significant digit, the precision of the OBJ text (fmt9).  A verify
@@ -97,6 +98,11 @@ JSON_JOBS = {
                                  "chd_heuristic,surface_properties"],
 }
 
+COEFFS_JOBS = {
+    "coeffs_f1n_n7": ["--family", "f_1n", "--n", "7"],
+    "coeffs_f2n_n10": ["--family", "f_2n", "--n", "10"],
+}
+
 ROUNDOFF = 1e-10
 # the roundoff of surface_properties' residual (see the module docstring)
 SURFACE_ROUNDOFF = sys.float_info.epsilon / (verify.ISO_STEP * 1e-5)
@@ -149,6 +155,13 @@ def test_obj_numbers(name, tmp_path):
     bad = [(i, g, w) for i, (rg, rw) in enumerate(zip(got, want))
            for g, w in zip(rg, rw) if not agree9(g, w)]
     assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("name", sorted(COEFFS_JOBS))
+def test_coeffs_byte_identical(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    _run("coeffs", COEFFS_JOBS[name], out)
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def _compare_report(got, want):
@@ -229,6 +242,8 @@ def _regenerate():
         _run("surface", args, GOLDEN / f"{name}.obj")
     for name, args in JSON_JOBS.items():
         _run("verify", args, GOLDEN / f"{name}.json")
+    for name, args in COEFFS_JOBS.items():
+        _run("coeffs", args, GOLDEN / f"{name}.json")
     scratch = GOLDEN / "scratch.svg"
     for name, (args, _) in sorted(SVG_JOBS.items()):
         _run("map", args, scratch)

@@ -4,7 +4,8 @@ against 30-digit mpmath.quad of the defining integrals, and the paper's
 Appell F1 form of h against the 2F1 route; h and F3 of every closed form,
 the former c bands of F_ca and f_cn included, against 30-digit mpmath.quad;
 appell_f1 against mpmath.appellf1; for the quadrature oracle, h and F3
-near the unit circle against 30-digit mpmath.quad.
+near the unit circle against 30-digit mpmath.quad; F3 of every power
+family near the origin, where the near-origin series serves it.
 
 mpmath is not a runtime dependency; the tests that need it skip without
 it (``pip install -e ".[test]"`` installs it).
@@ -18,6 +19,7 @@ import pytest
 
 import numpy as np
 
+from shearlift.analytic import unit_roots
 from shearlift.families import (FamilyParams, evaluate, evaluate_array,
                                 family_omega, family_phi, fcn_h_and_lift)
 from shearlift.shear import grid_points, koebe_phi, shear_array, shear_at
@@ -394,3 +396,54 @@ def test_g_near_c_zero_against_quadrature(mp, family, c):
         bound = 1e-14 * max(1.0, abs(ref))
         assert abs(evaluate(params, p).g - ref) <= bound, p
         assert abs(g_array[i] - ref) <= bound, p
+
+
+# Near z = 0 the closed forms' root terms are of size |z| and T only of
+# size |z|^(n/2+1); there the power families take the near-origin series.
+# F3's relative condition number is about (n/2+1)|T|/|Im T|, so the angles
+# pi(2k+1)/7 are ones where |Im T| >= 0.09|T|, or (at pi) where z lies next
+# to the real axis and Im T is carried by the tiny Im z.
+NEAR_ORIGIN = ([FamilyParams(family=f, n=n)
+                for f in ("f_0n", "f_1n", "f_2n") for n in (2, 4, 6, 8, 16)]
+               + [FamilyParams(family="f_cn", c=c, n=n)
+                  for c in (0.3, 1.5) for n in (2, 4, 6, 8, 16)])
+NEAR_ORIGIN_POINTS = [r * cmath.exp(1j * math.pi * (2 * k + 1) / 7)
+                      for r in (1e-3, 0.01, 0.03, 0.1) for k in range(7)]
+
+
+def _gauss_quad(mp, f, z):
+    # the integrands are smooth on the ray to these small z
+    z = mp.mpc(z)
+    return mp.quad(lambda t: f(t * z) * z, [0, 1], method="gauss-legendre")
+
+
+@pytest.mark.parametrize("params", NEAR_ORIGIN,
+                         ids=lambda p: f"{p.family}-c{p.c}-n{p.n}")
+def test_f3_near_the_origin_against_quadrature(mp, params):
+    # F3 of the scalar and the array call within 1e-14 of F3 itself
+    hprime = _mp_hprime(mp, params)
+    m = params.n // 2
+    f3_array = lift_array(params, np.array(NEAR_ORIGIN_POINTS))[2]
+    for i, p in enumerate(NEAR_ORIGIN_POINTS):
+        ref = 2.0 * complex(_gauss_quad(mp, lambda s: hprime(s) * s ** m,
+                                        p)).imag
+        bound = 1e-14 * abs(ref)
+        assert abs(lift_sample(params, p).f3 - ref) <= bound, p
+        assert abs(f3_array[i] - ref) <= bound, p
+
+
+def test_f0n_map_samples_next_to_the_origin(mp):
+    # the innermost samples of the +-pi/2 spokes of `map --family f_0n
+    # --n 3`: u ~ r^4/2 = 1.07e-10, which the closed form sums from terms
+    # of size r, lies within ~1e-18 of a rounding boundary of the nine
+    # digits the SVG writes
+    params = FamilyParams(family="f_0n", n=3)
+    z = 0.98 / 256 * unit_roots(24)[[6, 18]]
+    h, g = evaluate_array(params, z)
+    for i, want in enumerate((1.07376737387134e-10, 1.07376736449528e-10)):
+        # u = Re P, P' = k_0'(s) (1 + s^3)/(1 - s^3)
+        ref = complex(_gauss_quad(mp, lambda s: (1 + s ** 3) / (
+            (1 - s ** 2) * (1 - s ** 3)), z[i])).real
+        assert abs(ref - want) <= 1e-14 * want
+        for u in (evaluate(params, z[i]).u, (h[i] + g[i]).real):
+            assert abs(u - ref) <= 1e-14 * ref, (z[i], u)
