@@ -49,13 +49,12 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_out=True):
+    def common(p):
         p.add_argument("--family", required=True, choices=families.FAMILY_NAMES)
         p.add_argument("--c", type=float, default=0.0)
         p.add_argument("--a", type=float, default=0.0)
         p.add_argument("--n", type=int, default=1)
-        if need_out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True)
 
     p_map = sub.add_parser("map", help="SVG image of the ring/spoke grid")
     common(p_map)

@@ -21,15 +21,13 @@ Families:
            which special.appell_f1 keeps as the reference form)
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .analytic import require_disk_point, require_disk_points
+from .analytic import require_disk_point, require_disk_points, unit_roots
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
 from .special import _powm1_over, _terms, hyp2f1_1c
@@ -174,20 +172,13 @@ def _F_ca(p, z, phi):
     return h, h - phi
 
 
-def _pole_angles(n):
-    """Simple-pole angle indices k with theta_k = 2*k*pi/n, one of each
-    conjugate pair of non-real n-th roots of unity: k = 1, ...,
-    ceil(n/2) - 1.  z = 1 and, for even n, z = -1 (k = n/2) are handled by
-    dedicated terms or are removable."""
-    return range(1, (n + 1) // 2)
-
-
 @lru_cache(maxsize=64)
 def _residues(c, n):
-    """(k, e_k, alpha_k) for k in _pole_angles(n), e_k = exp(2 pi i k/n):
-    h' has the term alpha_k/(1 - z conj(e_k)), alpha_k = k_c'(e_k)/n, at
-    integer c, in Python complex arithmetic as coeffs_f1n/f2n print it."""
-    roots = [(k, cmath.exp(2j * math.pi * k / n)) for k in _pole_angles(n)]
+    """(k, e_k, alpha_k) for k = 1, ..., ceil(n/2) - 1, one root e_k of
+    each conjugate pair of n-th roots of unity other than +-1: h' has the
+    term alpha_k/(1 - z conj(e_k)), alpha_k = k_c'(e_k)/n, in Python
+    complex arithmetic as coeffs_f1n/f2n print it."""
+    roots = enumerate(unit_roots(n).tolist()[1:(n + 1) // 2], start=1)
     return tuple((k, e, (1.0 + e) ** (c - 1) / (n * (1.0 - e) ** (c + 1)))
                  for k, e in roots)
 
@@ -306,10 +297,10 @@ class PartialFractionCoeffs:
                 total += float(names["lambda4"]) / (1.0 + z)
             else:
                 total += float(names["lambda4"]) / (1.0 - z) ** 4
+        e = unit_roots(self.n).tolist()
         for k, alpha, beta in self.pole_coeffs:
-            t = 2.0 * math.pi * k / self.n
-            total += alpha / (1.0 - z * cmath.exp(-1j * t))
-            total += beta / (1.0 - z * cmath.exp(1j * t))
+            total += alpha / (1.0 - z * e[k].conjugate())
+            total += beta / (1.0 - z * e[k])
         return total
 
 
@@ -384,12 +375,13 @@ PARTIAL_FRACTIONS = {"f_1n": coeffs_f1n, "f_2n": coeffs_f2n}
 
 @lru_cache(maxsize=64)
 def _fcn_roots(c, n):
-    """The constants of one root e_k of each conjugate pair other than
-    +-1 (k = 1, ..., ceil(n/2) - 1), once per (c, n), as arrays over these
+    """The constants of the roots e_k of _residues(c, n), one of each
+    conjugate pair other than +-1, once per (c, n), as arrays over these
     roots: (-1)^k, 1/(1 - conj(e_k)), the weight (1 - beta_k)/(beta_k
     (1 - conj(e_k))) of D_k, x_1 and x_1 G(x_1)/(c+1)."""
-    k = np.array(_pole_angles(n))
-    ebar = np.exp(-2j * np.pi * k / n)
+    roots = _residues(c, n)
+    k = np.array([k for k, _, _ in roots], dtype=int)
+    ebar = np.array([e for _, e, _ in roots], dtype=complex).conj()
     beta = (1.0 + ebar) / (1.0 - ebar)
     scale = 1.0 / (1.0 - ebar)
     x_1 = -1.0 / beta

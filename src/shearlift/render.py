@@ -21,6 +21,8 @@ from .analytic import R_MAX, unit_roots
 # least 64) and stroke width as a share of the larger figure extent
 CANVAS_PX = 640
 STROKE_SHARE = 0.003
+# coeffs_document's reconstruction self-check: its points and their seed
+RESIDUAL_POINTS, RESIDUAL_SEED = 50, 20240301
 
 
 @dataclass(frozen=True)
@@ -130,14 +132,14 @@ def report_document(reports):
     return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
 
 
-def coeffs_document(coeffs, residual_points=50, seed=20240301):
+def coeffs_document(coeffs):
     """JSON object with the exact rational scalars, the complex pole
     coefficients, and an embedded reconstruction residual self-check."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(RESIDUAL_SEED)
     worst = 0.0
-    for _ in range(residual_points):
+    for _ in range(RESIDUAL_POINTS):
         r = 0.8 * math.sqrt(rng.random())
         z = r * cmath.exp(2j * math.pi * rng.random())
         worst = max(worst, abs(coeffs.reconstruct(z) - coeffs.target(z)))

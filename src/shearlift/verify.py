@@ -7,7 +7,6 @@ Every check evaluates all of its points at once through the array entry
 points of families and surface.
 """
 
-import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -36,6 +35,8 @@ SURFACE_GRID = GridSpec(rings=4, spokes=8, r_max=0.8)
 CHD_RADIUS, CHD_LINES = 0.98, 64
 # surface_properties: steps of the metric and of the Laplacian differences
 ISO_STEP, LAP_STEP = 1e-4, 1e-2
+# the families with a symmetry contract
+SYMMETRY_FAMILIES = ("F_a", "F_1a")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def check_strip_bound(a):
 def check_symmetry(params):
     """F_a: point symmetry F_{-a}(-z) = -conj-free reflection about the
     imaginary axis; F_1a: conjugation symmetry about the real axis."""
-    if params.family not in ("F_a", "F_1a"):
+    if params.family not in SYMMETRY_FAMILIES:
         raise UnsupportedParameterError(
             f"no symmetry contract registered for family {params.family!r}")
     z = np.array(grid_points(DEFAULT_GRID))
@@ -144,24 +145,26 @@ def check_symmetry(params):
     return _report("symmetry", params, DEFAULT_GRID, z, residuals, 1e-12)
 
 
-def check_slit_limit(params):
-    """Radial limit onto the slit tip -(2-a)/6 for the c = 2 families:
-    three points at |z| = 0.9999 map within 0.02 of it.
-
-    Supported for F_ca with c = 2 (any a) and for f_2n with n in {1, 2}
-    (the a = 1 and a = 0 instances); for n >= 3 the boundary image is
-    angle-dependent and there is no single tip value.
-    """
+def _slit_tip_a(params):
+    """The a of the slit tip -(2-a)/6 of F_ca at c = 2 and of f_2n at
+    n = 1 (a = 1) and n = 2 (a = 0); None for every other family (at
+    n >= 3 the boundary image of f_2n has no single tip)."""
     if params.family == "F_ca" and params.c == 2.0:
-        a = params.a
-    elif params.family == "f_2n" and params.n in (1, 2):
-        a = 1.0 if params.n == 1 else 0.0
-    else:
+        return params.a
+    if params.family == "f_2n" and params.n in (1, 2):
+        return 1.0 if params.n == 1 else 0.0
+    return None
+
+
+def check_slit_limit(params):
+    """Radial limit onto the slit tip of _slit_tip_a: 0.9999 i, -0.9999
+    and -0.9999 i map within 0.02 of it."""
+    a = _slit_tip_a(params)
+    if a is None:
         raise UnsupportedParameterError(
             "slit limit applies to F_ca with c=2 and f_2n with n in {1, 2}")
     target = -(2.0 - a) / 6.0
-    z = np.array([0.9999 * cmath.exp(1j * theta)
-                  for theta in (0.5 * math.pi, math.pi, 1.5 * math.pi)])
+    z = 0.9999 * unit_roots(4)[1:]
     u, v = _uv(params, z)
     residuals = np.hypot(u - target, v)
     return _report("slit_limit", params, None, z, residuals, 0.02)
@@ -267,10 +270,9 @@ def default_check_set(params):
     if params.family == "F_0a":
         checks.append(("strip_bound",
                        lambda: check_strip_bound(params.a)))
-    if params.family in ("F_a", "F_1a"):
+    if params.family in SYMMETRY_FAMILIES:
         checks.append(("symmetry", lambda: check_symmetry(params)))
-    if (params.family == "F_ca" and params.c == 2.0) or (
-            params.family == "f_2n" and params.n in (1, 2)):
+    if _slit_tip_a(params) is not None:
         checks.append(("slit_limit", lambda: check_slit_limit(params)))
     if params.family in families._POWER_FAMILIES and params.n % 2 == 0:
         checks.append(("surface_properties", lambda: check_surface(params)))

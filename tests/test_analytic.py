@@ -92,9 +92,16 @@ def test_cauchy_derivative_rejects_bad_radius():
         cauchy_derivatives(lambda w: (w,), 0.2j, 0.0)
 
 
-def test_unit_roots_are_cmath_exp():
-    for count in (1, 7, 12, 256):
+def test_unit_roots_are_exact_at_quarter_turns_and_cmath_exp_elsewhere():
+    for count in (1, 2, 3, 7, 12, 24, 256):
         e = unit_roots(count)
         assert e.dtype == complex and e.shape == (count,)
-        assert e.tolist() == [cmath.exp(2j * math.pi * k / count)
-                              for k in range(count)]
+        for k, root in enumerate(e.tolist()):
+            if 4 * k % count:
+                assert root == cmath.exp(2j * math.pi * k / count), (count, k)
+                continue
+            # 1, i, -1, -i, with +0.0 in the part that is zero
+            want = (1.0, 1j, -1.0, -1j)[4 * k // count]
+            zero = root.imag if root.imag == 0.0 else root.real
+            assert root == want and not math.copysign(1.0, zero) < 0, (
+                count, k, root)

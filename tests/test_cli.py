@@ -184,13 +184,18 @@ def test_map_bad_grid_exits_two(tmp_path, capsys, option, message):
     assert not out.exists()
 
 
-def test_fcn_surface_height_is_zero_on_the_real_axis(tmp_path):
+@pytest.mark.parametrize("family", (["f_cn", "--c", "1.999", "--n", "4"],
+                                    ["f_cn", "--c", "0.0005", "--n", "2"],
+                                    ["f_0n", "--n", "2"]),
+                         ids=("f_cn_n4", "f_cn_n2", "f_0n_n2"))
+def test_surface_height_is_zero_on_the_real_axis(tmp_path, family):
     # F3 of a real z is exactly 0, not roundoff residue above fmt9's flush:
-    # the two terms of each conjugate root pair are the same numbers there
+    # the two terms of each conjugate root pair are the same numbers there,
+    # and the spoke at angle pi lies exactly on the axis (1.2e-16 r off it,
+    # F3 next to z = -1 would be ~6e-11)
     out = tmp_path / "x.obj"
-    assert run("surface", "--family", "f_cn", "--c", "1.999", "--n", "4",
-               "--rmax", "0.999", "--rings", "10", "--spokes", "8",
-               "--out", str(out)) == 0
+    assert run("surface", "--family", *family, "--rmax", "0.999",
+               "--rings", "10", "--spokes", "8", "--out", str(out)) == 0
     axis = [line.split() for line in out.read_text().splitlines()
             if line.startswith("v ") and line.split()[2] == "0"]
     # the centre and the spokes at angles 0 and pi

@@ -340,6 +340,15 @@ def test_coeffs_f2n():
     assert c4["lambda4"] == pytest.approx(1.0 / 2.0)
 
 
+@pytest.mark.parametrize("n", (4, 8, 12, 64))
+def test_pole_coefficient_at_i_is_exact(n):
+    # e_k = i exactly at k = n/4: k_1'(i)/n = i/(2n), k_2'(i)/n = -1/(2n)
+    pole = {k: alpha for k, alpha, _ in coeffs_f1n(n).pole_coeffs}[n // 4]
+    assert pole == 1j / (2 * n)
+    pole = {k: alpha for k, alpha, _ in coeffs_f2n(n).pole_coeffs}[n // 4]
+    assert pole == -1.0 / (2 * n)
+
+
 def test_reconstruction_spec_points():
     c = coeffs_f1n(5)
     z = 0.3 + 0.2j

@@ -64,8 +64,10 @@ SVG_JOBS = {
         "4f71be43c25bc44bd166cd6cd5bd858f14b1ae21adfd3eae5ed2d46574b6b35c"),
     "F_1a": (["--family", "F_1a", "--a", "-0.6"],
         "c315db35b87cef57b7a7a9463c4ef271f559c9ad7a401b4e7e053630eba7d973"),
+    # the innermost samples of the +-pi/2 spokes, exactly +-0.003828125i,
+    # write u = 1.07376737e-10 (mpmath: 1.07376737152733e-10 at both)
     "f_0n_n3": (["--family", "f_0n", "--n", "3"],
-        "f9d463ce69b0fe34b28ad1584f58e468bc8313bc38776bc0af9ec3474534e048"),
+        "4ad7b10aa962e817836a152ef760a3666671d9acdc8c20ad8e212b32caf53d72"),
     "f_2n_n2": (["--family", "f_2n", "--n", "2"],
         "65e56a22f26e64791cb5377aca5aff2b336209c7e195ca134b1e9199b149e676"),
     "F_ca_band": (["--family", "F_ca", "--c", "1.0005", "--a", "0.5",

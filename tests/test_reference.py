@@ -434,13 +434,14 @@ def test_f3_near_the_origin_against_quadrature(mp, params):
 
 def test_f0n_map_samples_next_to_the_origin(mp):
     # the innermost samples of the +-pi/2 spokes of `map --family f_0n
-    # --n 3`: u ~ r^4/2 = 1.07e-10, which the closed form sums from terms
-    # of size r, lies within ~1e-18 of a rounding boundary of the nine
-    # digits the SVG writes
+    # --n 3`, exactly +-0.003828125i: u ~ r^4/2 = 1.07e-10, which the
+    # closed form sums from terms of size r, lies within ~1e-18 of a
+    # rounding boundary of the nine digits the SVG writes
     params = FamilyParams(family="f_0n", n=3)
     z = 0.98 / 256 * unit_roots(24)[[6, 18]]
+    assert z.tolist() == [0.003828125j, complex(0.0, -0.003828125)]
     h, g = evaluate_array(params, z)
-    for i, want in enumerate((1.07376737387134e-10, 1.07376736449528e-10)):
+    for i, want in enumerate((1.07376737152733e-10, 1.07376737152733e-10)):
         # u = Re P, P' = k_0'(s) (1 + s^3)/(1 - s^3)
         ref = complex(_gauss_quad(mp, lambda s: (1 + s ** 3) / (
             (1 - s ** 2) * (1 - s ** 3)), z[i])).real
