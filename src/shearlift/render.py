@@ -1,6 +1,6 @@
 """Deterministic SVG figure, OBJ mesh, and JSON report writers.
 
-All numbers go through the same 9-significant-digit formatter with a "."
+All numbers are written by the same 9-significant-digit rule with a "."
 decimal separator regardless of locale, and no output line depends on
 time, environment, or iteration order of anything unordered, so repeated
 runs produce byte-identical files.
@@ -58,22 +58,38 @@ class RunManifest:
                 f"version: {self.version}"]
 
 
-def fmt9(x):
-    """9-significant-digit decimal text, locale independent.
+# fmt9's rule, written once for every number of every output: nine
+# significant digits with a "." decimal point whatever the locale, and
+# |x| < FLUSH is rounding residue that flushes to 0 (%g would write it
+# in exponent notation)
+NUM, FLUSH = "%.9g", 1e-12
 
-    %g would switch tiny magnitudes to exponent notation; values that
-    close to zero are rounding residue here, so they flush to 0.
-    """
-    x = float(x)
-    return "0" if abs(x) < 1e-12 else f"{x:.9g}"
+
+def _flushed(x):
+    """x as a float ndarray with |x| < FLUSH set to +0."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) < FLUSH, 0.0, x)
+
+
+def _lines(template, rows):
+    """One line of template per row of the array rows, filled with the
+    row's numbers in one % operation over all of them."""
+    return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def fmt9(x):
+    """9-significant-digit decimal text of one number, locale independent."""
+    return NUM % _flushed(x).item()
 
 
 def map_curves(params, cfg):
-    """Images of the concentric circles and radial spokes, as point lists.
+    """Images of the concentric circles and radial spokes, as float arrays
+    of (u, v) rows.
 
-    Returns (ring_curves, spoke_curves); rings are closed by repeating the
-    first sample.  All points go through one families.evaluate_array call,
-    whose errors name the offending point.
+    Returns (rings, spokes) of shapes (rings, samples + 1, 2) and
+    (spokes, samples, 2); rings are closed by repeating the first sample.
+    All points go through one families.evaluate_array call, whose errors
+    name the offending point.
     """
     s = cfg.samples_per_curve
     radii = cfg.r_max * np.arange(1, cfg.rings + 1) / cfg.rings
@@ -81,19 +97,18 @@ def map_curves(params, cfg):
     steps = cfg.r_max * np.arange(1, s + 1) / s
     spokes = steps * unit_roots(cfg.spokes)[:, None]
     h, g = families.evaluate_array(params, np.concatenate([rings, spokes]))
-    curves = [list(zip(u, v)) for u, v in zip((h + g).real.tolist(),
-                                               (h - g).imag.tolist())]
-    return ([c + c[:1] for c in curves[:cfg.rings]], curves[cfg.rings:])
+    uv = np.stack([(h + g).real, (h - g).imag], axis=-1)
+    rings = uv[:cfg.rings]
+    return np.concatenate([rings, rings[:, :1]], axis=1), uv[cfg.rings:]
 
 
 def svg_document(curves, manifest):
     """SVG 1.1 text: polyline elements only, coordinates in mathematical
     (u, v) under one affine viewBox with a 5% margin."""
     ring_curves, spoke_curves = curves
-    us = [p[0] for c in ring_curves + spoke_curves for p in c]
-    vs = [p[1] for c in ring_curves + spoke_curves for p in c]
-    u0, u1 = min(us), max(us)
-    v0, v1 = min(vs), max(vs)
+    uv = np.concatenate([ring_curves.reshape(-1, 2),
+                         spoke_curves.reshape(-1, 2)])
+    (u0, v0), (u1, v1) = uv.min(axis=0).tolist(), uv.max(axis=0).tolist()
     margin = 0.05 * max(u1 - u0, v1 - v0, 1e-9)
     w = (u1 - u0) + 2.0 * margin
     h = (v1 - v0) + 2.0 * margin
@@ -107,11 +122,10 @@ def svg_document(curves, manifest):
                f'width="{CANVAS_PX}" height="{px_h}" viewBox="{view}">')
     for kind, color, curve_set in (("ring", "#1f4e79", ring_curves),
                                    ("spoke", "#b44b1e", spoke_curves)):
-        for pts in curve_set:
-            coords = " ".join(f"{fmt9(u)},{fmt9(v)}" for u, v in pts)
-            out.append(f'<polyline class="{kind}" fill="none" '
-                       f'stroke="{color}" stroke-width="{fmt9(stroke)}" '
-                       f'points="{coords}"/>')
+        coords = " ".join([f"{NUM},{NUM}"] * curve_set.shape[1])
+        out.append(_lines(f'<polyline class="{kind}" fill="none" '
+                          f'stroke="{color}" stroke-width="{fmt9(stroke)}" '
+                          f'points="{coords}"/>', _flushed(curve_set)))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -120,10 +134,8 @@ def obj_document(mesh, manifest):
     """Wavefront OBJ text: '# comment', 'v u v F3', and one-based
     'f i j k' records, in mesh order."""
     out = [f"# {line}" for line in manifest.lines()]
-    for s in mesh.vertices:
-        out.append(f"v {fmt9(s.u)} {fmt9(s.v)} {fmt9(s.f3)}")
-    for i, j, k in mesh.faces:
-        out.append(f"f {i + 1} {j + 1} {k + 1}")
+    out.append(_lines(f"v {NUM} {NUM} {NUM}", _flushed(mesh.vertices)))
+    out.append(_lines("f %d %d %d", mesh.faces + 1))
     return "\n".join(out) + "\n"
 
 
@@ -150,8 +162,9 @@ def coeffs_document(coeffs):
         "scalars": {name: {"num": frac.numerator, "den": frac.denominator}
                     for name, frac in coeffs.scalars},
         "pole_coeffs": [{"k": k,
-                         "coeff": [alpha.real, alpha.imag],
-                         "conjugate": [beta.real, beta.imag]}
+                         # + 0.0 writes a signed zero as 0.0
+                         "coeff": [alpha.real + 0.0, alpha.imag + 0.0],
+                         "conjugate": [beta.real + 0.0, beta.imag + 0.0]}
                         for k, alpha, beta in coeffs.pole_coeffs],
         "reconstruction_residual": worst,
     }

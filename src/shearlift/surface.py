@@ -46,10 +46,11 @@ class SurfaceSample:
     fallback: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
-    vertices: tuple  # SurfaceSample, center first then ring-major
-    faces: tuple  # (i, j, k) zero-based vertex indices
+    points: np.ndarray  # complex disk points, center first then ring-major
+    vertices: np.ndarray  # (N, 3) rows of u, v, F3, one per point
+    faces: np.ndarray  # (F, 3) zero-based vertex indices
 
 
 def _liftable(params):
@@ -111,26 +112,20 @@ def build_mesh(params, grid):
     Vertex 0 is the center z = 0; ring-major vertices follow.  Faces are
     the center fan plus each quad split along the diagonal toward the
     smaller spoke index, giving spokes + 2*spokes*(rings-1) triangles.
-    All vertices go through one lift_array call.
+    All vertices but the center go through one lift_array call.
     """
-    points = grid_points(grid)
-    u, v, f3 = lift_array(params, np.array(points))
-    vertices = [SurfaceSample(z=0j, u=0.0, v=0.0, f3=0.0)]
-    vertices += [SurfaceSample(z=z, u=x, v=y, f3=t)
-                 for z, x, y, t in zip(points, u.tolist(), v.tolist(),
-                                       f3.tolist())]
-    faces = []
-    s = grid.spokes
-    for k in range(s):
-        faces.append((0, 1 + k, 1 + (k + 1) % s))
-    for j in range(grid.rings - 1):
-        inner = 1 + j * s
-        outer = inner + s
-        for k in range(s):
-            kn = (k + 1) % s
-            faces.append((inner + k, outer + k, outer + kn))
-            faces.append((inner + k, outer + kn, inner + kn))
-    return SurfaceMesh(vertices=tuple(vertices), faces=tuple(faces))
+    points = np.array([0j] + grid_points(grid))
+    vertices = np.zeros((points.size, 3))
+    vertices[1:] = np.column_stack(lift_array(params, points[1:]))
+    k = np.arange(grid.spokes)
+    kn = (k + 1) % grid.spokes
+    inner = 1 + grid.spokes * np.arange(grid.rings - 1)[:, None]
+    outer = inner + grid.spokes
+    fan = np.stack([np.zeros_like(k), 1 + k, 1 + kn], axis=-1)
+    quads = np.stack([inner + k, outer + k, outer + kn,
+                      inner + k, outer + kn, inner + kn], axis=-1)
+    faces = np.concatenate([fan, quads.reshape(-1, 3)])
+    return SurfaceMesh(points=points, vertices=vertices, faces=faces)
 
 
 # --- shorthands: lift_sample of one family ---------------------------------

@@ -91,8 +91,8 @@ def test_surface_matches_mesh(tmp_path):
     mesh = build_mesh(FamilyParams(family="f_1n", n=4),
                       GridSpec(rings=2, spokes=4, r_max=0.6))
     vlines = [l for l in out.read_text().splitlines() if l.startswith("v ")]
-    for line, s in zip(vlines, mesh.vertices):
-        assert line == f"v {fmt9(s.u)} {fmt9(s.v)} {fmt9(s.f3)}"
+    for line, (u, v, f3) in zip(vlines, mesh.vertices):
+        assert line == f"v {fmt9(u)} {fmt9(v)} {fmt9(f3)}"
 
 
 def test_surface_rejects_odd_n(tmp_path, capsys):
@@ -252,6 +252,19 @@ def test_coeffs_f2n_even(capsys):
     assert doc["scalars"]["lambda4"] == {"num": 1, "den": 2}
     assert doc["reconstruction_residual"] < 1e-12
     assert len(doc["pole_coeffs"]) == 1  # k = 1 only for n = 4
+
+
+@pytest.mark.parametrize("family", ("f_1n", "f_2n"))
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_coeffs_write_no_negative_zero(capsys, family, n):
+    # the k = n/4 pole coefficient has an exact zero part, and the complex
+    # division that gives it leaves that zero's sign to its operand order
+    assert run("coeffs", "--family", family, "--n", str(n)) == 0
+    text = capsys.readouterr().out
+    assert re.search(r"-0\.0(?!\d)", text) is None
+    zeros = [x for pole in json.loads(text)["pole_coeffs"]
+             for x in pole["coeff"] + pole["conjugate"] if x == 0.0]
+    assert zeros and all(math.copysign(1.0, x) > 0 for x in zeros)
 
 
 def test_usage_errors():

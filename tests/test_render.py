@@ -1,0 +1,180 @@
+"""The array writers of render against per-number reference writers.
+
+svg_document and obj_document fill one repeated %-template per curve set
+or per block of lines from flushed arrays.  The reference writers below
+are the former per-point ones: one fmt9 call per number through str
+formatting, a join per polyline, and the face loop of build_mesh.  The
+two must give the same text byte for byte.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from shearlift import __version__, families
+from shearlift.analytic import unit_roots
+from shearlift.families import FamilyParams
+from shearlift.render import (RenderConfig, RunManifest, fmt9, map_curves,
+                              obj_document, svg_document)
+from shearlift.shear import grid_points
+from shearlift.surface import GridSpec, SurfaceMesh, build_mesh, lift_array
+
+
+# --- reference writers: one Python call per number --------------------------
+
+def ref_fmt9(x):
+    x = float(x)
+    return "0" if abs(x) < 1e-12 else f"{x:.9g}"
+
+
+def ref_map_curves(params, cfg):
+    s = cfg.samples_per_curve
+    radii = cfg.r_max * np.arange(1, cfg.rings + 1) / cfg.rings
+    rings = radii[:, None] * unit_roots(s)
+    steps = cfg.r_max * np.arange(1, s + 1) / s
+    spokes = steps * unit_roots(cfg.spokes)[:, None]
+    h, g = families.evaluate_array(params, np.concatenate([rings, spokes]))
+    curves = [list(zip(u, v)) for u, v in zip((h + g).real.tolist(),
+                                               (h - g).imag.tolist())]
+    return ([c + c[:1] for c in curves[:cfg.rings]], curves[cfg.rings:])
+
+
+def ref_svg_document(curves, manifest):
+    ring_curves, spoke_curves = curves
+    us = [p[0] for c in ring_curves + spoke_curves for p in c]
+    vs = [p[1] for c in ring_curves + spoke_curves for p in c]
+    u0, u1 = min(us), max(us)
+    v0, v1 = min(vs), max(vs)
+    margin = 0.05 * max(u1 - u0, v1 - v0, 1e-9)
+    w = (u1 - u0) + 2.0 * margin
+    h = (v1 - v0) + 2.0 * margin
+    stroke = 0.003 * max(w, h)
+    view = " ".join(ref_fmt9(q) for q in (u0 - margin, v0 - margin, w, h))
+    px_h = max(64, round(640 * h / w))
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
+    out += [f"<!-- {line} -->" for line in manifest.lines()]
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+               f'width="640" height="{px_h}" viewBox="{view}">')
+    for kind, color, curve_set in (("ring", "#1f4e79", ring_curves),
+                                   ("spoke", "#b44b1e", spoke_curves)):
+        for pts in curve_set:
+            coords = " ".join(f"{ref_fmt9(u)},{ref_fmt9(v)}" for u, v in pts)
+            out.append(f'<polyline class="{kind}" fill="none" '
+                       f'stroke="{color}" stroke-width="{ref_fmt9(stroke)}" '
+                       f'points="{coords}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def ref_faces(grid):
+    faces = []
+    s = grid.spokes
+    for k in range(s):
+        faces.append((0, 1 + k, 1 + (k + 1) % s))
+    for j in range(grid.rings - 1):
+        inner = 1 + j * s
+        outer = inner + s
+        for k in range(s):
+            kn = (k + 1) % s
+            faces.append((inner + k, outer + k, outer + kn))
+            faces.append((inner + k, outer + kn, inner + kn))
+    return faces
+
+
+def ref_obj_document(params, grid, manifest):
+    points = grid_points(grid)
+    u, v, f3 = lift_array(params, np.array(points))
+    vertices = [(0.0, 0.0, 0.0)] + list(zip(u.tolist(), v.tolist(),
+                                            f3.tolist()))
+    out = [f"# {line}" for line in manifest.lines()]
+    for x, y, t in vertices:
+        out.append(f"v {ref_fmt9(x)} {ref_fmt9(y)} {ref_fmt9(t)}")
+    for i, j, k in ref_faces(grid):
+        out.append(f"f {i + 1} {j + 1} {k + 1}")
+    return "\n".join(out) + "\n"
+
+
+def manifest(command, params, config):
+    return RunManifest(command=command, family=params,
+                       config=tuple(config.items()), version=__version__)
+
+
+# --- the number formatter ---------------------------------------------------
+
+def obj_numbers(values):
+    """The numbers of values as obj_document writes them, in order."""
+    vertices = np.array(values, dtype=float).reshape(-1, 3)
+    mesh = SurfaceMesh(points=np.zeros(len(vertices), complex),
+                       vertices=vertices, faces=np.array([[0, 0, 0]]))
+    text = obj_document(mesh, manifest("surface", FamilyParams("f_2n", n=2),
+                                       {}))
+    return [t for line in text.splitlines() if line.startswith("v ")
+            for t in line.split()[1:]]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), min_size=3, max_size=30))
+def test_array_writer_matches_fmt9(values):
+    values = values[:len(values) // 3 * 3]
+    written = obj_numbers(values)
+    assert written == [fmt9(x) for x in values]
+    assert written == [ref_fmt9(x) for x in values]
+
+
+def test_array_writer_edge_cases():
+    values = [0.0, -0.0, 1e-12, -1e-12, math.nextafter(1e-12, 0.0),
+              -math.nextafter(1e-12, 0.0), 5e-324, 123456789012.0, 1e16,
+              math.nan, math.inf, -math.inf]
+    written = ["0", "0", "1e-12", "-1e-12", "0", "0", "0", "1.23456789e+11",
+               "1e+16", "nan", "inf", "-inf"]
+    assert obj_numbers(values) == written
+    assert [ref_fmt9(x) for x in values] == written
+
+
+# --- whole documents --------------------------------------------------------
+
+def test_svg_matches_reference_writer():
+    for params, cfg in (
+            (FamilyParams("F_ca", c=1.5, a=-0.4), RenderConfig()),
+            (FamilyParams("f_cn", c=0.5, n=3),
+             RenderConfig(rings=6, spokes=12, samples_per_curve=128)),
+            # six of its u values lie below the flush, |u| < 1e-12
+            (FamilyParams("f_0n", n=5), RenderConfig()),
+            (FamilyParams("f_0n", n=3),
+             RenderConfig(rings=1, spokes=3, samples_per_curve=16)),
+            (FamilyParams("F_a", a=0.3),
+             RenderConfig(rings=1, spokes=3, r_max=0.999,
+                          samples_per_curve=16))):
+        m = manifest("map", params, {"rings": cfg.rings,
+                                     "spokes": cfg.spokes,
+                                     "rmax": cfg.r_max,
+                                     "samples": cfg.samples_per_curve})
+        rings, spokes = map_curves(params, cfg)
+        assert rings.shape == (cfg.rings, cfg.samples_per_curve + 1, 2)
+        assert spokes.shape == (cfg.spokes, cfg.samples_per_curve, 2)
+        assert (svg_document((rings, spokes), m)
+                == ref_svg_document(ref_map_curves(params, cfg), m))
+
+
+def test_obj_matches_reference_writer():
+    for params, grid in ((FamilyParams("f_2n", n=2),
+                          GridSpec(rings=40, spokes=96)),
+                         (FamilyParams("f_cn", c=1.5, n=8),
+                          GridSpec(rings=1, spokes=3)),
+                         (FamilyParams("f_1n", n=4),
+                          GridSpec(rings=3, spokes=7, r_max=0.999))):
+        m = manifest("surface", params, {"rings": grid.rings,
+                                         "spokes": grid.spokes,
+                                         "rmax": grid.r_max})
+        assert (obj_document(build_mesh(params, grid), m)
+                == ref_obj_document(params, grid, m))
+
+
+def test_faces_match_reference_loop():
+    for rings, spokes in ((1, 3), (2, 4), (3, 7), (40, 96)):
+        grid = GridSpec(rings=rings, spokes=spokes, r_max=0.5)
+        mesh = build_mesh(FamilyParams("f_2n", n=2), grid)
+        assert mesh.faces.tolist() == [list(f) for f in ref_faces(grid)]
+        assert mesh.points.shape == (1 + rings * spokes,)
+        assert mesh.vertices.shape == (1 + rings * spokes, 3)

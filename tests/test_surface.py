@@ -167,12 +167,12 @@ def test_mesh_vertices_are_lift_samples():
     p = FamilyParams(family="f_1n", n=4)
     grid = GridSpec(rings=2, spokes=5, r_max=0.6)
     mesh = build_mesh(p, grid)
-    assert mesh.vertices[0].z == 0j
+    assert mesh.points[0] == 0j
     # build_mesh lifts the whole grid through numpy (lift_array), which
     # agrees with the scalar lift to roundoff rather than bit for bit
-    for v in mesh.vertices[1:]:
-        s = lift_sample(p, v.z)
-        for got, want in ((v.u, s.u), (v.v, s.v), (v.f3, s.f3)):
+    for z, (u, v, f3) in zip(mesh.points[1:], mesh.vertices[1:]):
+        s = lift_sample(p, z)
+        for got, want in ((u, s.u), (v, s.v), (f3, s.f3)):
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
