@@ -7,6 +7,7 @@ path that cannot be written, and a grid or n too large for the memory).
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -41,7 +42,12 @@ def _check_names(text):
     return names
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser of every subcommand, built on the first call and
+    shared by all later ones: parse_args keeps no state in it, and help,
+    version and usage text go to the sys.stdout and sys.stderr of the
+    moment they are written."""
     parser = argparse.ArgumentParser(
         prog="shearlift",
         description="Harmonic mapping families of the unit disk: figures, "
@@ -159,9 +165,15 @@ _COMMANDS = {"map": cmd_map, "surface": cmd_surface, "verify": cmd_verify,
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one shearlift command on argv (default: sys.argv[1:]) and return
+    its exit code: 0 ok, 1 a verification check failed, 2 a usage or
+    domain error, with a message on standard error.
+
+    main may be called any number of times in one process; the parser is
+    built on the first call and reused.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

@@ -206,18 +206,23 @@ def lift_third_coordinate(hprime, q, z):
     return 2.0 * integrate_segment(integrand, 0j, z).imag
 
 
+def grid_array(grid):
+    """Deterministic ring-major lattice as a complex ndarray: for each ring
+    radius r_max*j/rings (innermost first), the spoke angles
+    2*pi*k/spokes in increasing k."""
+    radii = grid.r_max * np.arange(1, grid.rings + 1) / grid.rings
+    return (radii[:, None] * unit_roots(grid.spokes)).ravel()
+
+
 def grid_points(grid):
-    """Deterministic ring-major lattice: for each ring radius (innermost
-    first), the spoke angles 2*pi*k/spokes in increasing k."""
-    turn = unit_roots(grid.spokes).tolist()
-    return [grid.r_max * j / grid.rings * e
-            for j in range(1, grid.rings + 1) for e in turn]
+    """grid_array as a list of Python complex numbers."""
+    return grid_array(grid).tolist()
 
 
 def sample_grid(phi, omega, grid):
     """One MapSample per grid node, ring-major then spoke order, from one
     shear_array call."""
-    points = grid_points(grid)
-    h, g = shear_array(phi, omega, np.array(points))
-    return [MapSample.from_hg(z, a, b)
-            for z, a, b in zip(points, h.tolist(), g.tolist())]
+    z = grid_array(grid)
+    h, g = shear_array(phi, omega, z)
+    return [MapSample.from_hg(*p)
+            for p in zip(z.tolist(), h.tolist(), g.tolist())]

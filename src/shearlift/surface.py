@@ -19,7 +19,7 @@ from .families import _POWER_FAMILIES, FamilyParams, _closed_form
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
-from .shear import MapSample, grid_points
+from .shear import MapSample, grid_array
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def build_mesh(params, grid):
     smaller spoke index, giving spokes + 2*spokes*(rings-1) triangles.
     All vertices but the center go through one lift_array call.
     """
-    points = np.array([0j] + grid_points(grid))
+    points = np.concatenate(([0j], grid_array(grid)))
     vertices = np.zeros((points.size, 3))
     vertices[1:] = np.column_stack(lift_array(params, points[1:]))
     k = np.arange(grid.spokes)

@@ -18,7 +18,7 @@ from .analytic import cauchy_derivatives, unit_roots
 # verify.cauchy_derivative; the checks call cauchy_derivatives.
 from .analytic import cauchy_derivative  # noqa: F401
 from .errors import UnsupportedParameterError
-from .shear import grid_points, shear_array
+from .shear import grid_array, shear_array
 # Bound here only so that perfbench/spans.py can wrap verify.shear_at;
 # oracle_equivalence calls shear_array.
 from .shear import shear_at  # noqa: F401
@@ -75,7 +75,7 @@ def _uv(params, z):
 def check_oracle_equivalence(params, grid=DEFAULT_GRID, tol=1e-8):
     """Closed-form (h, g) against the quadrature shear at every node; both
     sides run on the whole lattice at once."""
-    z = np.array(grid_points(grid))
+    z = grid_array(grid)
     h, g = families.evaluate_array(params, z)
     oh, og = shear_array(families.family_phi(params),
                          families.family_omega(params), z)
@@ -88,7 +88,7 @@ def check_dilatation(params, grid=DEFAULT_GRID):
     Cauchy-circle differentiation (the closed forms must satisfy the shear
     system, not just the defining h' = phi'/(1-omega)).  h and g at the
     circle nodes of every point come from one evaluate_array call."""
-    z = np.array(grid_points(grid))
+    z = grid_array(grid)
     hp, gp = cauchy_derivatives(
         lambda nodes: families.evaluate_array(params, nodes), z,
         0.25 * (1.0 - np.abs(z)))
@@ -98,7 +98,7 @@ def check_dilatation(params, grid=DEFAULT_GRID):
 
 def check_prevertex(params, grid=DEFAULT_GRID):
     """|h - g - phi| (the defining shear relation holds exactly)."""
-    z = np.array(grid_points(grid))
+    z = grid_array(grid)
     h, g = families.evaluate_array(params, z)
     residuals = np.abs(h - g - families.family_phi(params).phi(z))
     return _report("prevertex_identity", params, grid, z, residuals, 1e-10)
@@ -106,7 +106,7 @@ def check_prevertex(params, grid=DEFAULT_GRID):
 
 def check_jacobian_positive(params):
     """min(|h'|^2 - |g'|^2) > 0 on r <= 0.95 (Lewy's criterion, sampled)."""
-    z = np.array(grid_points(JACOBIAN_GRID))
+    z = grid_array(JACOBIAN_GRID)
     hp, gp = families.derivatives_array(params, z)
     # negated so that "residual <= 0" means a positive Jacobian
     residuals = -(np.abs(hp) ** 2 - np.abs(gp) ** 2)
@@ -118,7 +118,7 @@ def check_strip_bound(a):
     """F_0a images stay in |v| < pi/4; for a = +-1 the image is further
     confined to a half strip (u > -1/2 resp. u < 1/2)."""
     params = families.FamilyParams(family="F_0a", a=a)
-    z = np.array(grid_points(DEFAULT_GRID))
+    z = grid_array(DEFAULT_GRID)
     u, v = _uv(params, z)
     residuals = np.abs(v) - math.pi / 4.0
     if a == 1.0:
@@ -134,7 +134,7 @@ def check_symmetry(params):
     if params.family not in SYMMETRY_FAMILIES:
         raise UnsupportedParameterError(
             f"no symmetry contract registered for family {params.family!r}")
-    z = np.array(grid_points(DEFAULT_GRID))
+    z = grid_array(DEFAULT_GRID)
     su, sv = _uv(params, z)
     if params.family == "F_a":
         mu, mv = _uv(families.FamilyParams(family="F_a", a=-params.a), -z)
@@ -223,7 +223,7 @@ def check_surface(params):
     for n >= 2.  The 13 stencil points of all grid points go through one
     lift_array call.
     """
-    z = np.array(grid_points(SURFACE_GRID))
+    z = grid_array(SURFACE_GRID)
     # the metric step, the Laplacian step and its half, along both axes
     steps = np.array([ISO_STEP, 1j * ISO_STEP, LAP_STEP, 1j * LAP_STEP,
                       0.5 * LAP_STEP, 1j * (0.5 * LAP_STEP)])

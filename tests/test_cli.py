@@ -10,11 +10,12 @@ import pytest
 
 import shearlift
 from shearlift._kernels import fallback
-from shearlift.cli import main
+from shearlift.cli import build_parser, main
 from shearlift.families import FamilyParams, evaluate
 from shearlift.render import fmt9
 from shearlift.shear import grid_points
 from shearlift.surface import GridSpec, build_mesh, lift_sample
+from shearlift.verify import default_check_set
 
 
 def run(*argv):
@@ -38,11 +39,16 @@ def test_fmt9():
 
 
 def test_map_determinism(tmp_path):
-    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    # a call with other options between the two runs must leave no trace
+    # in the parser that main reuses
+    a, b, other = tmp_path / "a.svg", tmp_path / "b.svg", tmp_path / "o.svg"
     for out in (a, b):
         assert run("map", "--family", "f_1n", "--n", "3", "--rings", "4",
                    "--spokes", "8", "--samples", "64", "--out",
                    str(out)) == 0
+        assert run("map", "--family", "F_ca", "--c", "1.5", "--a", "0.2",
+                   "--rings", "2", "--spokes", "5", "--rmax", "0.5",
+                   "--samples", "16", "--out", str(other)) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -400,3 +406,48 @@ def test_unused_parameters_at_their_defaults_are_accepted(tmp_path):
                "0.3", "--rings", "1", "--spokes", "4", "--samples", "16",
                "--out", str(out)) == 0
     assert "family: F_a c=0 a=0.3 n=1" in out.read_text()
+
+
+# main builds its parser once per process and reuses it: no parse may leave
+# state behind for the next one
+
+
+def test_build_parser_returns_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_verify_options_do_not_carry_over(tmp_path):
+    out = tmp_path / "rep.json"
+    argv = ("verify", "--family", "F_a", "--a", "0.3", "--out", str(out))
+
+    def reports():
+        return json.loads(out.read_text())
+
+    assert run(*argv, "--checks", "prevertex_identity") == 0
+    assert [r["check_name"] for r in reports()] == ["prevertex_identity"]
+    assert run(*argv) == 0
+    assert [r["check_name"] for r in reports()] == [
+        name for name, _ in default_check_set(FamilyParams("F_a", a=0.3))]
+
+    assert run(*argv, "--checks", "oracle_equivalence", "--tol", "0") == 1
+    assert reports()[0]["tolerance"] == 0.0
+    assert run(*argv, "--checks", "oracle_equivalence") == 0
+    assert reports()[0]["tolerance"] == 1e-8
+
+
+def test_parser_serves_later_calls_after_a_usage_error(tmp_path, capsys):
+    # built on the real streams, it must still write to the captured ones
+    with capsys.disabled():
+        build_parser()
+    assert run("map", "--family", "nope", "--out", "x.svg") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "'nope'" in err
+    assert run("--version") == 0
+    assert capsys.readouterr().out == shearlift.__version__ + "\n"
+    assert run("map", "--help") == 0
+    assert capsys.readouterr().out.startswith("usage: shearlift map")
+    out = tmp_path / "x.svg"
+    assert run("map", "--family", "F_a", "--rings", "1", "--spokes", "3",
+               "--samples", "16", "--out", str(out)) == 0
+    assert out.read_text().startswith("<?xml")
+    assert capsys.readouterr().err == ""

@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from shearlift import verify
+from shearlift.analytic import unit_roots
 from shearlift.errors import (DilatationNotSquareError, DomainError,
                               InvalidDilatationError)
 from shearlift.families import eval_f0n, eval_f2n
 from shearlift.shear import (DilatationSpec, MapSample, PrevertexSpec,
-                             grid_points, koebe_phi, koebe_phi_prime,
+                             grid_array, grid_points, koebe_phi, koebe_phi_prime,
                              lift_third_coordinate, sample_grid, shear_array,
                              shear_at)
 from shearlift.surface import GridSpec, slit_surface_reference
@@ -122,6 +124,26 @@ def test_grid_points_layout():
     assert all(abs(abs(z) - 0.4) < 1e-15 for z in pts[:8])
     assert all(abs(abs(z) - 0.8) < 1e-15 for z in pts[8:])
     assert pts == list(grid_points(GridSpec(rings=2, spokes=8, r_max=0.8)))
+
+
+def grid_points_by_loop(grid):
+    # the reference lattice: one Python float-by-complex product per point
+    turn = unit_roots(grid.spokes).tolist()
+    return [grid.r_max * j / grid.rings * e
+            for j in range(1, grid.rings + 1) for e in turn]
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(rings=1, spokes=3), GridSpec(r_max=0.999),
+    GridSpec(rings=40, spokes=96), verify.SURFACE_GRID,
+], ids=["rings1_spokes3", "rmax0.999", "40x96", "SURFACE_GRID"])
+def test_grid_array_is_the_loop_bit_for_bit(grid):
+    z = grid_array(grid)
+    loop = np.array(grid_points_by_loop(grid))
+    assert z.dtype == complex and z.shape == loop.shape
+    # bit patterns, so that a zero of the other sign counts as a difference
+    assert z.view(np.uint64).tolist() == loop.view(np.uint64).tolist()
+    assert grid_points(grid) == z.tolist()
 
 
 def test_sample_grid_zero_dilatation():
