@@ -9,10 +9,14 @@ error exceeds its width share of that budget is bisected.  Some panel
 always does, so each round makes progress; ``max_subdivisions`` caps the
 bisections of one segment.
 
-* ``adaptive_segment`` integrates one segment, one 15-point panel per
-  integrand call;
+* ``adaptive_segment`` integrates one segment with one integrand call
+  per bisection round.  The first call evaluates the segment and its two
+  halves (45 nodes, even when the whole panel converges), whose estimates
+  serve the first round;
 * ``adaptive_segments`` integrates an array of segments at once: every
   round evaluates all new panels of all segments in one integrand call.
+
+Both evaluate their panels through ``_panel_estimates``.
 """
 
 import numpy as np
@@ -69,28 +73,35 @@ def _stalled(splits, err):
 def adaptive_segment(f, z0, z1, abs_tol, rel_tol, max_subdivisions):
     """Adaptively integrate a vectorized complex function along [z0, z1].
 
-    ``f`` maps an ndarray of points on the segment to an ndarray of values.
+    ``f`` maps an ndarray of points on the segment to an ndarray of values
+    of its shape.  Each bisection round evaluates its new panels in one
+    call of f; the first call takes the whole segment and its two halves,
+    which are used only if the whole panel is split.
     """
     z0 = complex(z0)
     dz = complex(z1) - z0
     if dz == 0:
         return 0j
+    z0 = np.array([z0])
+    dz = np.array([dz])
 
-    def panel(t0, t1):
-        mid = 0.5 * (t0 + t1)
-        hw = 0.5 * (t1 - t0)
-        fv = np.asarray(f(z0 + (mid + hw * XGK) * dz)) * dz
-        ik = complex(hw * (fv @ WGK))
-        return t0, t1, ik, abs(ik - complex(hw * (fv[GAUSS_IDX] @ WG)))
+    def panels_of(t0, t1):
+        # (t0, t1, estimate, error) of the panels [t0, t1], from one call
+        # of f
+        ik, err = _panel_estimates(f, z0, dz, np.zeros(len(t0), dtype=int),
+                                   np.array(t0), np.array(t1))
+        return list(zip(t0, t1, ik.tolist(), err.tolist()))
 
-    panels = [panel(0.0, 1.0)]
-    total, error = panels[0][2:]
+    whole, *halves = panels_of([0.0, 0.0, 0.5], [1.0, 0.5, 1.0])
+    panels = [whole]
+    total, error = whole[2:]
     splits = 0
     # written so that a NaN error counts as not converged
     while not error <= max(abs_tol, rel_tol * abs(total)):
         budget = max(abs_tol, rel_tol * abs(total))
         kept = []
-        halves = []
+        new_t0 = []
+        new_t1 = []
         for p in panels:
             t0, t1, _, err = p
             if err <= budget * (t1 - t0):
@@ -100,12 +111,15 @@ def adaptive_segment(f, z0, z1, abs_tol, rel_tol, max_subdivisions):
             if splits > max_subdivisions or t1 - t0 < 2e-15:
                 raise ConvergenceError(_stalled(splits, error))
             mid = 0.5 * (t0 + t1)
-            halves += (panel(t0, mid), panel(mid, t1))
-        if not halves:
+            new_t0 += (t0, mid)
+            new_t1 += (mid, t1)
+        if not new_t0:
             # every panel within its share: the sum exceeds the budget by
             # rounding only
             break
-        panels = kept + halves
+        # the first round splits the whole panel, whose halves are known
+        panels = kept + (halves or panels_of(new_t0, new_t1))
+        halves = []
         total = sum(p[2] for p in panels)
         error = sum(p[3] for p in panels)
     return total

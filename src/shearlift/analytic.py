@@ -61,8 +61,10 @@ def integrate_segment(integrand, z0, z1):
 
     The integrand must be analytic on the closed segment.  It is called
     with an ndarray of points when it accepts one, otherwise point-wise.
-    Scalar ends give a complex number (one segment, one panel per call);
-    array ends give an ndarray of their broadcast shape, all segments
+    Scalar ends give a complex number: one segment, one integrand call
+    per bisection round, the first of which evaluates the segment and its
+    two halves (45 points) even when the segment converges as one panel.
+    Array ends give an ndarray of their broadcast shape, all segments
     going through one batched quadrature.  A ConvergenceError of the
     batched call carries the flat index of the first failing segment.
     """

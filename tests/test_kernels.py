@@ -22,6 +22,21 @@ def integrals(f, z, *tols):
     return one, batch[1]
 
 
+def counted(f):
+    """f, and the list of the node counts of its calls."""
+    sizes = []
+
+    def g(z):
+        sizes.append(np.size(z))
+        return f(z)
+
+    return g, sizes
+
+
+def boundary_layer(z):
+    return koebe_prime(2.0)(z) / (1.0 - z)
+
+
 def test_backend_reported():
     assert _kernels.BACKEND == "python"
     assert fallback.BACKEND == "python"
@@ -48,13 +63,18 @@ def test_fallback_lift_real_axis_is_real():
 
 
 def test_fallback_convergence_error():
-    def f(z):
-        return koebe_prime(2.0)(z) / (1.0 - z)
-
-    with pytest.raises(ConvergenceError):
-        fallback.adaptive_segment(f, 0j, 0.95, 1e-15, 1e-15, 2)
+    stalled = ("segment quadrature stalled after 3 subdivisions "
+               "(error 1.474e+02)")
     with pytest.raises(ConvergenceError) as info:
-        fallback.adaptive_segments(f, 0j, np.array([0.1, 0.95, 0.96]),
+        fallback.adaptive_segment(boundary_layer, 0j, 0.95, 1e-15, 1e-15, 2)
+    assert str(info.value) == stalled
+    with pytest.raises(ConvergenceError) as info:
+        fallback.adaptive_segments(boundary_layer, 0j, np.array([0.95]),
+                                   1e-15, 1e-15, 2)
+    assert str(info.value) == stalled
+    with pytest.raises(ConvergenceError) as info:
+        fallback.adaptive_segments(boundary_layer, 0j,
+                                   np.array([0.1, 0.95, 0.96]),
                                    1e-15, 1e-15, 2)
     # the first segment in C order that fails
     assert info.value.index == 1
@@ -78,6 +98,35 @@ def test_gauss_kronod_exactness():
     assert abs(val - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("f,z,rounds", (
+    (lambda z: 5.0 * z ** 4, 1.0, []),
+    # (1-z)^-2 on [0, 0.5]: the whole panel is split once, and its halves
+    # converge
+    (koebe_prime(1.0), 0.5, [30]),
+), ids=("one-panel", "split-once"))
+def test_one_call_for_a_segment_split_at_most_once(f, z, rounds):
+    one, calls = counted(f)
+    fallback.adaptive_segment(one, 0j, z, *TOLS)
+    # the segment and its two halves
+    assert calls == [45]
+    batch, batch_calls = counted(f)
+    fallback.adaptive_segments(batch, 0j, np.array([z]), *TOLS)
+    # the batched rule evaluates the new panels of each round
+    assert batch_calls == [15] + rounds
+
+
+def test_one_segment_has_the_rounds_of_the_batched_rule():
+    # the same rounds on the same panels as the batched rule on this
+    # segment alone, whose first round the first call covers: one call
+    # fewer
+    one, calls = counted(boundary_layer)
+    fallback.adaptive_segment(one, 0j, 0.999, *TOLS)
+    batch, batch_calls = counted(boundary_layer)
+    fallback.adaptive_segments(batch, 0j, np.array([0.999]), *TOLS)
+    assert batch_calls[:2] == [15, 30]
+    assert calls == [45] + batch_calls[2:]
+
+
 def test_batched_segments_keep_shape_and_match_one_segment_rule():
     # arbitrary ends, a zero-length segment among them
     z0 = np.array([[0.0, 0.2j], [-0.3, 0.5 + 0.1j]])
@@ -88,17 +137,15 @@ def test_batched_segments_keep_shape_and_match_one_segment_rule():
     assert got[0, 1] == 0
     for a, b, val in zip(z0.ravel(), z1.ravel(), got.ravel()):
         one = fallback.adaptive_segment(f, a, b, *TOLS)
-        assert abs(val - one) <= 4e-16 * max(1.0, abs(one))
+        # one panel formula, one decision rule, one summation order
+        assert val == one
 
 
 def test_global_error_control_reaches_the_boundary_layer():
     # k_2'(z)/(1 - z) = (1+z)/(1-z)^4 near z = 1: a panel-width-scaled
     # tolerance demanded roundoff-level accuracy of the last panels here
-    def f(z):
-        return koebe_prime(2.0)(z) / (1.0 - z)
-
     u = 1.0 / (1.0 - 0.999)
     # (1+z)/(1-z)^4 = 2/(1-z)^4 - 1/(1-z)^3
     exact = 2.0 / 3.0 * (u ** 3 - 1.0) - 0.5 * (u ** 2 - 1.0)
-    for h in integrals(f, 0.999, *TOLS):
+    for h in integrals(boundary_layer, 0.999, *TOLS):
         assert abs(h - exact) <= 1e-12 * abs(exact)
