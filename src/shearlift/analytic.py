@@ -135,10 +135,27 @@ def cauchy_derivatives(f, z, radius, order=32):
     shape; it is called once, on all order * z.size circle nodes.  Returns
     one derivative array per function.
     """
+    radius = np.asarray(radius, dtype=float)
+    values = np.stack(f(circle_nodes(z, radius, order)))
+    return tuple(circle_derivative(values, radius))
+
+
+def circle_nodes(z, radius, order=32):
+    """The order nodes z + radius * w_k, w_k the order-th roots of unity,
+    on the circle about each centre of the array z (radius of z's shape),
+    as an array of shape z.shape + (order,): the nodes of every
+    Cauchy-circle rule in the package."""
     z = np.asarray(z, dtype=complex)
     radius = np.asarray(radius, dtype=float)
     if np.any(radius <= 0):
         raise ValueError("radius must be positive")
-    w = unit_roots(order)
-    values = f(z[..., None] + radius[..., None] * w)
-    return tuple((v / w).sum(axis=-1) / (order * radius) for v in values)
+    return z[..., None] + radius[..., None] * unit_roots(order)
+
+
+def circle_derivative(values, radius):
+    """f' at the centres from the values of f at circle_nodes(z, radius)
+    along the last axis: the trapezoidal Cauchy integral, which is the
+    first Fourier coefficient c_1 of the samples over the radius.  For a
+    real X = Re A (A analytic) it gives A'/2 = (X_x - i X_y)/2."""
+    order = values.shape[-1]
+    return (values / unit_roots(order)).sum(axis=-1) / (order * radius)

@@ -180,7 +180,10 @@ def shear_array(phi, omega, z):
     ndarrays of z's shape: shear_at's quadrature on every point at once.
 
     A ConvergenceError names the first point, in C order, where the
-    quadrature failed, and carries its flat index.
+    quadrature failed, and carries its flat index.  A one-element array
+    can differ from shear_at in the last bits: its first panel is then a
+    (1, 15) @ (15,) product, which BLAS may round differently from a row
+    of a larger product.
     """
     z = require_disk_points(z)
     try:

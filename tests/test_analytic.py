@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shearlift.analytic import (cauchy_derivative, cauchy_derivatives,
+                                circle_derivative, circle_nodes,
                                 integrate_segment, require_disk_point,
                                 unit_roots)
 from shearlift.errors import DomainError
@@ -90,6 +91,14 @@ def test_cauchy_derivative_rejects_bad_radius():
                            np.array([0.1, -0.1]))
     with pytest.raises(ValueError):
         cauchy_derivatives(lambda w: (w,), 0.2j, 0.0)
+
+
+def test_circle_derivative_of_a_real_part_is_half_the_derivative():
+    # X = Re A has c_1(X)/rho = A'/2, the gradient X_x - i X_y over 2
+    z = np.array([0.3 + 0.2j, -0.5j])
+    radius = np.array([0.1, 0.2])
+    d = circle_derivative(np.exp(circle_nodes(z, radius)).real, radius)
+    assert np.abs(d - np.exp(z) / 2).max() < 1e-15
 
 
 def test_unit_roots_are_exact_at_quarter_turns_and_cmath_exp_elsewhere():

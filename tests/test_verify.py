@@ -104,11 +104,17 @@ def test_boundary_curve_shape():
     assert max(abs(v) for _, v in pts) < math.pi / 4.0
 
 
-def test_surface_check():
-    r = check_surface(FamilyParams(family="f_2n", n=2))
-    assert r.passed
-    r = check_surface(FamilyParams(family="f_0n", n=4))
-    assert r.passed
+# every power family through n = 8, where the worst residual, 1.6e-13 at
+# f_2n n = 8, keeps a margin of over 10x below the tolerance
+@pytest.mark.parametrize("params", [
+    FamilyParams(family=fam, n=n) for fam in ("f_0n", "f_1n", "f_2n")
+    for n in (2, 4, 6, 8)] + [
+    FamilyParams(family="f_cn", c=c, n=n) for c in (0.5, 1.5)
+    for n in (4, 8)], ids=lambda p: (f"{p.family}-n{p.n}" if p.family != "f_cn"
+                                     else f"f_cn-c{p.c}-n{p.n}"))
+def test_surface_check(params):
+    r = check_surface(params)
+    assert r.passed and r.max_residual < r.tolerance / 10
 
 
 def _paraboloid(z):
@@ -118,15 +124,17 @@ def _paraboloid(z):
     return 1e-3 * np.abs(z - nearest) ** 2
 
 
-# each defect breaks one of the three properties: u shifted off the planar
-# map, F3 scaled (no longer isothermal), and F3 plus a paraboloid about
-# every grid point (central differences and the projection unchanged, but
-# the Laplacian no longer halves its error with the step)
+# each defect breaks one of the properties: u shifted off the planar map
+# (circle gradients and means unchanged), F3 scaled (no longer isothermal,
+# nor T' = h' z^(n/2)), F3 plus a paraboloid about every grid point (its
+# circle mean is no longer its centre value), and F3 plus 1e-9 Im z^2,
+# 1e-9 relative (T' no longer h' z^(n/2))
 @pytest.mark.parametrize("defect, residual", (
-    (lambda z, u, v, f3: (u + 1e-9, v, f3), 10.0),
-    (lambda z, u, v, f3: (u, v, 1.1 * f3), 9.086e3),
-    (lambda z, u, v, f3: (u, v, f3 + _paraboloid(z)), 3.375),
-), ids=("projection", "isothermal", "harmonic"))
+    (lambda z, u, v, f3: (u + 1e-9, v, f3), 9.052e-8),
+    (lambda z, u, v, f3: (u, v, 1.1 * f3), 0.1),
+    (lambda z, u, v, f3: (u, v, f3 + _paraboloid(z)), 3.407e-4),
+    (lambda z, u, v, f3: (u, v, f3 + 1e-9 * (z ** 2).imag), 1.050e-8),
+), ids=("projection", "isothermal", "harmonic", "lift"))
 def test_surface_check_fails_on_a_broken_lift(monkeypatch, defect, residual):
     lift = verify.lift_array
     monkeypatch.setattr(verify, "lift_array",
@@ -136,16 +144,21 @@ def test_surface_check_fails_on_a_broken_lift(monkeypatch, defect, residual):
     assert r.max_residual == pytest.approx(residual, rel=1e-3)
 
 
-def test_surface_check_passes_on_a_plane(monkeypatch):
-    # the plane F3 = 0 over the identity map is minimal; its Laplacians
-    # are pure roundoff, so their step-halving ratio is noise that the
-    # check must not read as a failure
+def test_surface_check_fails_on_a_stretched_map(monkeypatch):
+    # u stretched by 1.1 in the planar map and in the lift alike: the
+    # projection, the circle means and T' hold, and only the metric fails
+    lift, uv = verify.lift_array, verify._uv
+
+    def stretch(u, v, *f3):
+        return (1.1 * u, v, *f3)
+
     monkeypatch.setattr(verify, "lift_array",
-                        lambda params, z: (z.real, z.imag, np.zeros(z.shape)))
-    monkeypatch.setattr(families, "evaluate_array",
-                        lambda params, z: (z, np.zeros_like(z)))
+                        lambda params, z: stretch(*lift(params, z)))
+    monkeypatch.setattr(verify, "_uv",
+                        lambda params, z: stretch(*uv(params, z)))
     r = check_surface(FamilyParams(family="f_2n", n=2))
-    assert r.passed and r.max_residual < 1e-6
+    assert not r.passed
+    assert r.max_residual == pytest.approx(9.502e-2, rel=1e-3)
 
 
 def test_checks_make_no_scalar_evaluation(monkeypatch):
@@ -166,9 +179,21 @@ def test_report_dict_schema():
     r = check_prevertex(FamilyParams(family="f_0n", n=2), grid=SMALL)
     d = r.to_dict()
     assert list(d) == ["check_name", "family", "grid", "max_residual",
-                       "tolerance", "passed", "worst_point"]
+                       "tolerance", "passed", "worst_point", "n_points"]
     assert d["family"]["family"] == "f_0n"
     assert len(d["worst_point"]) == 2
+    assert d["n_points"] == 32  # the 4 x 8 points of SMALL
+
+
+def test_reports_count_their_points():
+    # the default grids have 200 points; chd_heuristic samples 512 boundary
+    # points, slit_limit 3 radial ones, and surface_properties SURFACE_GRID
+    want = {"chd_heuristic": 512, "slit_limit": 3, "surface_properties": 32}
+    for p in (FamilyParams(family="f_2n", n=2),
+              FamilyParams(family="F_0a", a=0.0),
+              FamilyParams(family="F_a", a=0.3)):
+        for r in run_checks(p):
+            assert r.n_points == want.get(r.check_name, 200), r.check_name
 
 
 def test_run_checks_selects_names():
