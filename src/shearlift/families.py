@@ -121,7 +121,8 @@ def derivatives_array(params, z):
 # number (evaluate) or an array (evaluate_array) alike.  A form takes the
 # family parameters p, the point z and the prevertex value phi at z, and
 # returns (h, g); _FORMS below registers them by family name, and
-# _closed_form is the one caller of them.
+# _closed_form is the one caller of them.  _F_ca alone is called without
+# phi, which it takes from a term of its own.
 #
 # The four power-dilatation forms take lift=True from the lifts in surface
 # (even n) and then return (h, g, F3), with
@@ -161,15 +162,17 @@ def _F_1a(p, z, phi):
                      + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi)
 
 
-def _F_ca(p, z, phi):
+def _F_ca(p, z):
     # the w-plane form with (w^p - 1)/p terms, so that nothing cancels as
-    # c nears 0 or 1
+    # c nears 0 or 1; its middle term is 4 k_c, so it also gives phi, with
+    # the operations of shear.koebe_phi at a non-integer c
     c, a = float(p.c), float(p.a)
     log_w = np.log((1.0 + z) / (1.0 - z))
+    k = _powm1_over(c, log_w)
     h = 0.125 * ((a + 1.0) * _powm1_over(c + 1.0, log_w)
-                 + 2.0 * _powm1_over(c, log_w)
+                 + 2.0 * k
                  - (a - 1.0) * _powm1_over(c - 1.0, log_w))
-    return h, h - phi
+    return h, h - 0.5 * k
 
 
 @lru_cache(maxsize=64)
@@ -478,7 +481,7 @@ def _near_origin(p, z, phi, lift=False):
     return h, g, 2.0 * (z ** (n // 2 + 1) * _horner(t_coeffs, z)).imag
 
 
-_FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a, "F_ca": _F_ca,
+_FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a,
           "f_0n": _f_0n, "f_1n": _f_1n, "f_2n": _f_2n, "f_cn": _f_cn}
 
 _DELEGATES = {general: family for family, general in _FIXED_C.items()}
@@ -500,6 +503,8 @@ def _closed_form(params, z, lift=False):
     closed form, and with lift=True (power families only) (h, g, F3).  A
     power family takes the near-origin series at |z| <= _SERIES_RADIUS."""
     params = resolve_family(params)
+    if params.family == "F_ca":
+        return _F_ca(params, z)
     form = _FORMS[params.family]
     phi = family_phi(params).phi(z)
     if params.family not in _POWER_FAMILIES:

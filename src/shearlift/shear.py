@@ -30,15 +30,25 @@ def _check_points():
 
 
 def koebe_phi(c, z):
-    """Generalized Koebe function k_c(z) = (((1+z)/(1-z))^c - 1) / (2c),
-    through expm1, so that it tends to its c = 0 limit
+    """Generalized Koebe function k_c(z) = (((1+z)/(1-z))^c - 1) / (2c).
+    k_1 = z/(1-z) and k_2 = z/(1-z)^2 are rational; every other c goes
+    through expm1, so that k_c tends to its c = 0 limit
     (1/2) log((1+z)/(1-z)) without cancellation."""
+    if c == 1.0:
+        return z / (1.0 - z)
+    if c == 2.0:
+        return z / (1.0 - z) ** 2
     return 0.5 * _powm1_over(c, np.log((1.0 + z) / (1.0 - z)))
 
 
 def koebe_phi_prime(c, z):
-    # k_c'(z) = (1+z)^(c-1) * (1-z)^(-(c+1)), valid for all c in [0, 2].
-    return np.power(1.0 + z, c - 1.0) * np.power(1.0 - z, -(c + 1.0))
+    """k_c'(z) = (1+z)^(c-1) (1-z)^(-(c+1)) for c in [0, 2].  A
+    non-integer c takes one power, w^(c-1)/(1-z)^2 with w = (1+z)/(1-z),
+    which is the same value on the principal branch: arg(1+z) - arg(1-z)
+    lies in (-pi, pi) on the disk."""
+    if float(c).is_integer():
+        return np.power(1.0 + z, c - 1.0) * np.power(1.0 - z, -(c + 1.0))
+    return np.power((1.0 + z) / (1.0 - z), c - 1.0) / (1.0 - z) ** 2
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
                                 eval_fcn, evaluate, evaluate_array,
                                 family_omega, family_phi, fcn_h_and_lift,
                                 gprime, hprime)
-from shearlift.shear import DilatationSpec, koebe_phi, shear_at
-from shearlift.surface import lift_array, lift_sample
+from shearlift.shear import DilatationSpec, grid_array, koebe_phi, shear_at
+from shearlift.special import _powm1_over
+from shearlift.surface import GridSpec, lift_array, lift_sample
 
 SAMPLE_POINTS = [0.3, -0.25 + 0.4j, 0.55j, 0.5 * cmath.exp(1.9j),
                  -0.7, 0.6 - 0.35j]
@@ -113,6 +114,18 @@ def test_F_ca_delegations_are_continuous():
             for c in NEAR_ONE:
                 gap = abs(eval_F_ca(c, a, z).f - eval_F_1a(a, z).f)
                 assert gap < abs(c - 1.0) + 1e-15, (a, z, c)
+
+
+@pytest.mark.parametrize("c", (1e-8, 0.5, 1.0005, 1.5, 2.0))
+def test_F_ca_phi_is_the_expm1_koebe_bit_for_bit(c):
+    # F_ca takes k_c from its own (w^c - 1)/c term, in the operations of
+    # the expm1 form of k_c, so its g = h - k_c is that of
+    # 0.5 * _powm1_over(c, log w) to the last bit; at c = 2 it is not the
+    # rational shear.koebe_phi(2, z).  On the map command's default grid.
+    z = grid_array(GridSpec(rings=10, spokes=24, r_max=0.98))
+    h, g = evaluate_array(FamilyParams(family="F_ca", c=c, a=0.3), z)
+    want = h - 0.5 * _powm1_over(c, np.log((1.0 + z) / (1.0 - z)))
+    assert (g.view(np.uint64) == want.view(np.uint64)).all()
 
 
 # --- the power-dilatation families ------------------------------------------

@@ -5,7 +5,9 @@ Appell F1 form of h against the 2F1 route; h and F3 of every closed form,
 the former c bands of F_ca and f_cn included, against 30-digit mpmath.quad;
 appell_f1 against mpmath.appellf1; for the quadrature oracle, h and F3
 near the unit circle against 30-digit mpmath.quad; F3 of every power
-family near the origin, where the near-origin series serves it.
+family near the origin, where the near-origin series serves it; the Koebe
+prevertex k_c and k_c' against mpmath, and their continuity in c at
+c = 1 and 2.
 
 mpmath is not a runtime dependency; the tests that need it skip without
 it (``pip install -e ".[test]"`` installs it).
@@ -22,7 +24,8 @@ import numpy as np
 from shearlift.analytic import unit_roots
 from shearlift.families import (FamilyParams, evaluate, evaluate_array,
                                 family_omega, family_phi, fcn_h_and_lift)
-from shearlift.shear import grid_points, koebe_phi, shear_array, shear_at
+from shearlift.shear import (grid_points, koebe_phi, koebe_phi_prime,
+                             shear_array, shear_at)
 from shearlift.special import F1Params, appell_f1, hyp2f1_1c
 from shearlift.surface import lift_array, lift_sample
 from shearlift.verify import DEFAULT_GRID
@@ -381,6 +384,66 @@ def test_koebe_phi_near_c_zero(mp, c):
                                                                 / (1 - p))))
         assert abs(koebe_phi(c, p) - ref) <= bound, p
         assert abs(k_array[i] - ref) <= bound, p
+
+
+# rings out to |z| = 0.999, and points on either side of the real axis
+# next to z = 1 and z = -1
+KOEBE_POINTS = ([r * e for r in (0.1, 0.5, 0.9, 0.99, 0.999)
+                 for e in unit_roots(12).tolist()]
+                + [s * 0.999 * cmath.exp(1j * t)
+                   for s in (1, -1) for t in (1e-3, -1e-3)])
+
+
+def _assert_koebe_reference(f, c, ref, bound):
+    # the scalar and the array call of f(c, z) at every KOEBE_POINTS point
+    k_array = f(c, np.array(KOEBE_POINTS))
+    for i, p in enumerate(KOEBE_POINTS):
+        want = complex(ref(p))
+        assert abs(f(c, p) - want) <= bound * abs(want), p
+        assert abs(k_array[i] - want) <= bound * abs(want), p
+
+
+@pytest.mark.parametrize("c", (1.0, 2.0))
+def test_koebe_phi_rational_against_mpmath(mp, c):
+    # k_1 = z/(1-z) and k_2 = z/(1-z)^2 within 2e-15 relative
+    _assert_koebe_reference(koebe_phi, c, lambda p: _koebe(mp, c, p), 2e-15)
+
+
+@pytest.mark.parametrize("c", (0.0, 0.0005, 0.5, 1.0, 1.5, 1.9995, 2.0))
+def test_koebe_phi_prime_against_mpmath(mp, c):
+    # w^(c-1)/(1-z)^2 at a non-integer c, the two integer powers at
+    # c = 0, 1, 2, within 2e-15 relative
+    _assert_koebe_reference(koebe_phi_prime, c, _koebe_prime(mp, c), 2e-15)
+
+
+def _koebe_dc(mp, c, z):
+    # d k_c/dc = (w^c log w)/(2c) - (w^c - 1)/(2c^2), w = (1+z)/(1-z)
+    c = mp.mpf(c)
+    w = (1 + mp.mpc(z)) / (1 - mp.mpc(z))
+    return w ** c * mp.log(w) / (2 * c) - (w ** c - 1) / (2 * c ** 2)
+
+
+@pytest.mark.parametrize("c,dc", ((1.0, 1e-9), (1.0, -1e-9), (2.0, -1e-9)))
+def test_koebe_continuous_at_integer_c(mp, c, dc):
+    # c = 1 and 2 take the rational k_c and the integer powers of k_c';
+    # a step dc away, where expm1 and one power serve, each value moves
+    # by its analytic c-derivative times dc (d k_c'/dc = k_c' log w), and
+    # otherwise by a few units of roundoff: no jump at the integer c.
+    # Relative to eps, that roundoff grows as 1/|log w| near the origin
+    # (k_c) and as the exponent times |log w| towards z = +-1 (a power).
+    z = np.array(KOEBE_POINTS)
+    log_w = np.log((1.0 + z) / (1.0 - z))
+    size = np.abs(log_w)
+    eps = np.finfo(float).eps
+    dk = np.array([complex(_koebe_dc(mp, c, p)) for p in KOEBE_POINTS])
+    for f, derivative, roundoff in (
+            (koebe_phi, dk, np.maximum(1.0, np.maximum(1.0 / size, c * size))),
+            (koebe_phi_prime, koebe_phi_prime(c, z) * log_w,
+             np.maximum(1.0, size))):
+        k = f(c, z)
+        step = f(c + dc, z) - k
+        assert (np.abs(step - dc * derivative)
+                <= 6.0 * eps * np.abs(k) * roundoff).all(), f.__name__
 
 
 @pytest.mark.parametrize("family", ("F_ca", "f_cn"))
