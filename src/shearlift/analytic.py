@@ -8,6 +8,7 @@ part on the open unit disk, so no branch tracking is needed anywhere.
 
 import cmath
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,17 +101,20 @@ def vectorize(f):
     return call
 
 
+@lru_cache(maxsize=64)
 def unit_roots(count):
     """The count-th roots of unity exp(2*pi*i*k/count), k = 0, ...,
-    count - 1, as a complex ndarray: the one source of them in the
-    package.  At a quarter turn (4k/count an integer) a root is exactly
-    1, i, -1 or -i with +0.0 in its zero part (-1j has a real part of
-    -0.0), so that lattice spokes there lie on the axes; every other root
-    is cmath.exp(2*pi*i*k/count)."""
+    count - 1, as a read-only complex ndarray, built once per count: the
+    one source of them in the package.  At a quarter turn (4k/count an
+    integer) a root is exactly 1, i, -1 or -i with +0.0 in its zero part
+    (-1j has a real part of -0.0), so that lattice spokes there lie on the
+    axes; every other root is cmath.exp(2*pi*i*k/count)."""
     quarter = (1.0, 1j, -1.0, complex(0.0, -1.0))
-    return np.array([quarter[4 * k // count] if 4 * k % count == 0
-                     else cmath.exp(2j * cmath.pi * k / count)
-                     for k in range(count)], dtype=complex)
+    roots = np.array([quarter[4 * k // count] if 4 * k % count == 0
+                      else cmath.exp(2j * cmath.pi * k / count)
+                      for k in range(count)], dtype=complex)
+    roots.flags.writeable = False
+    return roots
 
 
 def cauchy_derivative(f, z, radius, order=32):

@@ -119,10 +119,11 @@ def derivatives_array(params, z):
 #
 # Each closed form is written once with numpy, whose functions take a
 # number (evaluate) or an array (evaluate_array) alike.  A form takes the
-# family parameters p, the point z and the prevertex value phi at z, and
-# returns (h, g); _FORMS below registers them by family name, and
-# _closed_form is the one caller of them.  _F_ca alone is called without
-# phi, which it takes from a term of its own.
+# family parameters p, the point z and the prevertex function phi, which
+# it evaluates at z, and returns (h, g); _FORMS below registers them by
+# family name, and _closed_form is the one caller of them.  _F_ca and
+# _f_cn take phi from a term of their own instead: _F_ca is called
+# without phi, and _f_cn leaves it to the near-origin series.
 #
 # The four power-dilatation forms take lift=True from the lifts in surface
 # (even n) and then return (h, g, F3), with
@@ -147,19 +148,19 @@ def _from_sum(p, phi):
 def _F_a(p, z, phi):
     a = float(p.a)
     return _from_sum(-z + (1.0 - a) * np.log(1.0 + z)
-                     - (1.0 + a) * np.log(1.0 - z), phi)
+                     - (1.0 + a) * np.log(1.0 - z), phi(z))
 
 
 def _F_0a(p, z, phi):
     a = float(p.a)
     return _from_sum(0.5 * (1.0 + a) * z / (1.0 - z)
-                     + 0.5 * (1.0 - a) * z / (1.0 + z), phi)
+                     + 0.5 * (1.0 - a) * z / (1.0 + z), phi(z))
 
 
 def _F_1a(p, z, phi):
     a = float(p.a)
     return _from_sum(0.25 * (1.0 - a) * np.log((1.0 + z) / (1.0 - z))
-                     + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi)
+                     + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi(z))
 
 
 def _F_ca(p, z):
@@ -208,7 +209,7 @@ def _f_0n(p, z, phi, lift=False):
     n = int(p.n)
     roots, roots_t = _root_pairs(0, n, z, lift)
     s = z / (1.0 - z) if n % 2 else 2.0 * z / (1.0 - z * z)
-    h, g = _from_sum(s / n + 2.0 * roots, phi)
+    h, g = _from_sum(s / n + 2.0 * roots, phi(z))
     if not lift:
         return h, g
     t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
@@ -226,12 +227,13 @@ def _f_1n(p, z, phi, lift=False):
         log_1pz = np.log(1.0 + z)
         h += log_1pz / (4.0 * n)
     h += roots
+    g = h - phi(z)
     if not lift:
-        return h, h - phi
+        return h, g
     t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
          + (n * n + 2.0) / 12.0 * log_1mz
          + (-1.0) ** (n // 2) / 2.0 * log_1pz)
-    return h, h - phi, (t / n + 2.0 * roots_t).imag
+    return h, g, (t / n + 2.0 * roots_t).imag
 
 
 def _f_2n(p, z, phi, lift=False):
@@ -241,12 +243,13 @@ def _f_2n(p, z, phi, lift=False):
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
          + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
     h += roots
+    g = h - phi(z)
     if not lift:
-        return h, h - phi
+        return h, g
     t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
          - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
          + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
-    return h, h - phi, (t + 2.0 * roots_t).imag
+    return h, g, (t + 2.0 * roots_t).imag
 
 
 # Bound here only so that perfbench/spans.py can wrap
@@ -401,6 +404,12 @@ def fcn_h_and_lift(c, n, z):
     (points, one root of each conjugate pair at z and at conj z).  Each point
     sums its roots along a row of its own, in the same order alone as in
     an array."""
+    return _fcn_terms(c, n, z)[:2]
+
+
+def _fcn_terms(c, n, z):
+    """fcn_h_and_lift's (h, T) and phi = k_c, half its (w^c - 1)/c term,
+    in the operations of the expm1 form of shear.koebe_phi."""
     number = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.reshape(-1, 1)
@@ -409,6 +418,7 @@ def fcn_h_and_lift(c, n, z):
     w = (1.0 + z) / (1.0 - z)
     log_w = np.log(w)
     base = _powm1_over(c, log_w)
+    phi = (0.5 * base[:, 0]).reshape(shape)
     # e_k = 1
     h = t = 0.5 * (_powm1_over(c + 1.0, log_w[:, :1]) + base[:, :1])
     if n % 2 == 0:
@@ -430,13 +440,13 @@ def fcn_h_and_lift(c, n, z):
     h = (0.5 / n * h).reshape(shape)
     t = (0.5 / n * t).reshape(shape) if n % 2 == 0 else None
     if number:
-        return h.item(), None if t is None else t.item()
-    return h, t
+        return h.item(), None if t is None else t.item(), phi.item()
+    return h, t, phi
 
 
 def _f_cn(p, z, phi, lift=False):
-    h, t = fcn_h_and_lift(float(p.c), int(p.n), z)
-    return (h, h - phi, 2.0 * t.imag) if lift else (h, h - phi)
+    h, t, k = _fcn_terms(float(p.c), int(p.n), z)
+    return (h, h - k, 2.0 * t.imag) if lift else (h, h - k)
 
 
 # --- the near-origin series of every power family --------------------------
@@ -475,7 +485,7 @@ def _near_origin(p, z, phi, lift=False):
     n = int(p.n)
     p_coeffs, t_coeffs = _series(family_phi(p).c, n)
     # h - g = phi, so phi's roundoff cancels in u = Re P
-    h, g = _from_sum(z * _horner(p_coeffs, z), phi)
+    h, g = _from_sum(z * _horner(p_coeffs, z), phi(z))
     if not lift:
         return h, g
     return h, g, 2.0 * (z ** (n // 2 + 1) * _horner(t_coeffs, z)).imag
@@ -506,7 +516,7 @@ def _closed_form(params, z, lift=False):
     if params.family == "F_ca":
         return _F_ca(params, z)
     form = _FORMS[params.family]
-    phi = family_phi(params).phi(z)
+    phi = family_phi(params).phi
     if params.family not in _POWER_FAMILIES:
         return form(params, z, phi)
     near = abs(z) <= _SERIES_RADIUS
@@ -514,7 +524,7 @@ def _closed_form(params, z, lift=False):
         if near.any() and not near.all():
             out = np.empty((2 + lift,) + z.shape, complex)
             for mask, f in ((near, _near_origin), (~near, form)):
-                out[:, mask] = f(params, z[mask], phi[mask], lift)
+                out[:, mask] = f(params, z[mask], phi, lift)
             return (*out[:2], out[2].real.copy()) if lift else tuple(out)
         near = near.all()
     return (_near_origin if near else form)(params, z, phi, lift)

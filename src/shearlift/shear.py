@@ -48,7 +48,8 @@ def koebe_phi_prime(c, z):
     lies in (-pi, pi) on the disk."""
     if float(c).is_integer():
         return np.power(1.0 + z, c - 1.0) * np.power(1.0 - z, -(c + 1.0))
-    return np.power((1.0 + z) / (1.0 - z), c - 1.0) / (1.0 - z) ** 2
+    one_minus_z = 1.0 - z
+    return np.power((1.0 + z) / one_minus_z, c - 1.0) / one_minus_z ** 2
 
 
 @dataclass(frozen=True)

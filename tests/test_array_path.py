@@ -119,7 +119,7 @@ def test_lift_array_matches_lift_sample(params):
 def test_series_meets_the_closed_form_at_its_radius(params):
     z = np.array(SEAM)
     params = families.resolve_family(params)
-    phi = family_phi(params).phi(z)
+    phi = family_phi(params).phi
     lift = params.n % 2 == 0
     for a, b in zip(families._near_origin(params, z, phi, lift),
                     families._FORMS[params.family](params, z, phi, lift)):

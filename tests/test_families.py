@@ -128,6 +128,20 @@ def test_F_ca_phi_is_the_expm1_koebe_bit_for_bit(c):
     assert (g.view(np.uint64) == want.view(np.uint64)).all()
 
 
+@pytest.mark.parametrize("c", (1e-8, 0.3, 0.5, 1.0005, 1.5, 1.9995))
+def test_f_cn_phi_is_the_expm1_koebe_bit_for_bit(c):
+    # f_cn takes k_c from the (w^c - 1)/c term of its own sum, in the
+    # operations of shear.koebe_phi at a non-integer c, so its g = h - k_c
+    # on arrays is that of koebe_phi to the last bit.  On the map
+    # command's default grid, outside the near-origin series.
+    z = grid_array(GridSpec(rings=10, spokes=24, r_max=0.98))
+    z = z[abs(z) > families._SERIES_RADIUS]
+    for n in (3, 8):
+        h, g = evaluate_array(FamilyParams(family="f_cn", c=c, n=n), z)
+        want = h - koebe_phi(c, z)
+        assert (g.view(np.uint64) == want.view(np.uint64)).all(), n
+
+
 # --- the power-dilatation families ------------------------------------------
 
 def test_f0n_values():

@@ -3,6 +3,7 @@ import pytest
 
 from shearlift import _kernels
 from shearlift._kernels import fallback
+from shearlift._kernels.fallback import GAUSS_IDX, WG, WGK, XGK
 from shearlift.errors import ConvergenceError
 
 TOLS = (1e-12, 1e-12, 2000)
@@ -149,3 +150,60 @@ def test_global_error_control_reaches_the_boundary_layer():
     exact = 2.0 / 3.0 * (u ** 3 - 1.0) - 0.5 * (u ** 2 - 1.0)
     for h in integrals(boundary_layer, 0.999, *TOLS):
         assert abs(h - exact) <= 1e-12 * abs(exact)
+
+
+def plain_panel_rule(f, z0, dz, owner, t0, t1):
+    """The G7/K15 panel rule written plainly: segment starts and lengths
+    gathered by owner, the nodes z0 + (mid + hw*XGK)*dz, and the products
+    fv @ WGK and fv[:, GAUSS_IDX] @ WG (an advanced-indexing copy)."""
+    mid = 0.5 * (t0 + t1)
+    hw = 0.5 * (t1 - t0)
+    d = dz[owner, None]
+    fv = np.asarray(f(z0[owner, None]
+                      + (mid[:, None] + hw[:, None] * XGK) * d)) * d
+    ik = hw * (fv @ WGK)
+    return ik, np.abs(ik - hw * (fv[:, GAUSS_IDX] @ WG))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape
+            and (a.view(np.uint64) == b.view(np.uint64)).all())
+
+
+@pytest.mark.parametrize("rows", (1, 3, 7, 64, 1000))
+def test_panel_estimates_have_the_bits_of_the_plain_rule(rows):
+    # The kernel's products take other numpy calls than the plain rule
+    # (.dot, a column-major G7 slice, no gathers), on the same BLAS path:
+    # a C-order slice or a padded weight vector would round differently.
+    # Both run on this numpy, so a BLAS or layout change shows here.
+    rng = np.random.default_rng(rows)
+    t0 = rng.random(rows) * 0.9
+    t1 = t0 + rng.random(rows) * (1.0 - t0)
+    f = koebe_prime(0.5)
+    segments = 5
+    # segments inside |z| < 0.92, away from the poles at +-1
+    z0 = 0.3 * (rng.random(segments) + 1j * rng.random(segments) - 0.5
+                - 0.5j)
+    dz = 0.5 * (rng.random(segments) + 1j * rng.random(segments))
+    nodes = fallback._panel_nodes(t0, t1)
+    # one segment, as adaptive_segment passes it: two numbers
+    want = plain_panel_rule(f, z0[:1], dz[:1], np.zeros(rows, dtype=int),
+                            t0, t1)
+    got = fallback._panel_estimates(f, complex(z0[0]), complex(dz[0]),
+                                    *nodes)
+    assert all(map(same_bits, got, want))
+    # per-panel segments, as adaptive_segments passes them
+    owner = rng.integers(0, segments, rows)
+    want = plain_panel_rule(f, z0, dz, owner, t0, t1)
+    got = fallback._panel_estimates(f, z0[owner, None], dz[owner, None],
+                                    *nodes)
+    assert all(map(same_bits, got, want))
+
+
+def test_first_call_nodes_are_the_rule_on_the_segment_and_its_halves():
+    t0, t1, hw, x = fallback._FIRST_PANELS
+    assert (t0, t1) == ([0.0, 0.0, 0.5], [1.0, 0.5, 1.0])
+    t0, t1 = np.array(t0), np.array(t1)
+    assert same_bits(hw, 0.5 * (t1 - t0))
+    assert same_bits(x, (0.5 * (t0 + t1))[:, None] + hw[:, None] * XGK)
