@@ -105,6 +105,10 @@ def test_unit_roots_are_exact_at_quarter_turns_and_cmath_exp_elsewhere():
     for count in (1, 2, 3, 7, 12, 24, 256):
         e = unit_roots(count)
         assert e.dtype == complex and e.shape == (count,)
+        # built once per count, and shared: no caller may write into it
+        assert unit_roots(count) is e
+        with pytest.raises(ValueError):
+            e[0] = 0.0
         for k, root in enumerate(e.tolist()):
             if 4 * k % count:
                 assert root == cmath.exp(2j * math.pi * k / count), (count, k)
@@ -114,17 +118,3 @@ def test_unit_roots_are_exact_at_quarter_turns_and_cmath_exp_elsewhere():
             zero = root.imag if root.imag == 0.0 else root.real
             assert root == want and not math.copysign(1.0, zero) < 0, (
                 count, k, root)
-
-
-def test_unit_roots_are_built_once_per_count_and_read_only():
-    quarter = (1.0, 1j, -1.0, complex(0.0, -1.0))
-    for count in (1, 2, 3, 4, 7, 12, 24, 256, 512):
-        e = unit_roots(count)
-        assert unit_roots(count) is e
-        assert not e.flags.writeable
-        with pytest.raises(ValueError):
-            e[0] = 0.0
-        want = np.array([quarter[4 * k // count] if 4 * k % count == 0
-                         else cmath.exp(2j * math.pi * k / count)
-                         for k in range(count)], dtype=complex)
-        assert (e.view(np.uint64) == want.view(np.uint64)).all(), count
