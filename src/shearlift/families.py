@@ -30,7 +30,7 @@ import numpy as np
 from .analytic import require_disk_point, require_disk_points, unit_roots
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
-from .special import _powm1_over, _terms, hyp2f1_1c
+from .special import _horner, _powm1_over, _terms, hyp2f1_1c
 # Bound here only so that perfbench/spans.py can wrap families.appell_f1
 # and families.shear_at; no closed form calls them.
 from .special import appell_f1  # noqa: F401
@@ -462,7 +462,7 @@ _SERIES_RADIUS = 0.25
 
 @lru_cache(maxsize=64)
 def _series(c, n):
-    """The coefficients of P/z and of T/z^(n/2+1), lowest order first."""
+    """The coefficients of P/z and of T/z^(n/2+1), highest order first."""
     m = _terms(_SERIES_RADIUS, 1.0, c + 1.0)
     a = [1.0, 2.0 * c]
     for j in range(1, m - 1):
@@ -470,15 +470,8 @@ def _series(c, n):
     b = a[:]
     for j in range(n, m):
         b[j] += b[j - n]
-    return ([(2.0 * b[j] - a[j]) / (j + 1) for j in range(m)],
-            [b[j] / (j + n / 2 + 1) for j in range(m)])
-
-
-def _horner(coeffs, z):
-    acc = 0.0
-    for a in reversed(coeffs):
-        acc = acc * z + a
-    return acc
+    return ([(2.0 * b[j] - a[j]) / (j + 1) for j in reversed(range(m))],
+            [b[j] / (j + n / 2 + 1) for j in reversed(range(m))])
 
 
 def _near_origin(p, z, phi, lift=False):

@@ -21,9 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import fallback
-from .analytic import (DEFAULT_ABS_TOL, DEFAULT_MAX_SUBDIVISIONS,
-                       DEFAULT_REL_TOL)
+from .analytic import integrate_segment
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 
@@ -127,21 +125,31 @@ def _terms(r, growth=0.0, degree=1.0):
     return m
 
 
+def _horner(coeffs, y):
+    """The polynomial with coeffs, highest order first, at y: the one
+    Horner loop of the package.  A Python complex y stays in Python
+    arithmetic; on an ndarray the sum accumulates in place."""
+    acc = 0.0
+    for a in coeffs:
+        acc *= y
+        acc += a
+    return acc
+
+
 def _horner_many(series):
     """The sums sum_{k<m} coeffs[k] y^k of several series (coeffs, m, y),
-    with y a complex ndarray, in one in-place Horner pass over all their
-    points.  A series of fewer terms than the longest starts at its own
-    top term, so each sum is bit for bit that of a pass of its own."""
+    with y a complex ndarray, in one _horner pass over all their points:
+    the series are stacked in one table, zero-padded to the longest.  A
+    value can move in the last bit with the batch it is in, since numpy
+    may round an in-place complex multiply differently with the length
+    of the arrays."""
     sizes = np.array([y.size for _, _, y in series])
     table = np.zeros((len(series), max(m for _, m, _ in series)),
                      dtype=complex)
     for row, (coeffs, m, _) in zip(table, series):
         row[:m] = coeffs[:m]
     y = np.concatenate([y for _, _, y in series])
-    acc = np.zeros(y.shape, dtype=complex)
-    for column in table.T[::-1]:
-        acc *= y
-        acc += column.repeat(sizes)
+    acc = _horner((column.repeat(sizes) for column in table.T[::-1]), y)
     return np.split(acc, np.cumsum(sizes)[:-1])
 
 
@@ -270,13 +278,9 @@ def _f1c_taylor(c, x):
     each centre in use."""
     table = _f1c_centres(c)
     x = np.where(x.imag < 0.0, x.conj(), x)
-    nearest = np.full(x.shape, np.inf)
-    centre = np.zeros(x.shape, dtype=int)
-    for j, (x0, radius) in enumerate(zip(_TAYLOR_CENTRES, _TAYLOR_RADII)):
-        ratio = np.abs(x - x0) / radius
-        closer = ratio < nearest
-        nearest[closer] = ratio[closer]
-        centre[closer] = j
+    # argmin takes the lowest index on a tie
+    centre = (np.abs(x[:, None] - _TAYLOR_CENTRES) / _TAYLOR_RADII).argmin(
+        axis=1)
     order = np.argsort(centre, kind="stable")
     centre = centre[order]
     y = (x[order] - _TAYLOR_CENTRES[centre]) / _TAYLOR_RADII[centre]
@@ -458,9 +462,7 @@ def appell_f1_integral(p, x, y):
             t = 0.5 * np.power(s, m)
             return scale * np.power(s, q) * smooth(t)
 
-        return fallback.adaptive_segment(
-            transformed, 0.0, 1.0, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
-            DEFAULT_MAX_SUBDIVISIONS)
+        return integrate_segment(transformed, 0.0, 1.0)
 
     il = half_integral(a - 1.0,
                        lambda t: np.power(1.0 - t, d - 1.0) * regular(t))

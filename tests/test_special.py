@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shearlift import special
+from shearlift import families, special
 from shearlift.errors import DomainError, UnsupportedDomainError
 from shearlift.special import (F1Params, appell_f1, appell_f1_integral,
                                appell_f1_series, gauss_2f1, hyp2f1_1c,
@@ -142,6 +142,73 @@ def test_hyp2f1_1c_taylor_centres_cover_the_zone():
         reach = special._TAYLOR_RATIO * min(abs(x0), abs(1.0 - x0))
         slack = np.minimum(slack, np.abs(x - x0) - reach)
     assert slack.max() <= -h
+
+
+def test_hyp2f1_1c_taylor_route_takes_the_nearest_centre():
+    # brute force: the first centre of least |x - x0|/R, after mirroring
+    # x to the upper half-plane
+    rng = np.random.default_rng(11)
+    x = (rng.uniform(0.5, 5.0 / 3.0, 4000)
+         * np.exp(2j * np.pi * rng.uniform(size=4000)))
+    x = x[(np.abs(x + 9.0 / 16.0) > 15.0 / 16.0) & (np.abs(1.0 - x) > 0.5)]
+    x = np.concatenate([x, special._TAYLOR_CENTRES,
+                        special._TAYLOR_CENTRES.conj()])
+    centres = special._TAYLOR_CENTRES.tolist()
+    radii = special._TAYLOR_RADII.tolist()
+    want = [min(range(len(centres)),
+                key=lambda j: abs(p - centres[j]) / radii[j])
+            for p in np.where(x.imag < 0.0, x.conj(), x).tolist()]
+    table = special._f1c_centres(1.5)
+    order, series = special._f1c_taylor(1.5, x)
+    got = np.empty(len(x), dtype=int)
+    got[order] = np.concatenate([
+        np.full(len(y), [np.array_equal(row, r) for r in table].index(True))
+        for row, _, y in series])
+    assert got.tolist() == want
+
+
+def test_horner_keeps_a_python_complex_and_an_array_shape():
+    # the one-point near-origin series stays in Python arithmetic
+    coeffs = families._series(1.5, 8)[0]
+    z = 0.1 + 0.2j
+    value = special._horner(coeffs, z)
+    assert type(value) is complex
+    plain = sum(a * z ** k for k, a in enumerate(coeffs[::-1]))
+    assert abs(value - plain) <= 1e-15 * abs(plain)
+    y = np.array([[0.1 + 0.2j, -0.2j, 0.0], [0.25, -0.1 + 0.1j, 1e-3j]])
+    got = special._horner(coeffs, y)
+    assert isinstance(got, np.ndarray) and got.shape == y.shape
+    # numpy's complex multiply may round apart from Python's
+    for p, v in zip(y.ravel().tolist(), got.ravel().tolist()):
+        want = special._horner(coeffs, p)
+        assert abs(v - want) <= 2.0 * np.finfo(float).eps * abs(want), p
+
+
+def test_horner_many_is_each_series_alone_to_roundoff():
+    # numpy may round an in-place complex multiply differently with the
+    # length of the arrays, so a series summed in a batch can differ in
+    # the last bit from the same series summed alone: allow 2 ulp of the
+    # magnitude bound sum |a_k| |y|^k
+    tables = special._f1c_tables(1.5)
+    rows = [tables.power, tables.inverse, tables.pfaff, tables.log_a,
+            tables.log_b]
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        series = []
+        for _ in range(rng.integers(1, 6)):
+            coeffs = rows[rng.integers(len(rows))]
+            size = int(rng.integers(1, 60))
+            y = (0.5 * rng.uniform(size=size)
+                 * np.exp(2j * np.pi * rng.uniform(size=size)))
+            series.append((coeffs, special._terms_at_most(coeffs, y), y))
+        for (coeffs, m, y), got in zip(series,
+                                       special._horner_many(series)):
+            top_first = coeffs[:m][::-1]
+            alone = special._horner(top_first, y)
+            bound = special._horner(np.abs(top_first), np.abs(y))
+            assert got.shape == y.shape
+            assert np.all(np.abs(got - alone)
+                          <= 2.0 * np.finfo(float).eps * bound)
 
 
 def test_hyp2f1_1c_domain_errors():
