@@ -4,9 +4,23 @@ All numbers are written by the same 9-significant-digit rule with a "."
 decimal separator regardless of locale, and no output line depends on
 time, environment, or iteration order of anything unordered, so repeated
 runs produce byte-identical files.
+
+The rule is CPython's "%.9g" of the flushed value.  The float tables of
+svg_document and obj_document (curve points, mesh vertices) are written
+by a numpy digit kernel, in blocks of BLOCK numbers, wherever a table
+holds at least KERNEL_MIN numbers.  The kernel writes +-0 and every
+1e-4 <= |x| < 1e9, where %g writes fixed notation, unless the
+9-digit rounding of x lies within its tie guard; % writes the rest:
+|x| outside [1e-4, 1e9), values within the tie guard, NaN and inf, and
+whole tables under KERNEL_MIN numbers.  The bytes cannot differ from
+%'s: %.9g is the correctly rounded 9-digit decimal (Gay, 1990), the
+kernel rounds the same exact value and keeps a number only where one
+correctly rounded product proves that rounding, and it writes the text
+that %g writes for that decimal.  The face records stay on %d.
 """
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -71,9 +85,150 @@ def _flushed(x):
     return np.where(np.abs(x) < FLUSH, 0.0, x)
 
 
+# The digit kernel writes NUM's text of float tables from numpy arrays,
+# BLOCK numbers at a time, the block size at which it took the least time
+# a number.  A float table of fewer than KERNEL_MIN numbers, for which
+# the kernel's fixed cost exceeds its gain over %, takes the % path whole.
+BLOCK, KERNEL_MIN = 4096, 700
+
+# Exact powers of ten 10^0 ... 10^12, and the tie guard: y below is
+# within 2^-24 of |x| 10^(8-e), so a y farther than 2^-20 from the
+# nearest half-integer rounds as that exact value does.
+_P10 = 10.0 ** np.arange(13)
+_TIE = 0.5 - 2.0 ** -20
+# Offsets in _digit_groups(): the four tables of 4-digit groups, the
+# point and the empty cell.
+_FULL, _LEAD, _UNITS, _TRAIL, _POINT, _EMPTY = (0, 10000, 20000, 30000,
+                                                40000, 40001)
+# A number the kernel does not prove: the byte 1 in its sign cell.
+_MARK = np.array([1 << 8, 0, 0, 0, 0, 0, 0], "<u4")[:, None]
+
+
+@functools.cache
+def _digit_groups():
+    """The text of every 4-digit group 0...9999, one little-endian word
+    of four cells each, in four tables: every digit, the leading zeros
+    cleared, the same with 0 written "0", and the trailing zeros
+    cleared; then the point and the empty cell.  A cleared cell is 0.
+    Built on the first kernel call, so that a process that writes no
+    table does not hold it."""
+    digit = (np.arange(10000, dtype=np.int16)[:, None]
+             // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
+    lead = np.logical_or.accumulate(digit > 0, axis=1)
+    trail = np.logical_or.accumulate(digit[:, ::-1] > 0, axis=1)[:, ::-1]
+    text = digit + ord("0")
+    cells = np.zeros((40002, 4), np.uint8)
+    for table, keep in enumerate((True, lead, lead | [0, 0, 0, 1], trail)):
+        cells[10000 * table:10000 * (table + 1)] = text * keep
+    cells[_POINT, 0] = ord(".")
+    groups = cells.view("<u4").ravel()
+    groups.setflags(write=False)
+    return groups
+
+
+def _number_cells(x):
+    """NUM's text of each number of the float array x, as (7, x.size)
+    little-endian words of four cells each, and the mask of the numbers
+    proven.  A number's words are its text in order, a cleared cell 0:
+    a free cell, its sign, a free cell and the top digit of its integer
+    part I, I's other eight digits, the point, and the 12 digits of its
+    fraction F.  The words of a number not proven are _MARK.
+
+    The kernel proves +-0 and every finite 1e-4 <= |x| < 1e9 whose
+    9-digit rounding is not within the tie guard, where %g writes fixed
+    notation.  e = floor(log10 |x|) is a guess of the decimal exponent,
+    y = |x| 10^(8-e) one correctly rounded product, and D = rint(y) the
+    9-digit significand when 1e8 <= y, D < 1e9 and y is off the tie
+    guard.  Then |x| rounds to D 10^(e-8), with the integer part I and
+    the fraction F 10^-12.  The groups of I drop their leading zeros,
+    but the units digit, the groups of F their trailing zeros, and the
+    point goes with F = 0.
+    """
+    a = np.abs(x)
+    s = np.where(a < 1e9, a, 0.0)
+    with np.errstate(divide="ignore"):
+        e4 = np.clip(np.floor(np.log10(s)), -4, 8).astype(np.intp) + 4
+    p = _P10[12 - e4]  # 10^(8-e)
+    y = s * p
+    d = np.rint(y)
+    ok = (y >= 1e8) & (d < 1e9) & (np.abs(y - d) < _TIE) | (a == 0)
+    i_f = np.empty((2, x.size))
+    np.floor(d / p, out=i_f[0])
+    np.multiply(d - i_f[0] * p, _P10[e4], out=i_f[1])
+    i_f = i_f.astype(np.int64)
+    hi = i_f // 10000
+    # rows: I's top, middle and low group, the point, F's three groups
+    g = np.empty((7, x.size), np.int64)
+    np.floor_divide(hi, 10000, out=g[0::4])
+    np.subtract(hi, 10000 * g[0::4], out=g[1::4])
+    np.subtract(i_f, 10000 * hi, out=g[2::4])
+    top = g[0] > 0
+    g[2] += np.where(top | (g[1] > 0), _FULL, _UNITS)
+    g[1] += np.where(top, _FULL, _LEAD)
+    g[0] += _LEAD
+    low = g[6] > 0
+    g[4] += np.where(low | (g[5] > 0), _FULL, _TRAIL)
+    g[5] += np.where(low, _FULL, _TRAIL)
+    g[6] += _TRAIL
+    g[3] = np.where(i_f[1] > 0, _POINT, _EMPTY)
+    cells = _digit_groups().take(g)
+    cells[0] |= np.signbit(x) * np.uint32(ord("-") << 8)
+    cells[:, ~ok] = _MARK
+    return cells, ok
+
+
+def _words(text):
+    """text as little-endian 4-cell words, padded with 0 cells."""
+    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), "<u4")
+
+
+def _kernel_lines(template, rows):
+    """_lines of a float table through the digit kernel.  Between two
+    numbers the template holds exactly one byte, which goes into the
+    free first cell of the second number's words.
+
+    Each line of a block is one row of words: the template's head, the
+    words of each number and the tail with its newline.  The block
+    becomes text in one tobytes().translate that drops the 0 cells, and
+    the % text of each number the kernel did not prove is spliced in at
+    its mark.
+    """
+    head, *seps, tail = template.split(NUM)
+    fields = len(seps) + 1
+    sep = np.zeros(fields, "<u4")
+    sep[1:] = np.frombuffer("".join(seps).encode(), np.uint8)
+    head = _words(head.replace("%%", "%").encode())
+    tail = _words(tail.replace("%%", "%").encode() + b"\n")
+    h, w = head.size, head.size + 7 * fields
+    per_block = max(1, BLOCK // fields)
+    out = []
+    for start in range(0, len(rows), per_block):
+        x = rows[start:start + per_block].ravel()
+        n = x.size // fields
+        cells, ok = _number_cells(x)
+        first = cells[0].reshape(n, fields)
+        first |= sep
+        line = np.empty((n, w + tail.size), "<u4")
+        line[:, :h] = head
+        line[:, w:] = tail
+        line[:, h:w].reshape(n, fields, 7)[...] = (
+            cells.reshape(7, n, fields).transpose(1, 2, 0))
+        text = line.tobytes().translate(None, b"\0").decode("ascii")
+        if not ok.all():
+            text, *parts = text.split("\x01")
+            text += "".join([NUM % v + part for v, part
+                             in zip(x[~ok].tolist(), parts)])
+        out.append(text)
+    out[-1] = out[-1][:-1]
+    return "".join(out)
+
+
 def _lines(template, rows):
     """One line of template per row of the array rows, filled with the
-    row's numbers in one % operation over all of them."""
+    row's numbers: a float table of at least KERNEL_MIN numbers through
+    the digit kernel, any other in one % operation over all of them."""
+    if rows.dtype.kind == "f" and rows.size >= KERNEL_MIN:
+        return _kernel_lines(template, rows.reshape(len(rows), -1))
     return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 

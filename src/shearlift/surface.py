@@ -19,7 +19,7 @@ from .families import _POWER_FAMILIES, FamilyParams, _closed_form
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
-from .shear import MapSample, grid_array
+from .shear import grid_array
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def lift_sample(params, z):
     _liftable(params)
     z = require_disk_point(z, r_max=1.0)
     h, g, f3 = _closed_form(params, z, lift=True)
-    planar = MapSample.from_hg(z, h, g)
-    return SurfaceSample(z=z, u=planar.u, v=planar.v, f3=float(f3))
+    h, g = complex(h), complex(g)
+    return SurfaceSample(z=z, u=(h + g).real, v=(h - g).imag, f3=float(f3))
 
 
 def lift_array(params, z):

@@ -1,10 +1,13 @@
 """The array writers of render against per-number reference writers.
 
-svg_document and obj_document fill one repeated %-template per curve set
-or per block of lines from flushed arrays.  The reference writers below
-are the former per-point ones: one fmt9 call per number through str
-formatting, a join per polyline, and the face loop of build_mesh.  The
-two must give the same text byte for byte.
+svg_document and obj_document write their float tables through the digit
+kernel of render, and tables under its size rule through one repeated
+%-template.  The reference writers below are the former per-point ones:
+one fmt9 call per number through str formatting, a join per polyline,
+and the face loop of build_mesh.  The two must give the same text byte
+for byte.  The kernel is also checked number by number against "%.9g" on
+a seeded sample of the numbers where a digit kernel is most likely to
+go wrong; CI runs kernel_mismatches on 10^7 of them.
 """
 
 import math
@@ -12,11 +15,11 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from shearlift import __version__, families
+from shearlift import __version__, families, render
 from shearlift.analytic import unit_roots
 from shearlift.families import FamilyParams
-from shearlift.render import (RenderConfig, RunManifest, fmt9, map_curves,
-                              obj_document, svg_document)
+from shearlift.render import (KERNEL_MIN, NUM, RenderConfig, RunManifest,
+                              fmt9, map_curves, obj_document, svg_document)
 from shearlift.shear import grid_points
 from shearlift.surface import GridSpec, SurfaceMesh, build_mesh, lift_array
 
@@ -122,6 +125,21 @@ def test_array_writer_matches_fmt9(values):
     assert written == [ref_fmt9(x) for x in values]
 
 
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                    allow_subnormal=True),
+                          st.floats(min_value=1e-4, max_value=1e9),
+                          st.integers(-10**9, 10**9).map(float)),
+                min_size=1, max_size=60))
+def test_kernel_writer_matches_fmt9(values):
+    # the values repeated to a table at the size rule, which the kernel
+    # writes
+    size = -(-KERNEL_MIN // 3) * 3
+    values = (values * size)[:size]
+    written = obj_numbers(values)
+    assert written == [fmt9(x) for x in values]
+    assert written == [ref_fmt9(x) for x in values]
+
+
 def test_array_writer_edge_cases():
     values = [0.0, -0.0, 1e-12, -1e-12, math.nextafter(1e-12, 0.0),
               -math.nextafter(1e-12, 0.0), 5e-324, 123456789012.0, 1e16,
@@ -130,6 +148,87 @@ def test_array_writer_edge_cases():
                "1e+16", "nan", "inf", "-inf"]
     assert obj_numbers(values) == written
     assert [ref_fmt9(x) for x in values] == written
+
+
+# --- the digit kernel against % ----------------------------------------------
+
+def kernel_sample(rng, count):
+    """count numbers on which a %.9g digit kernel is most likely to fail,
+    with random signs: 9-digit ties (k + 1/2) 10^j in every decade from
+    1e-4 to 1e9 and their nextafter neighbours, powers of ten and their
+    neighbours up to three steps away, integers, log-uniform numbers
+    from 1e-13 to 1e12, and the ends of the kernel's range, +-0,
+    subnormals, NaN, +-inf and |x| just above the 1e-12 flush."""
+    part = count // 6
+    ties = ((rng.integers(10**8, 10**9, part) + 0.5)
+            * 10.0 ** rng.integers(-12, 1, part))
+    ties = np.concatenate([ties, np.nextafter(ties, 0.0),
+                           np.nextafter(ties, np.inf)])
+    powers = 10.0 ** rng.integers(-13, 13, part)
+    steps = rng.integers(-3, 4, part)
+    for i in range(3):
+        powers = np.where(steps > i, np.nextafter(powers, np.inf), powers)
+        powers = np.where(steps < -i, np.nextafter(powers, 0.0), powers)
+    ints = rng.integers(-2 * 10**9, 2 * 10**9, part).astype(float)
+    spread = 10.0 ** rng.uniform(-13, 12, count - 5 * part)
+    ends = np.array([0.0, -0.0, 1e-4, 1e9, math.nextafter(1e-4, 0.0),
+                     math.nextafter(1e9, 0.0), 999999999.5, 99999999.95,
+                     5e-324, 2.2250738585072014e-308, math.nan, math.inf,
+                     -math.inf, 1e-12, math.nextafter(1e-12, 1.0),
+                     1.0000000001e-12, 1.0, 123456789.5, 123456788.5])
+    x = np.concatenate([ties, powers, ints, spread])
+    x *= rng.choice([-1.0, 1.0], x.size)
+    return np.concatenate([ends, x])
+
+
+def kernel_mismatches(count, seed, chunk=10**6):
+    """(x, kernel text, %.9g text) of every number of count seeded
+    kernel_sample numbers whose kernel text is not "%.9g" % x."""
+    rng = np.random.default_rng(seed)
+    bad = []
+    for start in range(0, count, chunk):
+        x = kernel_sample(rng, min(chunk, count - start))
+        written = render._kernel_lines(NUM, x[:, None]).split("\n")
+        for v, text in zip(x.tolist(), written):
+            if text != NUM % v:
+                bad.append((v, text, NUM % v))
+    return bad
+
+
+def test_kernel_matches_percent_format():
+    bad = kernel_mismatches(200_000, 20261019)
+    assert not bad, f"{len(bad)} mismatches, the first {bad[:5]}"
+
+
+def test_kernel_proves_the_numbers_of_its_range():
+    # a number the kernel does not prove still comes out right, through
+    # %, so the byte tests alone would pass a kernel that proves nothing
+    rings, spokes = map_curves(FamilyParams("F_ca", c=2, a=1),
+                               RenderConfig(r_max=0.999))
+    mesh = build_mesh(FamilyParams("f_2n", n=2), GridSpec(rings=40,
+                                                         spokes=96))
+    x = np.concatenate([rings.ravel(), spokes.ravel(),
+                        mesh.vertices.ravel(),
+                        np.random.default_rng(2).uniform(-9.0, 9.0, 4096)])
+    a = np.abs(x)
+    proven = render._number_cells(x)[1]
+    assert proven.tolist() == ((a == 0) | (a >= 1e-4) & (a < 1e9)).tolist()
+    assert (a >= 1e9).sum() == 3 and 0 < ((a > 0) & (a < 1e-4)).sum()
+
+
+def test_size_rule_paths_agree(monkeypatch):
+    x = np.random.default_rng(4).uniform(-5.0, 5.0, KERNEL_MIN)
+    x[:6] = [1e-7, -2.5e9, 0.0, 123456789.5, math.nan, 1e-4]
+    kernel_calls = []
+    kernel = render._kernel_lines
+    monkeypatch.setattr(render, "_kernel_lines",
+                        lambda *args: kernel_calls.append(1) or kernel(*args))
+    below = render._lines(NUM, x[:-1, None])
+    assert not kernel_calls
+    at = render._lines(NUM, x[:, None])
+    assert kernel_calls == [1]
+    assert at == "\n".join(NUM % v for v in x.tolist())
+    assert at == below + "\n" + NUM % x[-1]
 
 
 # --- whole documents --------------------------------------------------------
@@ -145,7 +244,10 @@ def test_svg_matches_reference_writer():
              RenderConfig(rings=1, spokes=3, samples_per_curve=16)),
             (FamilyParams("F_a", a=0.3),
              RenderConfig(rings=1, spokes=3, r_max=0.999,
-                          samples_per_curve=16))):
+                          samples_per_curve=16)),
+            # three of its u values are >= 1e9, 60 numbers lie in
+            # (0, 1e-4): all of them go through %
+            (FamilyParams("F_ca", c=2, a=1), RenderConfig(r_max=0.999))):
         m = manifest("map", params, {"rings": cfg.rings,
                                      "spokes": cfg.spokes,
                                      "rmax": cfg.r_max,
