@@ -12,7 +12,7 @@ from .families import (FAMILY_NAMES, FamilyParams, PartialFractionCoeffs,
                        coeffs_f1n, coeffs_f2n, derivatives_array, evaluate,
                        evaluate_array)
 from .shear import (DilatationSpec, MapSample, PrevertexSpec, grid_points,
-                    sample_grid, shear_array, shear_at)
+                    sample_grid, shear_array, shear_at, shear_grid)
 from .special import (F1Params, appell_f1, gauss_2f1, hyp2f1_1c,
                       pochhammer)
 from .surface import (GridSpec, SurfaceMesh, SurfaceSample, build_mesh,
@@ -30,7 +30,7 @@ __all__ = [
     "coeffs_f1n", "coeffs_f2n", "derivatives_array", "evaluate",
     "evaluate_array",
     "DilatationSpec", "MapSample", "PrevertexSpec", "grid_points",
-    "sample_grid", "shear_array", "shear_at",
+    "sample_grid", "shear_array", "shear_at", "shear_grid",
     "F1Params", "appell_f1", "gauss_2f1", "hyp2f1_1c", "pochhammer",
     "GridSpec", "SurfaceMesh", "SurfaceSample", "build_mesh", "lift_array",
     "lift_sample",

@@ -16,7 +16,9 @@ whole tables under KERNEL_MIN numbers.  The bytes cannot differ from
 %'s: %.9g is the correctly rounded 9-digit decimal (Gay, 1990), the
 kernel rounds the same exact value and keeps a number only where one
 correctly rounded product proves that rounding, and it writes the text
-that %g writes for that decimal.  The face records stay on %d.
+that %g writes for that decimal.  The face records of obj_document are
+written the same way from two 4-digit groups an index, in tables of at
+least KERNEL_MIN numbers all below INDEX_END = 10^8; % writes the rest.
 """
 
 import cmath
@@ -90,6 +92,10 @@ def _flushed(x):
 # a number.  A float table of fewer than KERNEL_MIN numbers, for which
 # the kernel's fixed cost exceeds its gain over %, takes the % path whole.
 BLOCK, KERNEL_MIN = 4096, 700
+# Integer tables (face indices) are written from two 4-digit groups a
+# number, so below INDEX_END; a table with a larger or negative number
+# takes the % path whole.
+INDEX_END = 10 ** 8
 
 # Exact powers of ten 10^0 ... 10^12, and the tie guard: y below is
 # within 2^-24 of |x| 10^(8-e), so a y farther than 2^-20 from the
@@ -100,8 +106,6 @@ _TIE = 0.5 - 2.0 ** -20
 # point and the empty cell.
 _FULL, _LEAD, _UNITS, _TRAIL, _POINT, _EMPTY = (0, 10000, 20000, 30000,
                                                 40000, 40001)
-# A number the kernel does not prove: the byte 1 in its sign cell.
-_MARK = np.array([1 << 8, 0, 0, 0, 0, 0, 0], "<u4")[:, None]
 
 
 @functools.cache
@@ -132,7 +136,8 @@ def _number_cells(x):
     proven.  A number's words are its text in order, a cleared cell 0:
     a free cell, its sign, a free cell and the top digit of its integer
     part I, I's other eight digits, the point, and the 12 digits of its
-    fraction F.  The words of a number not proven are _MARK.
+    fraction F.  A number not proven gets NUM's text from %, which is
+    at most 16 bytes ("-1.23456789e+100"), in the cells after its first.
 
     The kernel proves +-0 and every finite 1e-4 <= |x| < 1e9 whose
     9-digit rounding is not within the tie guard, where %g writes fixed
@@ -173,7 +178,10 @@ def _number_cells(x):
     g[3] = np.where(i_f[1] > 0, _POINT, _EMPTY)
     cells = _digit_groups().take(g)
     cells[0] |= np.signbit(x) * np.uint32(ord("-") << 8)
-    cells[:, ~ok] = _MARK
+    if not ok.all():
+        text = b"".join([b"\0" + (NUM % v).encode().ljust(27, b"\0")
+                         for v in x[~ok].tolist()])
+        cells[:, ~ok] = np.frombuffer(text, "<u4").reshape(-1, 7).T
     return cells, ok
 
 
@@ -189,9 +197,7 @@ def _kernel_lines(template, rows):
 
     Each line of a block is one row of words: the template's head, the
     words of each number and the tail with its newline.  The block
-    becomes text in one tobytes().translate that drops the 0 cells, and
-    the % text of each number the kernel did not prove is spliced in at
-    its mark.
+    becomes text in one tobytes().translate that drops the 0 cells.
     """
     head, *seps, tail = template.split(NUM)
     fields = len(seps) + 1
@@ -205,7 +211,7 @@ def _kernel_lines(template, rows):
     for start in range(0, len(rows), per_block):
         x = rows[start:start + per_block].ravel()
         n = x.size // fields
-        cells, ok = _number_cells(x)
+        cells = _number_cells(x)[0]
         first = cells[0].reshape(n, fields)
         first |= sep
         line = np.empty((n, w + tail.size), "<u4")
@@ -213,22 +219,66 @@ def _kernel_lines(template, rows):
         line[:, w:] = tail
         line[:, h:w].reshape(n, fields, 7)[...] = (
             cells.reshape(7, n, fields).transpose(1, 2, 0))
-        text = line.tobytes().translate(None, b"\0").decode("ascii")
-        if not ok.all():
-            text, *parts = text.split("\x01")
-            text += "".join([NUM % v + part for v, part
-                             in zip(x[~ok].tolist(), parts)])
-        out.append(text)
+        out.append(line.tobytes().translate(None, b"\0").decode("ascii"))
+    out[-1] = out[-1][:-1]
+    return "".join(out)
+
+
+def _index_lines(template, rows):
+    """_lines of a table of integers 0 <= i < INDEX_END for a template
+    of %d fields, each written as two 4-digit groups of _digit_groups():
+    i // 10^4 from the leading-zero table, then i % 10^4 from the full
+    table, or from the units table when i < 10^4.  Between two fields
+    the template holds exactly one byte.
+
+    Each line of a block is one row of bytes: the template's head, nine
+    cells for each field (the byte before it, or 0 for the first, and
+    its two groups) and the tail with its newline, made text by one
+    tobytes().translate that drops the 0 cells.
+    """
+    head, *seps, tail = template.split("%d")
+    fields = len(seps) + 1
+    sep = np.zeros(fields, np.uint8)
+    sep[1:] = np.frombuffer("".join(seps).encode(), np.uint8)
+    head = np.frombuffer(head.replace("%%", "%").encode(), np.uint8)
+    tail = np.frombuffer(tail.replace("%%", "%").encode() + b"\n",
+                         np.uint8)
+    h, w = head.size, head.size + 9 * fields
+    per_block = max(1, BLOCK // fields)
+    out = []
+    for start in range(0, len(rows), per_block):
+        i = rows[start:start + per_block].astype(np.intp, copy=False)
+        hi = i // 10000
+        g = np.empty(i.shape + (2,), np.intp)
+        np.add(hi, _LEAD, out=g[..., 0])
+        np.add(i - 10000 * hi, np.where(hi > 0, _FULL, _UNITS),
+               out=g[..., 1])
+        line = np.empty((len(i), w + tail.size), np.uint8)
+        line[:, :h] = head
+        line[:, w:] = tail
+        cells = line[:, h:w].reshape(len(i), fields, 9)
+        cells[:, :, 0] = sep
+        # the two groups of a field as one unaligned 8-cell word
+        cells[:, :, 1:].view("<u8")[..., 0] = (
+            _digit_groups().take(g).view("<u8")[..., 0])
+        out.append(line.tobytes().translate(None, b"\0").decode("ascii"))
     out[-1] = out[-1][:-1]
     return "".join(out)
 
 
 def _lines(template, rows):
     """One line of template per row of the array rows, filled with the
-    row's numbers: a float table of at least KERNEL_MIN numbers through
-    the digit kernel, any other in one % operation over all of them."""
-    if rows.dtype.kind == "f" and rows.size >= KERNEL_MIN:
-        return _kernel_lines(template, rows.reshape(len(rows), -1))
+    row's numbers: a table of at least KERNEL_MIN numbers through the
+    digit kernel if it holds floats, or through _index_lines if it holds
+    integers in [0, INDEX_END); any other in one % operation over all of
+    them."""
+    if rows.size >= KERNEL_MIN:
+        table = rows.reshape(len(rows), -1)
+        if rows.dtype.kind == "f":
+            return _kernel_lines(template, table)
+        if (rows.dtype.kind in "iu" and rows.min() >= 0
+                and rows.max() < INDEX_END):
+            return _index_lines(template, table)
     return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
@@ -263,7 +313,10 @@ def svg_document(curves, manifest):
     ring_curves, spoke_curves = curves
     uv = np.concatenate([ring_curves.reshape(-1, 2),
                          spoke_curves.reshape(-1, 2)])
-    (u0, v0), (u1, v1) = uv.min(axis=0).tolist(), uv.max(axis=0).tolist()
+    # one column at a time: min(axis=0) of the (n, 2) table gives the same
+    # numbers about ten times slower
+    u0, u1 = uv[:, 0].min().item(), uv[:, 0].max().item()
+    v0, v1 = uv[:, 1].min().item(), uv[:, 1].max().item()
     margin = 0.05 * max(u1 - u0, v1 - v0, 1e-9)
     w = (u1 - u0) + 2.0 * margin
     h = (v1 - v0) + 2.0 * margin

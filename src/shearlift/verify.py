@@ -19,9 +19,9 @@ from .analytic import (cauchy_derivatives, circle_derivative, circle_nodes,
 # verify.cauchy_derivative; the checks call cauchy_derivatives.
 from .analytic import cauchy_derivative  # noqa: F401
 from .errors import UnsupportedParameterError
-from .shear import grid_array, shear_array
+from .shear import grid_array, shear_grid
 # Bound here only so that perfbench/spans.py can wrap verify.shear_at;
-# oracle_equivalence calls shear_array.
+# oracle_equivalence calls shear_grid.
 from .shear import shear_at  # noqa: F401
 from .surface import GridSpec, lift_array
 # Bound here only so that perfbench/spans.py can wrap verify.lift_sample;
@@ -75,11 +75,12 @@ def _uv(params, z):
 
 def check_oracle_equivalence(params, grid=DEFAULT_GRID, tol=1e-8):
     """Closed-form (h, g) against the quadrature shear at every node; both
-    sides run on the whole lattice at once."""
+    sides run on the whole lattice at once, the quadrature ring to ring
+    along each spoke."""
     z = grid_array(grid)
     h, g = families.evaluate_array(params, z)
-    oh, og = shear_array(families.family_phi(params),
-                         families.family_omega(params), z)
+    oh, og = shear_grid(families.family_phi(params),
+                        families.family_omega(params), grid)
     residuals = np.maximum(np.abs(h - oh), np.abs(g - og))
     return _report("oracle_equivalence", params, grid, z, residuals, tol)
 

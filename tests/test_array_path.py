@@ -12,7 +12,9 @@ difference in an argument is amplified by about 1/(1 - |z|) (h' of the
 Mobius families differs by 1.1e-13 at z = 0.999); there the bound is
 four units of roundoff times that factor, which exceeds 1e-14 from
 |z| = 0.91 on.  The two quadratures evaluate their panels with one
-formula, so shear_array's h equals shear_at's bit for bit.
+formula, so shear_array's h equals shear_at's bit for bit.  shear_grid
+integrates a lattice ring to ring and sums along each spoke, so it meets
+them within the quadrature's accuracy, 1e-12 * max(1, |h|).
 """
 
 import functools
@@ -29,8 +31,9 @@ from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
 from shearlift.families import (FamilyParams, derivatives_array, evaluate,
                                 evaluate_array, family_omega, family_phi,
                                 fcn_h_and_lift, gprime, hprime)
-from shearlift.shear import (DilatationSpec, PrevertexSpec, grid_points,
-                             sample_grid, shear_array, shear_at)
+from shearlift.shear import (DilatationSpec, PrevertexSpec, grid_array,
+                             grid_points, sample_grid, shear_array, shear_at,
+                             shear_grid)
 from shearlift.special import hyp2f1_1c
 from shearlift.surface import GridSpec, lift_array, lift_sample
 from shearlift.verify import DEFAULT_GRID
@@ -291,3 +294,68 @@ def test_batched_quadrature_names_the_first_point_that_fails(monkeypatch):
     with pytest.raises(ConvergenceError,
                        match=re.escape("at grid point z=(0.495+0j)")):
         sample_grid(phi, omega, grid)
+
+
+# shear_grid on the verify grid, a map grid at the r_max limit and a
+# surface grid, for every shear of SHEAR_SPECS and the catalog shears of
+# the CLI tests
+GRID_SPECS = SHEAR_SPECS + [
+    pytest.param(family_phi(p), family_omega(p),
+                 id=f"{p.family}-c{p.c}-a{p.a}-n{p.n}")
+    for p in (FamilyParams(family="F_ca", c=0.0005, a=-1.0),
+              FamilyParams(family="f_cn", c=0.5, n=3),
+              FamilyParams(family="f_cn", c=1.5, n=8))]
+
+
+@pytest.mark.parametrize("grid", (DEFAULT_GRID, GridSpec(10, 24, 0.999),
+                                  GridSpec(40, 96, 0.98)),
+                         ids=("r0.9", "r0.999", "40x96"))
+@pytest.mark.parametrize("phi,omega", GRID_SPECS)
+def test_shear_grid_matches_shear_at(phi, omega, grid):
+    # shear_array stands in for shear_at on every point: its h is
+    # shear_at's bit for bit (test_shear_array_matches_shear_at).  The
+    # worst error measured over these cases is 4.7e-14.
+    h, g = shear_grid(phi, omega, grid)
+    want_h, want_g = shear_array(phi, omega, grid_array(grid))
+    scale = np.maximum(1.0, np.abs(want_h))
+    assert (np.abs(h - want_h) <= 1e-12 * scale).all()
+    assert (np.abs(g - want_g) <= 1e-12 * scale).all()
+
+
+def test_shear_grid_integrates_each_spoke_once(monkeypatch):
+    # on the verify grid nearly every ring-to-ring segment converges as
+    # one panel, and the lattice takes at most half the panels of its
+    # rays from 0; no shear takes more (F_a at a = -1, whose rays take
+    # about two panels each, comes nearest: 202 against 396)
+    panels = []
+    estimates = fallback._panel_estimates
+    monkeypatch.setattr(fallback, "_panel_estimates",
+                        lambda f, z0, dz, hw, x: panels.append(len(x))
+                        or estimates(f, z0, dz, hw, x))
+    segments = DEFAULT_GRID.rings * DEFAULT_GRID.spokes
+    rays = lattice = 0
+    for p in CLOSED_FORMS:
+        phi, omega = family_phi(p), family_omega(p)
+        panels.clear()
+        shear_array(phi, omega, grid_array(DEFAULT_GRID))
+        ray = sum(panels)
+        panels.clear()
+        shear_grid(phi, omega, DEFAULT_GRID)
+        assert sum(panels) <= min(ray, 1.1 * segments), p
+        rays += ray
+        lattice += sum(panels)
+    assert 2 * lattice <= rays
+
+
+def test_shear_grid_names_the_outer_end_of_the_first_failing_segment(
+        monkeypatch):
+    # with no bisection allowed, the segments of the inner rings converge
+    # and the outermost ring's do not: the first failing segment in
+    # ring-major order ends at spoke 0 of ring 10
+    monkeypatch.setattr(analytic, "DEFAULT_MAX_SUBDIVISIONS", 0)
+    p = FamilyParams(family="F_ca", c=0.0005, a=-1.0)
+    phi, omega = family_phi(p), family_omega(p)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape("at grid point z=(0.9+0j)")) as info:
+        shear_grid(phi, omega, DEFAULT_GRID)
+    assert info.value.index == 180

@@ -287,19 +287,20 @@ def test_bad_parameter_exits_two(tmp_path, capsys):
 
 def test_quadrature_failure_exits_two_naming_the_point(tmp_path, capsys,
                                                       monkeypatch):
-    # the quadrature oracle of oracle_equivalence, capped at one
-    # bisection, cannot converge on the default verify grid; the error
-    # names the first point that failed, for f_cn and for F_ca
+    # the quadrature oracle of oracle_equivalence, allowed no bisection,
+    # cannot converge on the default verify grid (its ring-to-ring
+    # segments converge within one); the error names the outer end of
+    # the first segment that failed, for f_cn and for F_ca
     batched = fallback.adaptive_segments
     monkeypatch.setattr(
         fallback, "adaptive_segments",
         lambda f, z0, z1, abs_tol, rel_tol, _: batched(f, z0, z1, abs_tol,
-                                                       rel_tol, 1))
+                                                       rel_tol, 0))
     for family, point in (
             (["--family", "f_cn", "--c", "1.0005", "--n", "8"],
-             "z=(0.54+0j)"),
+             "z=(0.9+0j)"),
             (["--family", "F_ca", "--c", "0.0005", "--a", "-1"],
-             "z=(-0.5991656052659468+0.19468070645621693j)")):
+             "z=(0.9+0j)")):
         out = tmp_path / "r.json"
         assert run("verify", *family, "--checks", "oracle_equivalence",
                    "--out", str(out)) == 2

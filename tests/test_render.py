@@ -1,16 +1,25 @@
 """The array writers of render against per-number reference writers.
 
 svg_document and obj_document write their float tables through the digit
-kernel of render, and tables under its size rule through one repeated
-%-template.  The reference writers below are the former per-point ones:
-one fmt9 call per number through str formatting, a join per polyline,
-and the face loop of build_mesh.  The two must give the same text byte
-for byte.  The kernel is also checked number by number against "%.9g" on
-a seeded sample of the numbers where a digit kernel is most likely to
-go wrong; CI runs kernel_mismatches on 10^7 of them.
+kernel of render, their face tables through its 4-digit groups, and
+tables under its size rule through one repeated %-template.  The
+reference writers below are the former per-point ones: one fmt9 call per
+number through str formatting, a join per polyline, and the face loop of
+build_mesh.  The two must give the same text byte for byte.  The kernel
+is also checked number by number against "%.9g" on a seeded sample of
+the numbers where a digit kernel is most likely to go wrong; CI runs
+kernel_mismatches on 10^7 of them.  The face writer is checked against
+"%d" at the edges of its groups and on a seeded sample; CI runs
+index_mismatches on every index up to 10^6 and on 10^6 seeded ones
+below 10^8.
+
+Whole documents are compared by assert_same_text, which fails on a short
+window around the first difference: pytest's diff of two ~0.2 MB
+documents would run for minutes.
 """
 
 import math
+import os
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -96,6 +105,16 @@ def ref_obj_document(params, grid, manifest):
     for i, j, k in ref_faces(grid):
         out.append(f"f {i + 1} {j + 1} {k + 1}")
     return "\n".join(out) + "\n"
+
+
+def assert_same_text(got, want):
+    """got == want, failing with 60 characters either side of the first
+    difference (the two windows differ at its offset i, or one of them
+    ends there)."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        window = slice(max(0, i - 60), i + 60)
+        assert (i, got[window]) == (i, want[window])
 
 
 def manifest(command, params, config):
@@ -231,6 +250,59 @@ def test_size_rule_paths_agree(monkeypatch):
     assert at == below + "\n" + NUM % x[-1]
 
 
+# --- the face writer against %d ---------------------------------------------
+
+FACE = "f %d %d %d"
+
+
+def percent_lines(template, rows):
+    return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def index_mismatches(indices, template=FACE):
+    """None if the face writer gives the "%d" text of every line of the
+    integer array indices (written one template a line), else the first
+    differing line and its "%d" text."""
+    rows = np.asarray(indices).reshape(-1, template.count("%d"))
+    got = render._index_lines(template, rows).split("\n")
+    want = percent_lines(template, rows).split("\n")
+    if len(got) != len(want):
+        return f"{len(got)} lines", f"{len(want)} lines"
+    return next(((a, b) for a, b in zip(got, want) if a != b), None)
+
+
+def test_index_writer_at_the_group_edges(monkeypatch):
+    edges = [1, 9_999, 10_000, 10_001, 99_999_999]
+    # every edge in every field, repeated to a table at the size rule
+    rows = np.array([edges[k:] + edges[:k] for k in range(5)])[:, :3]
+    rows = np.tile(rows, (-(-KERNEL_MIN // rows.size), 1))
+    assert index_mismatches(rows) is None
+    assert index_mismatches([0, 7, 10**8 - 1]) is None
+    calls = []
+    writer = render._index_lines
+    monkeypatch.setattr(render, "_index_lines",
+                        lambda *args: calls.append(1) or writer(*args))
+    assert render._lines(FACE, rows) == percent_lines(FACE, rows)
+    assert calls == [1]
+    # 10^8 is past the two groups, a negative number before them: the
+    # whole table goes through %
+    for bad in (10**8, -1):
+        table = rows.copy()
+        table[-1, -1] = bad
+        assert render._lines(FACE, table) == percent_lines(FACE, table)
+    assert calls == [1]
+
+
+def test_index_writer_matches_percent_d():
+    rng = np.random.default_rng(20261020)
+    sample = np.concatenate([rng.integers(0, 10**8, 30_000),
+                             rng.integers(0, 10**5, 30_000),
+                             np.arange(1, 30_001)])
+    assert index_mismatches(sample) is None
+    # the template's own bytes around the fields, %% included
+    assert index_mismatches(sample[:9], "[%d|%d %d]%%") is None
+
+
 # --- whole documents --------------------------------------------------------
 
 def test_svg_matches_reference_writer():
@@ -255,8 +327,8 @@ def test_svg_matches_reference_writer():
         rings, spokes = map_curves(params, cfg)
         assert rings.shape == (cfg.rings, cfg.samples_per_curve + 1, 2)
         assert spokes.shape == (cfg.spokes, cfg.samples_per_curve, 2)
-        assert (svg_document((rings, spokes), m)
-                == ref_svg_document(ref_map_curves(params, cfg), m))
+        assert_same_text(svg_document((rings, spokes), m),
+                         ref_svg_document(ref_map_curves(params, cfg), m))
 
 
 def test_obj_matches_reference_writer():
@@ -269,8 +341,8 @@ def test_obj_matches_reference_writer():
         m = manifest("surface", params, {"rings": grid.rings,
                                          "spokes": grid.spokes,
                                          "rmax": grid.r_max})
-        assert (obj_document(build_mesh(params, grid), m)
-                == ref_obj_document(params, grid, m))
+        assert_same_text(obj_document(build_mesh(params, grid), m),
+                         ref_obj_document(params, grid, m))
 
 
 def test_faces_match_reference_loop():
