@@ -1,4 +1,5 @@
-"""Disk-point checks, segment quadrature and Cauchy derivatives.
+"""Disk-point checks, the complex logarithm, segment quadrature and Cauchy
+derivatives.
 
 Every multivalued function in the package uses the principal branch.  All
 logarithm arguments that arise from the mapping families (1-z, 1+z,
@@ -53,6 +54,39 @@ def require_disk_points(z, r_max=R_MAX):
         for p in z[bad].tolist():
             require_disk_point(p, r_max)
     return z
+
+
+def clog(w):
+    """Principal logarithm of w != 0, the one complex log of the package:
+    cmath.log for a number (a Python or numpy scalar), and on an ndarray
+    log|w| + i atan2(Im w, Re w) from numpy's real loops, which take a
+    fraction of the time of numpy's complex log.
+
+    With m = max(|Re w|, |Im w|) and q = min(|Re w|, |Im w|)/m,
+    log|w| = log m + log1p(q^2)/2.  log(hypot(Re w, Im w)) would carry
+    the rounding of |w|, up to eps/2, which near w = 1 is many ulps of
+    log|w|, and the power families' root terms magnify it in F3.  Both
+    parts depend on |Re w| and |Im w| alone and atan2 is odd in Im w, so
+    clog(conj(w)) is conj(clog(w)) bit for bit."""
+    if not isinstance(w, np.ndarray):
+        return cmath.log(w)
+    if not w.ndim:
+        # numpy's unary loops give a number, not an array, on a 0-d array
+        return clog(w.reshape(1)).reshape(())
+    out = np.empty(w.shape, dtype=complex)
+    re, im, log_r = w.real, w.imag, out.real
+    ax = np.abs(re)
+    ay = np.abs(im)
+    big = np.maximum(ax, ay)
+    q = np.minimum(ax, ay)
+    q /= big
+    q *= q
+    np.log1p(q, out=q)
+    q *= 0.5
+    np.log(big, out=log_r)
+    log_r += q
+    np.arctan2(im, re, out=out.imag)
+    return out
 
 
 def integrate_segment(integrand, z0, z1):

@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import require_disk_point, require_disk_points, unit_roots
+from .analytic import (clog, require_disk_point, require_disk_points,
+                       unit_roots)
 from .errors import ConvergenceError, UnsupportedParameterError
 from .shear import DilatationSpec, MapSample, PrevertexSpec
 from .special import _horner, _powm1_over, _terms, hyp2f1_1c
@@ -118,7 +119,8 @@ def derivatives_array(params, z):
 # --- closed forms ----------------------------------------------------------
 #
 # Each closed form is written once with numpy, whose functions take a
-# number (evaluate) or an array (evaluate_array) alike.  A form takes the
+# number (evaluate) or an array (evaluate_array) alike, and takes its
+# logarithms from analytic.clog, which does the same.  A form takes the
 # family parameters p, the point z and the prevertex function phi, which
 # it evaluates at z, and returns (h, g); _FORMS below registers them by
 # family name, and _closed_form is the one caller of them.  _F_ca and
@@ -147,8 +149,8 @@ def _from_sum(p, phi):
 
 def _F_a(p, z, phi):
     a = float(p.a)
-    return _from_sum(-z + (1.0 - a) * np.log(1.0 + z)
-                     - (1.0 + a) * np.log(1.0 - z), phi(z))
+    return _from_sum(-z + (1.0 - a) * clog(1.0 + z)
+                     - (1.0 + a) * clog(1.0 - z), phi(z))
 
 
 def _F_0a(p, z, phi):
@@ -159,7 +161,7 @@ def _F_0a(p, z, phi):
 
 def _F_1a(p, z, phi):
     a = float(p.a)
-    return _from_sum(0.25 * (1.0 - a) * np.log((1.0 + z) / (1.0 - z))
+    return _from_sum(0.25 * (1.0 - a) * clog((1.0 + z) / (1.0 - z))
                      + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi(z))
 
 
@@ -168,7 +170,7 @@ def _F_ca(p, z):
     # c nears 0 or 1; its middle term is 4 k_c, so it also gives phi, with
     # the operations of shear.koebe_phi at a non-integer c
     c, a = float(p.c), float(p.a)
-    log_w = np.log((1.0 + z) / (1.0 - z))
+    log_w = clog((1.0 + z) / (1.0 - z))
     k = _powm1_over(c, log_w)
     h = 0.125 * ((a + 1.0) * _powm1_over(c + 1.0, log_w)
                  + 2.0 * k
@@ -196,8 +198,8 @@ def _root_pairs(c, n, z, lift=False):
     for k, e, alpha in _residues(c, n):
         w = -e * alpha
         w = w.real if c % 2 else 1j * w.imag
-        pair = (w * np.log(1.0 - z * e.conjugate())
-                + w.conjugate() * np.log(1.0 - z * e))
+        pair = (w * clog(1.0 - z * e.conjugate())
+                + w.conjugate() * clog(1.0 - z * e))
         h += pair
         if lift:
             t += (-1.0) ** k * pair
@@ -219,12 +221,12 @@ def _f_0n(p, z, phi, lift=False):
 def _f_1n(p, z, phi, lift=False):
     n = int(p.n)
     roots, roots_t = _root_pairs(1, n, z, lift)
-    log_1mz = np.log(1.0 - z)
+    log_1mz = clog(1.0 - z)
     h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
          + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
          - (n * n - 1.0) / (12.0 * n) * log_1mz)
     if n % 2 == 0:
-        log_1pz = np.log(1.0 + z)
+        log_1pz = clog(1.0 + z)
         h += log_1pz / (4.0 * n)
     h += roots
     g = h - phi(z)
@@ -416,7 +418,7 @@ def _fcn_terms(c, n, z):
     # column 0 at z, column 1 at conj(z)
     z = np.concatenate([z, z.conj()], axis=1)
     w = (1.0 + z) / (1.0 - z)
-    log_w = np.log(w)
+    log_w = clog(w)
     base = _powm1_over(c, log_w)
     phi = (0.5 * base[:, 0]).reshape(shape)
     # e_k = 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (integrate_segment, require_disk_point,
+from .analytic import (clog, integrate_segment, require_disk_point,
                        require_disk_points, unit_roots, vectorize)
 from .errors import ConvergenceError, InvalidDilatationError
 from .special import _powm1_over
@@ -38,7 +38,7 @@ def koebe_phi(c, z):
         return z / (1.0 - z)
     if c == 2.0:
         return z / (1.0 - z) ** 2
-    return 0.5 * _powm1_over(c, np.log((1.0 + z) / (1.0 - z)))
+    return 0.5 * _powm1_over(c, clog((1.0 + z) / (1.0 - z)))
 
 
 def koebe_phi_prime(c, z):

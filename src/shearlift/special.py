@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import integrate_segment
+from .analytic import clog, integrate_segment
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 
@@ -234,7 +234,7 @@ def _f1c_inverse(c, x, y, series):
     with the j = N term (N the nearest integer to c, if N >= 1) folded
     into the first one, since both grow like 1/(N - c) and cancel.  y is
     1/x and series the sum of the inverse table in y, all ndarrays."""
-    log_mx = np.log(-x)
+    log_mx = clog(-x)
     total = y * series
     near = round(c)
     if near < 1:
@@ -356,7 +356,7 @@ def hyp2f1_1c(c, x):
     if inverse.any():
         out[inverse] = _f1c_inverse(c, x[inverse], y_inverse, s_inverse)
     out[pfaff] = s_pfaff / u[pfaff]
-    out[log] = c * (s_log_a - np.log(u_log) * s_log_b)
+    out[log] = c * (s_log_a - clog(u_log) * s_log_b)
     if taylor.any():
         f_taylor = np.empty(len(order), dtype=complex)
         f_taylor[order] = np.concatenate(s_taylor)

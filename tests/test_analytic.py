@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shearlift.analytic import (cauchy_derivative, cauchy_derivatives,
-                                circle_derivative, circle_nodes,
+                                circle_derivative, circle_nodes, clog,
                                 integrate_segment, require_disk_point,
                                 unit_roots)
 from shearlift.errors import DomainError
@@ -118,3 +118,72 @@ def test_unit_roots_are_exact_at_quarter_turns_and_cmath_exp_elsewhere():
             zero = root.imag if root.imag == 0.0 else root.real
             assert root == want and not math.copysign(1.0, zero) < 0, (
                 count, k, root)
+
+
+def _log_arguments():
+    """Seeded arrays of the arguments the package takes logs of: 1 +- z,
+    (1+z)/(1-z) and 1 - z conj(e_k) for |z| up to 0.999 (the closed forms
+    and k_c), -x with |x| >= 5/3 (the 1/x route of hyp2f1_1c) and 1 - x
+    with |1 - x| <= 1/2 (its log route)."""
+    rng = np.random.default_rng(28)
+    m = 2000
+    z = np.concatenate([
+        0.999 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m)),
+        0.999 * np.exp(2j * np.pi * rng.random(200)),
+        10.0 ** rng.uniform(-9, -1, 200)
+        * np.exp(2j * np.pi * rng.random(200))])
+    x = (10.0 ** rng.uniform(math.log10(5 / 3), 6, m)
+         * np.exp(2j * np.pi * rng.random(m)))
+    u = 0.5 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+    return {"1 + z": 1.0 + z, "1 - z": 1.0 - z,
+            "(1 + z)/(1 - z)": (1.0 + z) / (1.0 - z),
+            "1 - z conj(e_k)": (1.0 - z[::4, None]
+                                * unit_roots(16).conj()).ravel(),
+            "-x": -x, "1 - x": 1.0 - (1.0 - u)}
+
+
+@pytest.mark.parametrize("name", list(_log_arguments()))
+def test_clog_against_mpmath(name):
+    mpmath = pytest.importorskip("mpmath")
+    w = _log_arguments()[name]
+    got = clog(w)
+    eps = np.finfo(float).eps
+    worst = near_one = 0.0
+    with mpmath.workdps(30):
+        for v, g in zip(w.tolist(), got.tolist()):
+            ref = mpmath.log(mpmath.mpc(v.real, v.imag))
+            err = mpmath.mpc(g.real, g.imag) - ref
+            worst = max(worst, abs(err) / max(1.0, abs(ref)))
+            # near w = 1, where the root terms of the power families cancel,
+            # log|w| keeps its digits relative to |w - 1|
+            if abs(v - 1.0) <= 0.5:
+                near_one = max(near_one, abs(err.real) / abs(v - 1.0))
+    # at worst 0.93 eps and 1.12 eps |w - 1| on these points, where
+    # numpy's complex log (glibc's clog) is within 0.78 eps and
+    # 1.49 eps |w - 1|; log(hypot(Re w, Im w)) is off by up to 3.6e7 eps
+    # |w - 1| near w = 1
+    assert worst <= 2.0 * eps, (name, float(worst / eps))
+    assert near_one <= 2.0 * eps, (name, float(near_one / eps))
+
+
+def test_clog_is_conjugate_symmetric_and_cmath_on_numbers():
+    # conj-symmetric bit for bit, which keeps the closed forms exactly real
+    # on the real axis; signed zeros and the negative axis included
+    axis = np.array([0.5, 2.0, -0.5, -3.0, 1.0], dtype=complex)
+    signed = np.concatenate([axis, axis.conj()])
+    for w in [*_log_arguments().values(), signed]:
+        got, mirrored = clog(w), clog(w.conj())
+        assert got.dtype == complex and got.shape == w.shape
+        assert (mirrored.view(np.uint64) == got.conj().view(np.uint64)).all()
+        for v in w[::97].tolist():
+            assert clog(v) == cmath.log(v)
+            assert clog(np.complex128(v)) == cmath.log(v)
+    assert clog(-2.0) == cmath.log(-2.0)
+    assert clog(np.float64(0.5)) == cmath.log(0.5)
+    assert clog(signed)[:5].imag.tolist() == [0.0, 0.0, math.pi, math.pi, 0.0]
+    # empty and 0-d arrays stay arrays of their shape
+    empty = clog(np.array([], dtype=complex))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    point = clog(np.array(0.3 - 0.4j))
+    assert isinstance(point, np.ndarray) and point.shape == ()
+    assert point == clog(np.array([0.3 - 0.4j]))[0]
