@@ -453,19 +453,35 @@ def _f_cn(p, z, phi, lift=False):
 
 # --- the near-origin series of every power family --------------------------
 #
-# Root terms of size |z| leave T, of size |z|^(n/2+1), to roundoff near 0,
-# so _closed_form sends |z| <= _SERIES_RADIUS here.  k_c'(s) = sum a_j s^j,
+# The closed forms sum root terms of size |z| to T, of size |z|^(n/2+1), so
+# T loses a factor of about |z|^(-n/2) of its relative accuracy, and
+# _closed_form sends |z| <= _series_radius(n) here.  k_c'(s) = sum a_j s^j,
 # a_0 = 1, a_1 = 2c, (j+1) a_(j+1) = 2c a_j + (j+1) a_(j-1) from (1 - s^2)
 # k_c'' = 2(c + s) k_c'; h' = sum b_j s^j, b_j = a_j + b_(j-n) ~ j^(c+1);
 # P = h + g = sum (2b_j - a_j) z^(j+1)/(j+1), T = sum b_j z^(j+m)/(j+m),
-# m = n/2 + 1.
+# m = n/2 + 1.  Every coefficient is positive, so Horner's sum loses at most
+# P(|z|)/|P(z)|, about ((1+|z|)/(1-|z|))^2 at c = 2 on the negative axis.
 _SERIES_RADIUS = 0.25
+# the closed forms' loss |z|^(-n/2) on _SERIES_RADIUS at n = 8, where
+# F3 holds to 1.3e-13 in verify's surface check; beyond _SERIES_CAP the
+# series would take over 1,000 terms
+_SERIES_LOSS = 4.0 ** 4
+_SERIES_CAP = 0.95
+
+
+def _series_radius(n):
+    """The radius up to which a power family takes the near-origin series:
+    _SERIES_RADIUS up to n = 8, then the r at which r^(-n/2) reaches
+    _SERIES_LOSS, up to _SERIES_CAP (0.33 at n = 10, 0.45 at 14, 0.5 at 16,
+    0.84 at 64).  g = (P - phi)/2 on both sides, so routing moves only
+    roundoff of g, but it keeps T to the loss of n = 8."""
+    return min(_SERIES_CAP, max(_SERIES_RADIUS, _SERIES_LOSS ** (-2.0 / n)))
 
 
 @lru_cache(maxsize=64)
 def _series(c, n):
     """The coefficients of P/z and of T/z^(n/2+1), highest order first."""
-    m = _terms(_SERIES_RADIUS, 1.0, c + 1.0)
+    m = _terms(_series_radius(n), 1.0, c + 1.0)
     a = [1.0, 2.0 * c]
     for j in range(1, m - 1):
         a.append((2.0 * c * a[j] + (j + 1) * a[j - 1]) / (j + 1))
@@ -506,7 +522,7 @@ def resolve_family(params):
 def _closed_form(params, z, lift=False):
     """(h, g) of the family at checked disk points from one call of its
     closed form, and with lift=True (power families only) (h, g, F3).  A
-    power family takes the near-origin series at |z| <= _SERIES_RADIUS."""
+    power family takes the near-origin series at |z| <= _series_radius(n)."""
     params = resolve_family(params)
     if params.family == "F_ca":
         return _F_ca(params, z)
@@ -514,7 +530,7 @@ def _closed_form(params, z, lift=False):
     phi = family_phi(params).phi
     if params.family not in _POWER_FAMILIES:
         return form(params, z, phi)
-    near = abs(z) <= _SERIES_RADIUS
+    near = abs(z) <= _series_radius(int(params.n))
     if not isinstance(near, bool):
         if near.any() and not near.all():
             out = np.empty((2 + lift,) + z.shape, complex)

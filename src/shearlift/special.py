@@ -125,6 +125,11 @@ def _terms(r, growth=0.0, degree=1.0):
     return m
 
 
+# numbers of one block of repeated coefficients in _horner_many (128 kB,
+# so that a block stays in cache while the loop reads it)
+_HORNER_BLOCK = 2 ** 13
+
+
 def _horner(coeffs, y):
     """The polynomial with coeffs, highest order first, at y: the one
     Horner loop of the package.  A Python complex y stays in Python
@@ -139,17 +144,26 @@ def _horner(coeffs, y):
 def _horner_many(series):
     """The sums sum_{k<m} coeffs[k] y^k of several series (coeffs, m, y),
     with y a complex ndarray, in one _horner pass over all their points:
-    the series are stacked in one table, zero-padded to the longest.  A
-    value can move in the last bit with the batch it is in, since numpy
-    may round an in-place complex multiply differently with the length
-    of the arrays."""
+    the series are stacked in one table, zero-padded to the longest, and
+    each coefficient is repeated over its series' points, as many terms
+    at a time as fit in _HORNER_BLOCK numbers (all of them on a small
+    batch, in one numpy call).  A value can move in the last bit with the
+    batch it is in, since numpy may round an in-place complex multiply
+    differently with the length of the arrays."""
     sizes = np.array([y.size for _, _, y in series])
     table = np.zeros((len(series), max(m for _, m, _ in series)),
                      dtype=complex)
     for row, (coeffs, m, _) in zip(table, series):
         row[:m] = coeffs[:m]
     y = np.concatenate([y for _, _, y in series])
-    acc = _horner((column.repeat(sizes) for column in table.T[::-1]), y)
+    columns = table.T[::-1]
+    step = max(1, _HORNER_BLOCK // max(1, y.size))
+
+    def repeated():
+        for j in range(0, len(columns), step):
+            yield from columns[j:j + step].repeat(sizes, axis=1)
+
+    acc = _horner(repeated(), y)
     return np.split(acc, np.cumsum(sizes)[:-1])
 
 
@@ -226,15 +240,15 @@ def _f1c_tables(c):
         pfaff=tuple(pfaff), log_b=tuple(log_b), log_a=tuple(log_a))
 
 
-def _f1c_inverse(c, x, y, series):
+def _f1c_inverse(c, log_mx, y, series):
     """DLMF 15.8.2 for |x| > 1:
 
         pi c (-x)^-c / sin(pi c) + sum_{j>=1} c x^-j / (j - c),
 
     with the j = N term (N the nearest integer to c, if N >= 1) folded
-    into the first one, since both grow like 1/(N - c) and cancel.  y is
-    1/x and series the sum of the inverse table in y, all ndarrays."""
-    log_mx = clog(-x)
+    into the first one, since both grow like 1/(N - c) and cancel.  log_mx
+    is log(-x), y is 1/x and series the sum of the inverse table in y, all
+    ndarrays."""
     total = y * series
     near = round(c)
     if near < 1:
@@ -353,10 +367,14 @@ def hyp2f1_1c(c, x):
         (tables.log_a, m_log, u_log), (tables.log_b, m_log, u_log)]
         + s_taylor)
     out[power] = s_power
-    if inverse.any():
-        out[inverse] = _f1c_inverse(c, x[inverse], y_inverse, s_inverse)
+    # one clog call for the logarithms of both routes: on the few points
+    # of a small batch its fixed cost outweighs its work
+    if s_inverse.size or s_log_a.size:
+        logs = clog(np.concatenate((-x[inverse], u_log)))
+        out[inverse] = _f1c_inverse(c, logs[:s_inverse.size], y_inverse,
+                                    s_inverse)
+        out[log] = c * (s_log_a - logs[s_inverse.size:] * s_log_b)
     out[pfaff] = s_pfaff / u[pfaff]
-    out[log] = c * (s_log_a - clog(u_log) * s_log_b)
     if taylor.any():
         f_taylor = np.empty(len(order), dtype=complex)
         f_taylor[order] = np.concatenate(s_taylor)

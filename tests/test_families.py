@@ -239,11 +239,11 @@ def test_fixed_c_families_are_real_on_the_real_axis(family):
     # each root pair is summed as w log(1 - z conj e) + conj(w) log(1 - z e)
     # and the near-origin series has real coefficients, so h and F3 have
     # no roundoff imaginary part on either side of the series radius
-    r = families._SERIES_RADIUS
-    edge = [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)]
-    x = np.concatenate([np.linspace(-0.999, 0.999, 37), edge,
-                        np.negative(edge)])
     for n in (3, 4, 5, 8, 16, 64):
+        r = families._series_radius(n)
+        edge = [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)]
+        x = np.concatenate([np.linspace(-0.999, 0.999, 37), edge,
+                            np.negative(edge)])
         p = FamilyParams(family=family, n=n)
         assert (evaluate_array(p, x)[0].imag == 0).all(), n
         assert all(evaluate(p, z).h.imag == 0 for z in x.tolist()), n

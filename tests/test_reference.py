@@ -5,7 +5,8 @@ Appell F1 form of h against the 2F1 route; h and F3 of every closed form,
 the former c bands of F_ca and f_cn included, against 30-digit mpmath.quad;
 appell_f1 against mpmath.appellf1; for the quadrature oracle, h and F3
 near the unit circle against 30-digit mpmath.quad; F3 of every power
-family near the origin, where the near-origin series serves it; the Koebe
+family near the origin and out to the radius where the near-origin series
+serves it; the Koebe
 prevertex k_c and k_c' against mpmath, and their continuity in c at
 c = 1 and 2.
 
@@ -21,6 +22,7 @@ import pytest
 
 import numpy as np
 
+from shearlift import families
 from shearlift.analytic import unit_roots
 from shearlift.families import (FamilyParams, evaluate, evaluate_array,
                                 family_omega, family_phi, fcn_h_and_lift)
@@ -511,3 +513,41 @@ def test_f0n_map_samples_next_to_the_origin(mp):
         assert abs(ref - want) <= 1e-14 * want
         for u in (evaluate(params, z[i]).u, (h[i] + g[i]).real):
             assert abs(u - ref) <= 1e-14 * ref, (z[i], u)
+
+
+# Out to _series_radius(n) the power families take the near-origin
+# series; beyond it the closed forms, whose root terms of size |z| sum to T
+# of size |z|^(n/2+1), lose about _SERIES_LOSS = 256 times more of T's
+# relative accuracy (test_array_path checks that the two meet).  At the
+# parent's radius of 1/4 the closed forms took over from 0.25 and were off
+# by 6e-11 (f_cn, c = 1.5) to 3e-10 (f_2n) at n = 16 and |z| = 0.26.  Rings
+# from 1/4 to just inside the radius, at angles off both axes.
+BETWEEN_RADII = ([FamilyParams(family=f, n=n)
+                  for f in ("f_0n", "f_1n", "f_2n") for n in (16, 32, 64)]
+                 + [FamilyParams(family="f_cn", c=1.5, n=n)
+                    for n in (16, 32, 64)])
+
+
+@pytest.mark.parametrize("params", BETWEEN_RADII,
+                         ids=lambda p: f"{p.family}-c{p.c}-n{p.n}")
+def test_f3_between_the_radii_against_quadrature(mp, params):
+    # F3 = 2 Im T of the scalar and the array call within 1e-13 of 2 T(r),
+    # the size of T on the ring |z| = r: every coefficient of T is
+    # positive, so towards the negative axis T cancels to far less than
+    # T(r), in the series and the closed forms alike.  T from 30-digit
+    # quadrature.
+    hprime = _mp_hprime(mp, params)
+    m = params.n // 2
+
+    def lift_integral(p):
+        return complex(_gauss_quad(mp, lambda s: hprime(s) * s ** m, p))
+
+    rho = families._series_radius(params.n)
+    for r in (0.26, 0.5 * (0.26 + rho), (1.0 - 1e-9) * rho):
+        points = [r * cmath.exp(1j * t) for t in (0.3, 1.9, -2.6)]
+        f3_array = lift_array(params, np.array(points))[2]
+        bound = 1e-13 * 2.0 * lift_integral(r).real
+        for i, p in enumerate(points):
+            ref = 2.0 * lift_integral(p).imag
+            assert abs(lift_sample(params, p).f3 - ref) <= bound, p
+            assert abs(f3_array[i] - ref) <= bound, p
