@@ -125,9 +125,10 @@ def _terms(r, growth=0.0, degree=1.0):
     return m
 
 
-# numbers of one block of repeated coefficients in _horner_many (128 kB,
-# so that a block stays in cache while the loop reads it)
-_HORNER_BLOCK = 2 ** 13
+# numbers of one block of repeated coefficients in _horner_many (64 kB, so
+# that a block stays in cache while the loop reads it and adds little to
+# the peak memory)
+_HORNER_BLOCK = 2 ** 12
 
 
 def _horner(coeffs, y):
