@@ -473,8 +473,8 @@ def _series_radius(n):
     """The radius up to which a power family takes the near-origin series:
     _SERIES_RADIUS up to n = 8, then the r at which r^(-n/2) reaches
     _SERIES_LOSS, up to _SERIES_CAP (0.33 at n = 10, 0.45 at 14, 0.5 at 16,
-    0.84 at 64).  g = (P - phi)/2 on both sides, so routing moves only
-    roundoff of g, but it keeps T to the loss of n = 8."""
+    0.84 at 64).  Both sides take g as a difference with phi, so the
+    radius moves only g's roundoff; it is chosen for T."""
     return min(_SERIES_CAP, max(_SERIES_RADIUS, _SERIES_LOSS ** (-2.0 / n)))
 
 

@@ -518,10 +518,10 @@ def test_f0n_map_samples_next_to_the_origin(mp):
 # Out to _series_radius(n) the power families take the near-origin
 # series; beyond it the closed forms, whose root terms of size |z| sum to T
 # of size |z|^(n/2+1), lose about _SERIES_LOSS = 256 times more of T's
-# relative accuracy (test_array_path checks that the two meet).  At the
-# parent's radius of 1/4 the closed forms took over from 0.25 and were off
-# by 6e-11 (f_cn, c = 1.5) to 3e-10 (f_2n) at n = 16 and |z| = 0.26.  Rings
-# from 1/4 to just inside the radius, at angles off both axes.
+# relative accuracy (test_array_path checks that the two meet).  With a
+# fixed radius of 1/4 the closed forms would serve |z| = 0.26 and be off by
+# 6e-11 (f_cn, c = 1.5) to 3e-10 (f_2n) at n = 16.  Rings from 1/4 to just
+# inside the radius, at angles off both axes.
 BETWEEN_RADII = ([FamilyParams(family=f, n=n)
                   for f in ("f_0n", "f_1n", "f_2n") for n in (16, 32, 64)]
                  + [FamilyParams(family="f_cn", c=1.5, n=n)

@@ -126,10 +126,10 @@ def test_surface_check(params):
     assert r.passed and r.max_residual < r.tolerance / 10
 
 
-# n where the closed-form F3 failed the check (3.1e-11 to 2.4e-10) and the
-# near-origin series now passes it with less margin: the rest is the
-# 32-node circle rule, whose circles about the ring |z| = 0.2 reach the
-# zero of order n/2 + 1 of F3 at z = 0
+# n where the closed-form F3 from |z| = 1/4 on fails the check (3.1e-11
+# to 2.4e-10) and the near-origin series passes it with less margin: the
+# rest is the 32-node circle rule, whose circles about the ring |z| = 0.2
+# reach the zero of order n/2 + 1 of F3 at z = 0
 @pytest.mark.parametrize("params", [
     FamilyParams(family="f_2n", n=14), FamilyParams(family="f_2n", n=16),
     FamilyParams(family="f_cn", c=1.5, n=16)], ids=_surface_id)
