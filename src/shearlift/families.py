@@ -398,20 +398,15 @@ def _fcn_roots(c, n):
 
 
 def fcn_h_and_lift(c, n, z):
-    """h(z) of f_cn and T(z) = int_0^z h'(s) s^(n/2) ds, for c in (0, 2)
-    (T is None for odd n): Python complex values at a disk point z,
-    complex ndarrays of z's shape at an array of disk points.  The
-    minimal-surface height is F3 = 2 Im T.  The roots e_k = +-1 give
-    elementary terms; the others go through one hyp2f1_1c call over
-    (points, one root of each conjugate pair at z and at conj z).  Each point
-    sums its roots along a row of its own, in the same order alone as in
-    an array."""
-    return _fcn_terms(c, n, z)[:2]
-
-
-def _fcn_terms(c, n, z):
-    """fcn_h_and_lift's (h, T) and phi = k_c, half its (w^c - 1)/c term,
-    in the operations of the expm1 form of shear.koebe_phi."""
+    """h(z) of f_cn, T(z) = int_0^z h'(s) s^(n/2) ds, and phi = k_c, for c
+    in (0, 2) (T is None for odd n): Python complex values at a disk point
+    z, complex ndarrays of z's shape at an array of disk points.  The
+    minimal-surface height is F3 = 2 Im T, and phi is half the (w^c - 1)/c
+    term of h, in the operations of the expm1 form of shear.koebe_phi.
+    The roots e_k = +-1 give elementary terms; the others go through one
+    hyp2f1_1c call over (points, one root of each conjugate pair at z and
+    at conj z).  Each point sums its roots along a row of its own, in the
+    same order alone as in an array."""
     number = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.reshape(-1, 1)
@@ -447,7 +442,7 @@ def _fcn_terms(c, n, z):
 
 
 def _f_cn(p, z, phi, lift=False):
-    h, t, k = _fcn_terms(float(p.c), int(p.n), z)
+    h, t, k = fcn_h_and_lift(float(p.c), int(p.n), z)
     return (h, h - k, 2.0 * t.imag) if lift else (h, h - k)
 
 

@@ -59,7 +59,6 @@ class DilatationSpec:
     kind: str
     n: int = 0
     a: float = 0.0
-    q: object = None
     omega: object = None
 
     @classmethod
@@ -84,7 +83,7 @@ class DilatationSpec:
 
     @classmethod
     def square_of(cls, q):
-        spec = cls(kind="square_of_q", q=q, omega=lambda z: q(z) ** 2)
+        spec = cls(kind="square_of_q", omega=lambda z: q(z) ** 2)
         spec._validate_samples()
         return spec
 
@@ -190,13 +189,12 @@ def shear_array(phi, omega, z):
     """h and g of the sheared map at an array of disk points, as complex
     ndarrays of z's shape: shear_at's quadrature on every point at once.
 
-    Each point is integrated along its own ray from 0, so h equals
-    shear_at's bit for bit; a lattice is cheaper through shear_grid.  A
-    ConvergenceError names the first point, in C order, where the
-    quadrature failed, and carries its flat index.  A one-element array
-    can differ from shear_at in the last bits: its first panel is then a
-    (1, 15) @ (15,) product, which BLAS may round differently from a row
-    of a larger product.
+    Each point is integrated along its own ray from 0, and each panel's
+    sums come from one row-wise reduction of its own values, so h equals
+    shear_at's bit for bit, whatever the size of the array; a lattice is
+    cheaper through shear_grid.  A ConvergenceError names the first
+    point, in C order, where the quadrature failed, and carries its flat
+    index.
     """
     z = require_disk_points(z)
     h = _integrate_h(phi, omega, 0j, z)

@@ -12,7 +12,8 @@ difference in an argument is amplified by about 1/(1 - |z|) (h' of the
 Mobius families differs by 1.1e-13 at z = 0.999); there the bound is
 four units of roundoff times that factor, which exceeds 1e-14 from
 |z| = 0.91 on.  The two quadratures evaluate their panels with one
-formula, so shear_array's h equals shear_at's bit for bit.  shear_grid
+formula, whose sums do not depend on the batch, so shear_array's h
+equals shear_at's bit for bit, for one point as for many.  shear_grid
 integrates a lattice ring to ring and sums along each spoke, so it meets
 them within the quadrature's accuracy, 1e-12 * max(1, |h|).
 """
@@ -198,8 +199,7 @@ def test_one_point_calls_give_python_numbers():
             assert [type(x) for x in (lift.u, lift.v, lift.f3)] == [
                 float] * 3, params
     assert type(hyp2f1_1c(0.7, 0.3 - 0.2j)) is complex
-    h, t = fcn_h_and_lift(0.7, 6, z)
-    assert type(h) is complex and type(t) is complex
+    assert [type(x) for x in fcn_h_and_lift(0.7, 6, z)] == [complex] * 3
     assert fcn_h_and_lift(0.7, 3, z)[1] is None
 
 
@@ -285,6 +285,25 @@ def test_shear_array_matches_shear_at(phi, omega, grid):
         [s.h for s in samples]).view(np.uint64).tolist()
     # phi of an array against phi of a Python complex
     assert_close(g, [s.g for s in samples], z)
+
+
+@pytest.mark.parametrize("grid", (GridSpec(7, 12, 0.999),
+                                  GridSpec(10, 24, 0.9)),
+                         ids=("r0.999", "r0.9"))
+@pytest.mark.parametrize("params", (FamilyParams(family="F_ca", c=0.5,
+                                                 a=-0.3),
+                                    FamilyParams(family="F_a", a=0.4),
+                                    FamilyParams(family="F_1a", a=-0.6),
+                                    FamilyParams(family="f_2n", n=6)),
+                         ids=lambda p: p.family)
+def test_one_element_shear_array_matches_shear_at(params, grid):
+    # a panel's sums do not depend on how many panels share the call, so
+    # a point alone in shear_array gets shear_at's h bit for bit
+    phi, omega = family_phi(params), family_omega(params)
+    for p in grid_points(grid):
+        h, _ = shear_array(phi, omega, np.array([p]))
+        want = np.array([shear_at(phi, omega, p).h])
+        assert h.view(np.uint64).tolist() == want.view(np.uint64).tolist(), p
 
 
 def test_batched_quadrature_names_the_first_point_that_fails(monkeypatch):

@@ -224,13 +224,13 @@ def test_fcn_is_real_on_the_real_axis():
     x = np.linspace(-0.999, 0.999, 37)
     for c in (0.3, 0.5, 1.5, 1.999):
         for n in (3, 4, 8):
-            h, t = fcn_h_and_lift(c, n, x)
+            h, t, _ = fcn_h_and_lift(c, n, x)
             assert (h.imag == 0).all(), (c, n)
             assert (t is None) == (n % 2 == 1)
             if t is not None:
                 assert (t.imag == 0).all(), (c, n)
             for z in (-0.95, -0.3, 0.01, 0.5, 0.999):
-                h, t = fcn_h_and_lift(c, n, z)
+                h, t, _ = fcn_h_and_lift(c, n, z)
                 assert h.imag == 0 and (t is None or t.imag == 0), (c, n, z)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from shearlift import _kernels
 from shearlift._kernels import fallback
-from shearlift._kernels.fallback import GAUSS_IDX, WG, WGK, XGK
+from shearlift._kernels.fallback import WG, WGK, XGK
 from shearlift.errors import ConvergenceError
 
 TOLS = (1e-12, 1e-12, 2000)
@@ -152,53 +152,54 @@ def test_global_error_control_reaches_the_boundary_layer():
         assert abs(h - exact) <= 1e-12 * abs(exact)
 
 
-def plain_panel_rule(f, z0, dz, owner, t0, t1):
-    """The G7/K15 panel rule written plainly: segment starts and lengths
-    gathered by owner, the nodes z0 + (mid + hw*XGK)*dz, and the products
-    fv @ WGK and fv[:, GAUSS_IDX] @ WG (an advanced-indexing copy)."""
-    mid = 0.5 * (t0 + t1)
-    hw = 0.5 * (t1 - t0)
-    d = dz[owner, None]
-    fv = np.asarray(f(z0[owner, None]
-                      + (mid[:, None] + hw[:, None] * XGK) * d)) * d
-    ik = hw * (fv @ WGK)
-    return ik, np.abs(ik - hw * (fv[:, GAUSS_IDX] @ WG))
-
-
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape
             and (a.view(np.uint64) == b.view(np.uint64)).all())
 
 
-@pytest.mark.parametrize("rows", (1, 3, 7, 64, 1000))
-def test_panel_estimates_have_the_bits_of_the_plain_rule(rows):
-    # The kernel's products take other numpy calls than the plain rule
-    # (.dot, a column-major G7 slice, no gathers), on the same BLAS path:
-    # a C-order slice or a padded weight vector would round differently.
-    # Both run on this numpy, so a BLAS or layout change shows here.
-    rng = np.random.default_rng(rows)
+@pytest.mark.parametrize("per_panel", (False, True),
+                         ids=("two-numbers", "per-panel-arrays"))
+def test_panel_estimates_do_not_depend_on_the_batch(per_panel):
+    # each panel's K15 and K15 - G7 sums are a reduction of its own 15
+    # values: alone, in small batches and inside a 1000-row batch, a
+    # panel gets the same bits
+    rng = np.random.default_rng(29)
+    rows = 1000
     t0 = rng.random(rows) * 0.9
     t1 = t0 + rng.random(rows) * (1.0 - t0)
+    hw, x = fallback._panel_nodes(t0, t1)
     f = koebe_prime(0.5)
     segments = 5
     # segments inside |z| < 0.92, away from the poles at +-1
     z0 = 0.3 * (rng.random(segments) + 1j * rng.random(segments) - 0.5
                 - 0.5j)
     dz = 0.5 * (rng.random(segments) + 1j * rng.random(segments))
-    nodes = fallback._panel_nodes(t0, t1)
-    # one segment, as adaptive_segment passes it: two numbers
-    want = plain_panel_rule(f, z0[:1], dz[:1], np.zeros(rows, dtype=int),
-                            t0, t1)
-    got = fallback._panel_estimates(f, complex(z0[0]), complex(dz[0]),
-                                    *nodes)
-    assert all(map(same_bits, got, want))
-    # per-panel segments, as adaptive_segments passes them
     owner = rng.integers(0, segments, rows)
-    want = plain_panel_rule(f, z0, dz, owner, t0, t1)
-    got = fallback._panel_estimates(f, z0[owner, None], dz[owner, None],
-                                    *nodes)
-    assert all(map(same_bits, got, want))
+
+    def ends(batch):
+        # per-panel segments, as adaptive_segments passes them, or one
+        # segment as two numbers, as adaptive_segment passes it
+        if per_panel:
+            return z0[owner[batch], None], dz[owner[batch], None]
+        return complex(z0[0]), complex(dz[0])
+
+    def estimates(batch):
+        return fallback._panel_estimates(f, *ends(batch), hw[batch],
+                                         x[batch])
+
+    whole = estimates(slice(None))
+    for size in (1, 2, 3, 7, 33, 64):
+        parts = [estimates(slice(i, i + size)) for i in range(0, rows, size)]
+        assert all(map(same_bits, map(np.concatenate, zip(*parts)), whole))
+    # and the sums are the rule's: K15, and |K15 - G7|, to roundoff
+    start, d = ends(slice(None))
+    fv = f(start + x * d) * d
+    k15 = hw * (fv @ WGK)
+    scale = hw * (np.abs(fv) @ WGK)
+    assert (np.abs(whole[0] - k15) <= 1e-14 * scale).all()
+    g7 = hw * (fv[:, 1::2] @ WG)
+    assert (np.abs(whole[1] - np.abs(k15 - g7)) <= 1e-14 * scale).all()
 
 
 def test_first_call_nodes_are_the_rule_on_the_segment_and_its_halves():

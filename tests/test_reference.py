@@ -161,7 +161,7 @@ def test_fcn_h_and_f3_against_quadrature(mp):
              for n in (1, 3, 4, 8)]
     for i, (c, n) in enumerate(cases):
         z = radii[i % 3] * cmath.exp(2j * math.pi * rng.random())
-        h, t = fcn_h_and_lift(c, n, z)
+        h, t, _ = fcn_h_and_lift(c, n, z)
         ref_h, ref_t = _reference_h_t(mp, c, n, z)
         err = abs(h - ref_h) / max(1.0, abs(ref_h))
         if n % 2 == 0:
@@ -202,7 +202,7 @@ def test_fcn_matches_appell_f1_form():
     for c in (0.5, 1.5):
         for n in (3, 4):
             for z in (0.6 + 0.3j, 0.55 - 0.15j, 0.7):
-                h, _ = fcn_h_and_lift(c, n, z)
+                h, _, _ = fcn_h_and_lift(c, n, z)
                 ref = _h_appell(c, n, z)
                 assert abs(h - ref) < 1e-10 * max(1.0, abs(ref)), (c, n, z)
 
