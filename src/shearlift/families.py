@@ -553,11 +553,6 @@ def evaluate_array(params, z):
 
 # --- shorthands: evaluate of one family ------------------------------------
 
-def eval_F_a(a, z):
-    """Shear of the identity map."""
-    return evaluate(FamilyParams("F_a", a=a), z)
-
-
 def eval_F_0a(a, z):
     """Shear of the strip map k_0; image lies in |v| < pi/4."""
     return evaluate(FamilyParams("F_0a", a=a), z)
@@ -571,25 +566,3 @@ def eval_F_1a(a, z):
 def eval_F_ca(c, a, z):
     """Shear of k_c by the Mobius-type dilatation."""
     return evaluate(FamilyParams("F_ca", c=c, a=a), z)
-
-
-def eval_f0n(n, z):
-    """Strip family: shear of k_0 by z^n."""
-    return evaluate(FamilyParams("f_0n", n=n), z)
-
-
-def eval_f1n(n, z):
-    """Wave-plane family: shear of k_1 by z^n."""
-    return evaluate(FamilyParams("f_1n", n=n), z)
-
-
-def eval_f2n(n, z):
-    """Slit family: shear of k_2 by z^n (n = 1 is the harmonic Koebe
-    function)."""
-    return evaluate(FamilyParams("f_2n", n=n), z)
-
-
-def eval_fcn(c, n, z):
-    """General family: shear of k_c by z^n, through the 2F1 reduction
-    above (the paper writes the same h with Appell F1)."""
-    return evaluate(FamilyParams("f_cn", c=c, n=n), z)

@@ -5,20 +5,21 @@ decimal separator regardless of locale, and no output line depends on
 time, environment, or iteration order of anything unordered, so repeated
 runs produce byte-identical files.
 
-The rule is CPython's "%.9g" of the flushed value.  The float tables of
-svg_document and obj_document (curve points, mesh vertices) are written
-by a numpy digit kernel, in blocks of BLOCK numbers, wherever a table
-holds at least KERNEL_MIN numbers.  The kernel writes +-0 and every
-1e-4 <= |x| < 1e9, where %g writes fixed notation, unless the
-9-digit rounding of x lies within its tie guard; % writes the rest:
-|x| outside [1e-4, 1e9), values within the tie guard, NaN and inf, and
-whole tables under KERNEL_MIN numbers.  The bytes cannot differ from
-%'s: %.9g is the correctly rounded 9-digit decimal (Gay, 1990), the
-kernel rounds the same exact value and keeps a number only where one
-correctly rounded product proves that rounding, and it writes the text
-that %g writes for that decimal.  The face records of obj_document are
-written the same way from two 4-digit groups an index, in tables of at
-least KERNEL_MIN numbers all below INDEX_END = 10^8; % writes the rest.
+The rule is CPython's "%.9g" of the flushed value.  The number tables
+of svg_document and obj_document (curve points, mesh vertices, face
+indices) are written by one line assembly, in blocks of BLOCK numbers,
+wherever a table holds at least KERNEL_MIN numbers; % writes smaller
+tables whole.  The assembly takes the text of each number from one of
+two cell builders.  The numpy digit kernel writes floats: +-0 and every
+1e-4 <= |x| < 1e9, where %g writes fixed notation, unless the 9-digit
+rounding of x lies within its tie guard; % writes the rest: |x| outside
+[1e-4, 1e9), values within the tie guard, NaN and inf.  The bytes cannot
+differ from %'s: %.9g is the correctly rounded 9-digit decimal (Gay,
+1990), the kernel rounds the same exact value and keeps a number only
+where one correctly rounded product proves that rounding, and it writes
+the text that %g writes for that decimal.  The index builder writes
+integers as two 4-digit groups, in tables whose numbers all lie in
+[0, INDEX_END) with INDEX_END = 10^8; % writes any other integer table.
 """
 
 import cmath
@@ -87,10 +88,10 @@ def _flushed(x):
     return np.where(np.abs(x) < FLUSH, 0.0, x)
 
 
-# The digit kernel writes NUM's text of float tables from numpy arrays,
-# BLOCK numbers at a time, the block size at which it took the least time
-# a number.  A float table of fewer than KERNEL_MIN numbers, for which
-# the kernel's fixed cost exceeds its gain over %, takes the % path whole.
+# The line assembly writes number tables from numpy arrays, BLOCK numbers
+# at a time, the block size at which the digit kernel took the least time
+# a number.  A table of fewer than KERNEL_MIN numbers, for which the
+# kernel's fixed cost exceeds its gain over %, takes the % path whole.
 BLOCK, KERNEL_MIN = 4096, 700
 # Integer tables (face indices) are written from two 4-digit groups a
 # number, so below INDEX_END; a table with a larger or negative number
@@ -185,82 +186,52 @@ def _number_cells(x):
     return cells, ok
 
 
-def _words(text):
-    """text as little-endian 4-cell words, padded with 0 cells."""
-    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), "<u4")
+def _index_cells(x):
+    """The text of each integer 0 <= i < INDEX_END of the array x as one
+    little-endian word of eight cells: i // 10^4 from the leading-zero
+    table of _digit_groups(), then i % 10^4 from the full table, or from
+    the units table when i < 10^4."""
+    i = x.astype(np.intp, copy=False)
+    hi = i // 10000
+    g = np.empty((i.size, 2), np.intp)
+    np.add(hi, _LEAD, out=g[:, 0])
+    np.add(i - 10000 * hi, np.where(hi > 0, _FULL, _UNITS), out=g[:, 1])
+    return _digit_groups().take(g).view("<u8")
 
 
-def _kernel_lines(template, rows):
-    """_lines of a float table through the digit kernel.  Between two
-    numbers the template holds exactly one byte, which goes into the
-    free first cell of the second number's words.
+def _table_lines(template, field, rows, cells):
+    """_lines of the table rows for a template whose fields are all the
+    text field, with exactly one byte between two fields.  The cell
+    builder cells(x) gives the text of each number of the flat array x
+    as one row of words, a cleared cell 0: the digit kernel's words of
+    a float, or _index_cells' word of an index.
 
-    Each line of a block is one row of words: the template's head, the
-    words of each number and the tail with its newline.  The block
-    becomes text in one tobytes().translate that drops the 0 cells.
+    The table goes BLOCK numbers at a time.  Each line of a block is one
+    row of bytes: the template's head, for each field one separator byte
+    (0 for the first) and its number's words, and the tail with its
+    newline.  The block becomes text in one tobytes().translate that
+    drops the 0 cells.
     """
-    head, *seps, tail = template.split(NUM)
-    fields = len(seps) + 1
-    sep = np.zeros(fields, "<u4")
-    sep[1:] = np.frombuffer("".join(seps).encode(), np.uint8)
-    head = _words(head.replace("%%", "%").encode())
-    tail = _words(tail.replace("%%", "%").encode() + b"\n")
-    h, w = head.size, head.size + 7 * fields
-    per_block = max(1, BLOCK // fields)
-    out = []
-    for start in range(0, len(rows), per_block):
-        x = rows[start:start + per_block].ravel()
-        n = x.size // fields
-        cells = _number_cells(x)[0]
-        first = cells[0].reshape(n, fields)
-        first |= sep
-        line = np.empty((n, w + tail.size), "<u4")
-        line[:, :h] = head
-        line[:, w:] = tail
-        line[:, h:w].reshape(n, fields, 7)[...] = (
-            cells.reshape(7, n, fields).transpose(1, 2, 0))
-        out.append(line.tobytes().translate(None, b"\0").decode("ascii"))
-    out[-1] = out[-1][:-1]
-    return "".join(out)
-
-
-def _index_lines(template, rows):
-    """_lines of a table of integers 0 <= i < INDEX_END for a template
-    of %d fields, each written as two 4-digit groups of _digit_groups():
-    i // 10^4 from the leading-zero table, then i % 10^4 from the full
-    table, or from the units table when i < 10^4.  Between two fields
-    the template holds exactly one byte.
-
-    Each line of a block is one row of bytes: the template's head, nine
-    cells for each field (the byte before it, or 0 for the first, and
-    its two groups) and the tail with its newline, made text by one
-    tobytes().translate that drops the 0 cells.
-    """
-    head, *seps, tail = template.split("%d")
+    head, *seps, tail = template.split(field)
     fields = len(seps) + 1
     sep = np.zeros(fields, np.uint8)
     sep[1:] = np.frombuffer("".join(seps).encode(), np.uint8)
     head = np.frombuffer(head.replace("%%", "%").encode(), np.uint8)
     tail = np.frombuffer(tail.replace("%%", "%").encode() + b"\n",
                          np.uint8)
-    h, w = head.size, head.size + 9 * fields
+    h = head.size
     per_block = max(1, BLOCK // fields)
     out = []
     for start in range(0, len(rows), per_block):
-        i = rows[start:start + per_block].astype(np.intp, copy=False)
-        hi = i // 10000
-        g = np.empty(i.shape + (2,), np.intp)
-        np.add(hi, _LEAD, out=g[..., 0])
-        np.add(i - 10000 * hi, np.where(hi > 0, _FULL, _UNITS),
-               out=g[..., 1])
-        line = np.empty((len(i), w + tail.size), np.uint8)
+        words = cells(rows[start:start + per_block].ravel())
+        n = len(words) // fields
+        w = h + fields * (1 + words[0].nbytes)
+        line = np.empty((n, w + tail.size), np.uint8)
         line[:, :h] = head
         line[:, w:] = tail
-        cells = line[:, h:w].reshape(len(i), fields, 9)
-        cells[:, :, 0] = sep
-        # the two groups of a field as one unaligned 8-cell word
-        cells[:, :, 1:].view("<u8")[..., 0] = (
-            _digit_groups().take(g).view("<u8")[..., 0])
+        body = line[:, h:w].reshape(n, fields, -1)
+        body[:, :, 0] = sep
+        body[:, :, 1:].view(words.dtype)[...] = words.reshape(n, fields, -1)
         out.append(line.tobytes().translate(None, b"\0").decode("ascii"))
     out[-1] = out[-1][:-1]
     return "".join(out)
@@ -268,17 +239,18 @@ def _index_lines(template, rows):
 
 def _lines(template, rows):
     """One line of template per row of the array rows, filled with the
-    row's numbers: a table of at least KERNEL_MIN numbers through the
-    digit kernel if it holds floats, or through _index_lines if it holds
-    integers in [0, INDEX_END); any other in one % operation over all of
-    them."""
+    row's numbers: a table of at least KERNEL_MIN numbers through
+    _table_lines, with the digit kernel if it holds floats or with
+    _index_cells if it holds integers in [0, INDEX_END); any other in one
+    % operation over all of them."""
     if rows.size >= KERNEL_MIN:
         table = rows.reshape(len(rows), -1)
         if rows.dtype.kind == "f":
-            return _kernel_lines(template, table)
+            return _table_lines(template, NUM, table,
+                                lambda x: _number_cells(x)[0].T)
         if (rows.dtype.kind in "iu" and rows.min() >= 0
                 and rows.max() < INDEX_END):
-            return _index_lines(template, table)
+            return _table_lines(template, "%d", table, _index_cells)
     return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 

@@ -130,22 +130,6 @@ def build_mesh(params, grid):
 
 # --- shorthands: lift_sample of one family ---------------------------------
 
-def lift_f0n(n, z):
-    """Lift of the strip family f_0n (even n)."""
-    return lift_sample(FamilyParams("f_0n", n=n), z)
-
-
-def lift_f1n(n, z):
-    """Lift of the wave-plane family f_1n (even n)."""
-    return lift_sample(FamilyParams("f_1n", n=n), z)
-
-
 def lift_f2n(n, z):
     """Lift of the slit family f_2n (even n)."""
     return lift_sample(FamilyParams("f_2n", n=n), z)
-
-
-def lift_fcn(c, n, z):
-    """Lift of the general family f_cn (even n); F3 comes from the same
-    2F1 terms as the planar map."""
-    return lift_sample(FamilyParams("f_cn", c=c, n=n), z)

@@ -181,10 +181,9 @@ def check_slit_limit(params):
 
 
 def boundary_curve(params, samples=512):
-    """Sampled image of the circle |z| = CHD_RADIUS, as (u, v) pairs."""
-    z = CHD_RADIUS * unit_roots(samples)
-    u, v = _uv(params, z)
-    return list(zip(u.tolist(), v.tolist()))
+    """Sampled image of the circle |z| = CHD_RADIUS, as a (samples, 2)
+    float array of (u, v) rows."""
+    return np.column_stack(_uv(params, CHD_RADIUS * unit_roots(samples)))
 
 
 def chd_crossing_excess(points):
@@ -195,7 +194,7 @@ def chd_crossing_excess(points):
     with more than two crossings witnesses a horizontal re-entry.
     Returns (excess, worst_level).
     """
-    vs = np.array([p[1] for p in points], dtype=float)
+    vs = np.asarray(points, dtype=float)[:, 1]
     lo, hi = float(vs.min()), float(vs.max())
     # strictly interior levels; endpoints graze the curve tangentially
     levels = lo + (hi - lo) * np.arange(1, CHD_LINES + 1) / (CHD_LINES + 1)

@@ -9,9 +9,8 @@ from shearlift import families
 from shearlift.analytic import cauchy_derivative, clog
 from shearlift.errors import DomainError, UnsupportedParameterError
 from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
-                                coeffs_f2n, eval_F_0a, eval_F_1a, eval_F_a,
-                                eval_F_ca, eval_f0n, eval_f1n, eval_f2n,
-                                eval_fcn, evaluate, evaluate_array,
+                                coeffs_f2n, eval_F_0a, eval_F_1a, eval_F_ca,
+                                evaluate, evaluate_array,
                                 family_omega, family_phi, fcn_h_and_lift,
                                 gprime, hprime)
 from shearlift.shear import DilatationSpec, grid_array, koebe_phi, shear_at
@@ -43,15 +42,15 @@ def test_all_families_vanish_at_origin():
 # --- the Example 2.x families -----------------------------------------------
 
 def test_F_a_value():
-    s = eval_F_a(1.0, 0.5)
+    s = evaluate(FamilyParams("F_a", a=1.0), 0.5)
     assert abs(s.u - (-0.5 - 2.0 * math.log(0.5))) < 1e-14
     assert abs(s.v) < 1e-15
 
 
 def test_F_a_point_symmetry():
     a, z = 0.3, 0.2 + 0.4j
-    s = eval_F_a(a, z)
-    m = eval_F_a(-a, -z)
+    s = evaluate(FamilyParams("F_a", a=a), z)
+    m = evaluate(FamilyParams("F_a", a=-a), -z)
     assert abs(m.u + s.u) < 1e-14  # symmetric about the imaginary axis
     assert abs(m.v + s.v) < 1e-14
 
@@ -145,48 +144,53 @@ def test_f_cn_phi_is_the_expm1_koebe_bit_for_bit(c):
 # --- the power-dilatation families ------------------------------------------
 
 def test_f0n_values():
-    assert abs(eval_f0n(1, 0.5).f - 1.0) < 1e-14
-    assert abs(eval_f0n(2, 0.5).f - 2.0 / 3.0) < 1e-14
+    assert abs(evaluate(FamilyParams("f_0n", n=1), 0.5).f - 1.0) < 1e-14
+    assert abs(evaluate(FamilyParams("f_0n", n=2), 0.5).f - 2.0 / 3.0) < 1e-14
 
 
 def test_f1n_values():
-    assert abs(eval_f1n(1, 0.5).f - 2.0) < 1e-14
-    assert abs(eval_f1n(2, 0.5).f - (1.0 + 0.25 * math.log(3.0))) < 1e-14
+    assert abs(evaluate(FamilyParams("f_1n", n=1), 0.5).f - 2.0) < 1e-14
+    s = evaluate(FamilyParams("f_1n", n=2), 0.5)
+    assert abs(s.f - (1.0 + 0.25 * math.log(3.0))) < 1e-14
 
 
 def test_f1n_coincides_with_F_1a_at_a_zero():
     # a=0 turns the Mobius dilatation into z^2
     for z in SAMPLE_POINTS:
-        assert abs(eval_f1n(2, z).f - eval_F_1a(0.0, z).f) < 1e-13
+        s = evaluate(FamilyParams("f_1n", n=2), z)
+        assert abs(s.f - eval_F_1a(0.0, z).f) < 1e-13
 
 
 def test_f2n_harmonic_koebe_derivative():
     # n=1 is the harmonic Koebe function: h'(z) = (1+z)/(1-z)^4
     for z in SAMPLE_POINTS:
-        hp = cauchy_derivative(lambda w: eval_f2n(1, w).h, z,
-                               radius=0.2 * (1.0 - abs(z)))
+        hp = cauchy_derivative(
+            lambda w: evaluate(FamilyParams("f_2n", n=1), w).h, z,
+            radius=0.2 * (1.0 - abs(z)))
         assert abs(hp - (1.0 + z) / (1.0 - z) ** 4) < 1e-11
 
 
 def test_f2n_slit_endpoint():
-    s = eval_f2n(2, 0.9999j)
+    s = evaluate(FamilyParams("f_2n", n=2), 0.9999j)
     assert abs(s.f - (-1.0 / 3.0)) < 0.02
 
 
 def test_f2n_coincides_with_F_ca():
     # same phi = k_2 and omega = z^2
     for z in SAMPLE_POINTS:
-        assert abs(eval_f2n(2, z).f - eval_F_ca(2.0, 0.0, z).f) < 1e-12
+        s = evaluate(FamilyParams("f_2n", n=2), z)
+        assert abs(s.f - eval_F_ca(2.0, 0.0, z).f) < 1e-12
 
 
 def test_fcn_terminating_case_matches_f2n():
-    assert abs(eval_fcn(2.0, 3, 0.3).f - eval_f2n(3, 0.3).f) < 1e-8
+    s = evaluate(FamilyParams("f_cn", c=2.0, n=3), 0.3)
+    assert abs(s.f - evaluate(FamilyParams("f_2n", n=3), 0.3).f) < 1e-8
 
 
 def test_fcn_quadrature_oracle():
     p = FamilyParams(family="f_cn", c=0.5, n=3)
     z = 0.4 + 0.2j
-    s = eval_fcn(0.5, 3, z)
+    s = evaluate(FamilyParams("f_cn", c=0.5, n=3), z)
     o = shear_at(family_phi(p), family_omega(p), z)
     assert abs(s.h - o.h) < 1e-6
     assert abs(s.g - o.g) < 1e-6
@@ -196,11 +200,13 @@ def test_fcn_delegations_are_continuous():
     # f_0n and f_1n are the c = 0 and c = 1 limits of f_cn
     for n in (3, 4):
         for z in SAMPLE_POINTS[:3]:
+            f0n = evaluate(FamilyParams("f_0n", n=n), z).f
+            f1n = evaluate(FamilyParams("f_1n", n=n), z).f
             for c in NEAR_ZERO:
-                gap = abs(eval_fcn(c, n, z).f - eval_f0n(n, z).f)
+                gap = abs(evaluate(FamilyParams("f_cn", c=c, n=n), z).f - f0n)
                 assert gap < c + 1e-15, (n, z, c)
             for c in NEAR_ONE:
-                gap = abs(eval_fcn(c, n, z).f - eval_f1n(n, z).f)
+                gap = abs(evaluate(FamilyParams("f_cn", c=c, n=n), z).f - f1n)
                 assert gap < abs(c - 1.0) + 1e-15, (n, z, c)
 
 
@@ -255,7 +261,7 @@ def test_fixed_c_families_are_real_on_the_real_axis(family):
 def test_fcn_coincides_with_F_ca_at_n_two():
     for c in (0.5, 1.5):
         for z in SAMPLE_POINTS[:4]:
-            assert abs(eval_fcn(c, 2, z).f
+            assert abs(evaluate(FamilyParams("f_cn", c=c, n=2), z).f
                        - eval_F_ca(c, 0.0, z).f) < 1e-10
 
 
@@ -320,7 +326,7 @@ def test_mobius_spec_is_validated_once_per_parameter_set(monkeypatch):
 
 def test_rejects_points_outside_disk():
     with pytest.raises(DomainError):
-        eval_f0n(2, 1.2)
+        evaluate(FamilyParams("f_0n", n=2), 1.2)
     with pytest.raises(DomainError):
         evaluate(FamilyParams(family="F_a", a=0.5), 1.0 + 0j)
 

@@ -1,8 +1,9 @@
 """The array writers of render against per-number reference writers.
 
-svg_document and obj_document write their float tables through the digit
-kernel of render, their face tables through its 4-digit groups, and
-tables under its size rule through one repeated %-template.  The
+svg_document and obj_document write their tables through the one line
+writer of render, _table_lines: float tables with the cells of its digit
+kernel, face tables with its 4-digit index cells, and tables under its
+size rule through one repeated %-template.  The
 reference writers below are the former per-point ones: one fmt9 call per
 number through str formatting, a join per polyline, and the face loop of
 build_mesh.  The two must give the same text byte for byte.  The kernel
@@ -117,6 +118,10 @@ def assert_same_text(got, want):
         assert (i, got[window]) == (i, want[window])
 
 
+def percent_lines(template, rows):
+    return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def manifest(command, params, config):
     return RunManifest(command=command, family=params,
                        config=tuple(config.items()), version=__version__)
@@ -207,16 +212,26 @@ def kernel_mismatches(count, seed, chunk=10**6):
     bad = []
     for start in range(0, count, chunk):
         x = kernel_sample(rng, min(chunk, count - start))
-        written = render._kernel_lines(NUM, x[:, None]).split("\n")
+        written = render._table_lines(NUM, NUM, x[:, None],
+                                      float_cells).split("\n")
         for v, text in zip(x.tolist(), written):
             if text != NUM % v:
                 bad.append((v, text, NUM % v))
     return bad
 
 
+def float_cells(x):
+    return render._number_cells(x)[0].T
+
+
 def test_kernel_matches_percent_format():
     bad = kernel_mismatches(200_000, 20261019)
     assert not bad, f"{len(bad)} mismatches, the first {bad[:5]}"
+    # the template's own bytes around the fields, %% included
+    rows = kernel_sample(np.random.default_rng(5), 3000)[:3000].reshape(-1, 2)
+    template = "<%.9g,%.9g>%%"
+    assert_same_text(render._table_lines(template, NUM, rows, float_cells),
+                     percent_lines(template, rows))
 
 
 def test_kernel_proves_the_numbers_of_its_range():
@@ -239,9 +254,9 @@ def test_size_rule_paths_agree(monkeypatch):
     x = np.random.default_rng(4).uniform(-5.0, 5.0, KERNEL_MIN)
     x[:6] = [1e-7, -2.5e9, 0.0, 123456789.5, math.nan, 1e-4]
     kernel_calls = []
-    kernel = render._kernel_lines
-    monkeypatch.setattr(render, "_kernel_lines",
-                        lambda *args: kernel_calls.append(1) or kernel(*args))
+    kernel = render._number_cells
+    monkeypatch.setattr(render, "_number_cells",
+                        lambda x: kernel_calls.append(1) or kernel(x))
     below = render._lines(NUM, x[:-1, None])
     assert not kernel_calls
     at = render._lines(NUM, x[:, None])
@@ -255,16 +270,13 @@ def test_size_rule_paths_agree(monkeypatch):
 FACE = "f %d %d %d"
 
 
-def percent_lines(template, rows):
-    return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
-
-
 def index_mismatches(indices, template=FACE):
     """None if the face writer gives the "%d" text of every line of the
     integer array indices (written one template a line), else the first
     differing line and its "%d" text."""
     rows = np.asarray(indices).reshape(-1, template.count("%d"))
-    got = render._index_lines(template, rows).split("\n")
+    got = render._table_lines(template, "%d", rows,
+                              render._index_cells).split("\n")
     want = percent_lines(template, rows).split("\n")
     if len(got) != len(want):
         return f"{len(got)} lines", f"{len(want)} lines"
@@ -279,9 +291,9 @@ def test_index_writer_at_the_group_edges(monkeypatch):
     assert index_mismatches(rows) is None
     assert index_mismatches([0, 7, 10**8 - 1]) is None
     calls = []
-    writer = render._index_lines
-    monkeypatch.setattr(render, "_index_lines",
-                        lambda *args: calls.append(1) or writer(*args))
+    cells = render._index_cells
+    monkeypatch.setattr(render, "_index_cells",
+                        lambda x: calls.append(1) or cells(x))
     assert render._lines(FACE, rows) == percent_lines(FACE, rows)
     assert calls == [1]
     # 10^8 is past the two groups, a negative number before them: the

@@ -9,7 +9,7 @@ from shearlift import verify
 from shearlift.analytic import unit_roots
 from shearlift.errors import (DilatationNotSquareError, DomainError,
                               InvalidDilatationError)
-from shearlift.families import eval_f0n, eval_f2n
+from shearlift.families import FamilyParams, evaluate
 from shearlift.shear import (DilatationSpec, MapSample, PrevertexSpec,
                              grid_array, grid_points, koebe_phi, koebe_phi_prime,
                              lift_third_coordinate, sample_grid, shear_array,
@@ -161,7 +161,7 @@ def test_sample_grid_matches_f2n_closed_form():
     samples = sample_grid(phi, DilatationSpec.power(2),
                           GridSpec(rings=1, spokes=6, r_max=0.5))
     for s in samples:
-        ref = eval_f2n(2, s.z)
+        ref = evaluate(FamilyParams("f_2n", n=2), s.z)
         assert abs(s.f - ref.f) < 1e-9
 
 

@@ -10,9 +10,8 @@ from shearlift.errors import DilatationNotSquareError
 from shearlift.families import FamilyParams, evaluate, evaluate_array
 from shearlift.shear import (grid_points, koebe_phi_prime,
                              lift_third_coordinate)
-from shearlift.surface import (GridSpec, build_mesh, lift_array, lift_f0n,
-                               lift_f1n, lift_f2n, lift_fcn, lift_sample,
-                               slit_surface_reference)
+from shearlift.surface import (GridSpec, build_mesh, lift_array, lift_f2n,
+                               lift_sample, slit_surface_reference)
 
 TEST_POINTS = [0.3 + 0.4j, -0.2 + 0.5j, 0.55j, -0.6 - 0.1j,
                0.45 * cmath.exp(2.4j)]
@@ -25,19 +24,19 @@ def numeric_f3(c, n, z):
 
 
 def test_odd_n_rejected():
-    for fn in (lift_f0n, lift_f1n, lift_f2n):
+    for family in ("f_0n", "f_1n", "f_2n"):
         with pytest.raises(DilatationNotSquareError):
-            fn(3, 0.2)
+            lift_sample(FamilyParams(family, n=3), 0.2)
     with pytest.raises(DilatationNotSquareError):
-        lift_fcn(0.5, 5, 0.2)
+        lift_sample(FamilyParams("f_cn", c=0.5, n=5), 0.2)
 
 
 FCN_ORIGIN_C = (0.05, 0.1, 0.2, 0.3, 0.5, 0.9995, 1.0015, 1.3, 1.5, 1.999)
 
 
 def test_lifts_vanish_at_origin():
-    for fn, n in ((lift_f0n, 4), (lift_f1n, 2), (lift_f2n, 6)):
-        s = fn(n, 0j)
+    for family, n in (("f_0n", 4), ("f_1n", 2), ("f_2n", 6)):
+        s = lift_sample(FamilyParams(family, n=n), 0j)
         assert (s.u, s.v, s.f3) == (0.0, 0.0, 0.0)
     # f_cn exactly: at z = 0 each root term takes the same 2F1 values at
     # w = 1 as its constant at 1, and they cancel bit for bit
@@ -46,27 +45,31 @@ def test_lifts_vanish_at_origin():
             s = evaluate(FamilyParams(family="f_cn", c=c, n=n), 0j)
             assert (s.h, s.g) == (0j, 0j), (c, n)
             if n % 2 == 0:
-                s = lift_fcn(c, n, 0j)
+                s = lift_sample(FamilyParams("f_cn", c=c, n=n), 0j)
                 assert (s.u, s.v, s.f3) == (0.0, 0.0, 0.0), (c, n)
 
 
 def test_real_axis_f3_vanishes():
-    for fn, n in ((lift_f0n, 2), (lift_f1n, 4), (lift_f2n, 2)):
-        assert abs(fn(n, 0.55).f3) < 1e-13
+    for family, n in (("f_0n", 2), ("f_1n", 4), ("f_2n", 2)):
+        assert abs(lift_sample(FamilyParams(family, n=n), 0.55).f3) < 1e-13
 
 
 def test_f0n_lift_oracle():
-    assert abs(lift_f0n(4, 0.3 + 0.4j).f3 - numeric_f3(0.0, 4, 0.3 + 0.4j)) < 1e-9
+    s = lift_sample(FamilyParams("f_0n", n=4), 0.3 + 0.4j)
+    assert abs(s.f3 - numeric_f3(0.0, 4, 0.3 + 0.4j)) < 1e-9
     for z in TEST_POINTS:
         for n in (2, 6, 8):
-            assert abs(lift_f0n(n, z).f3 - numeric_f3(0.0, n, z)) < 1e-9
+            s = lift_sample(FamilyParams("f_0n", n=n), z)
+            assert abs(s.f3 - numeric_f3(0.0, n, z)) < 1e-9
 
 
 def test_f1n_lift_oracle():
-    assert abs(lift_f1n(2, 0.5j).f3 - numeric_f3(1.0, 2, 0.5j)) < 1e-9
+    s = lift_sample(FamilyParams("f_1n", n=2), 0.5j)
+    assert abs(s.f3 - numeric_f3(1.0, 2, 0.5j)) < 1e-9
     for z in TEST_POINTS:
         for n in (4, 6, 8):
-            assert abs(lift_f1n(n, z).f3 - numeric_f3(1.0, n, z)) < 1e-9
+            s = lift_sample(FamilyParams("f_1n", n=n), z)
+            assert abs(s.f3 - numeric_f3(1.0, n, z)) < 1e-9
 
 
 def test_f2n_lift_oracle():
@@ -76,15 +79,17 @@ def test_f2n_lift_oracle():
 
 
 def test_fcn_lift_oracle():
-    assert abs(lift_fcn(0.5, 4, 0.3).f3 - numeric_f3(0.5, 4, 0.3)) < 1e-6
+    s = lift_sample(FamilyParams("f_cn", c=0.5, n=4), 0.3)
+    assert abs(s.f3 - numeric_f3(0.5, 4, 0.3)) < 1e-6
     for z in TEST_POINTS[:3]:
         for c in (0.5, 1.5):
-            assert abs(lift_fcn(c, 4, z).f3 - numeric_f3(c, 4, z)) < 1e-8
+            s = lift_sample(FamilyParams("f_cn", c=c, n=4), z)
+            assert abs(s.f3 - numeric_f3(c, 4, z)) < 1e-8
 
 
 def test_fcn_delegates_to_f2n():
     for z in TEST_POINTS:
-        a = lift_fcn(2.0, 2, z)
+        a = lift_sample(FamilyParams("f_cn", c=2.0, n=2), z)
         b = lift_f2n(2, z)
         assert abs(a.f3 - b.f3) < 1e-12
         assert abs(complex(a.u, a.v) - complex(b.u, b.v)) < 1e-12
