@@ -9,6 +9,8 @@ path that cannot be written, and a grid or n too large for the memory).
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 
 from . import __version__, families, render, verify
@@ -25,9 +27,10 @@ def _tolerance(text):
         tol = float(text)
     except ValueError:
         tol = math.nan
-    if not tol >= 0.0:
+    # a report is strict JSON, which has no inf
+    if not 0.0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be a number >= 0, got {text!r}")
+            f"must be a finite number >= 0, got {text!r}")
     return tol
 
 
@@ -114,10 +117,21 @@ def _manifest(args, params, keys):
 
 
 def _write(path, text):
-    # an --out path that cannot be written is a bad argument: exit 2
+    """Write text to path, overwriting an existing regular file in place:
+    its old bytes are written over and the file is then cut to the new
+    length, which gives the bytes of a fresh write.  Truncating to 0 bytes
+    before the write, as open(path, "w") does, costs several times the
+    write itself on a file system that discards freed blocks.  A pipe, a
+    FIFO or a device such as /dev/stdout cannot be truncated and is only
+    written.  An --out path that cannot be written is a bad argument:
+    exit 2."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT
+                     | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise ValueError(
             f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -147,6 +161,12 @@ def cmd_verify(args):
     params = _params(args)
     reports = verify.run_checks(params, args.checks, tol=args.tol)
     _write(args.out, render.report_document(reports))
+    for r in reports:
+        # the report writes a non-finite residual as null; name it here
+        if not math.isfinite(r.max_residual):
+            print(f"shearlift verify: {r.check_name}: residual "
+                  f"{r.max_residual} at z = {r.worst_point}",
+                  file=sys.stderr)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 

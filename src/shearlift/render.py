@@ -320,8 +320,10 @@ def obj_document(mesh, manifest):
 
 
 def report_document(reports):
-    """JSON array of verification reports with stable key order."""
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    """JSON array of verification reports with stable key order; strict
+    JSON, so an inf or NaN that reached it raises ValueError."""
+    return json.dumps([r.to_dict() for r in reports], indent=2,
+                      allow_nan=False) + "\n"
 
 
 def coeffs_document(coeffs):

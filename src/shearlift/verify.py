@@ -51,19 +51,23 @@ class VerificationReport:
 
     def to_dict(self):
         d = asdict(self)
+        # JSON has no inf or NaN: a non-finite residual is written as null
+        if not math.isfinite(self.max_residual):
+            d["max_residual"] = None
         d["worst_point"] = [self.worst_point.real, self.worst_point.imag]
         return d
 
 
 def _report(name, params, grid, points, residuals, tol):
     """Assemble a report from the residual at each point; the first point
-    with the largest residual is the one reported."""
+    with the largest residual (or the first NaN) is the one reported, and
+    a non-finite worst residual fails."""
     i = int(np.argmax(residuals))
     # a numpy residual would make `passed` a numpy bool, which JSON refuses
     worst = float(residuals[i])
     return VerificationReport(check_name=name, family=params, grid=grid,
                               max_residual=worst, tolerance=tol,
-                              passed=worst <= tol,
+                              passed=math.isfinite(worst) and worst <= tol,
                               worst_point=complex(points[i]),
                               n_points=int(residuals.size))
 
@@ -232,7 +236,9 @@ def check_surface(params):
     rho sqrt(E + G), the size of the circle's image, and T' against
     h' z^(n/2) from derivatives_array: near 0 at large n, F3 is too small
     for the metric to see its error.  The tolerance is 1e-11, 45 times
-    the worst residual at n <= 8 (2.2e-13).
+    the worst residual at n <= 8 (2.2e-13).  Where h' z^(n/2) underflows
+    to 0 (|z| = 0.2 at n = 1024) the residual is inf or NaN, and the check
+    fails without a floating-point warning.
     """
     z = grid_array(SURFACE_GRID)
     rho = _circle_radius(z)
@@ -240,16 +246,18 @@ def check_surface(params):
         (z[:, None], circle_nodes(z, rho)), axis=1)))
     # (u, v, F3) at the grid points and on their circles
     centre, circle = x[:, :, 0], x[:, :, 1:]
-    phi = 2.0 * circle_derivative(circle, rho)
-    metric = (np.abs(phi) ** 2).sum(axis=0)
-    scale = rho * np.sqrt(metric)
     u, v = _uv(params, z)
-    proj = np.maximum(np.abs(centre[0] - u), np.abs(centre[1] - v)) / scale
-    iso = np.abs((phi * phi).sum(axis=0)) / metric
-    harm = np.abs(circle.mean(axis=-1) - centre).max(axis=0) / scale
     hq = families.derivatives_array(params, z)[0] * z ** (int(params.n) // 2)
-    lift = np.abs(0.5j * phi[2] - hq) / np.abs(hq)
-    residuals = np.maximum(np.maximum(proj, iso), np.maximum(harm, lift))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = 2.0 * circle_derivative(circle, rho)
+        metric = (np.abs(phi) ** 2).sum(axis=0)
+        scale = rho * np.sqrt(metric)
+        proj = np.maximum(np.abs(centre[0] - u),
+                          np.abs(centre[1] - v)) / scale
+        iso = np.abs((phi * phi).sum(axis=0)) / metric
+        harm = np.abs(circle.mean(axis=-1) - centre).max(axis=0) / scale
+        lift = np.abs(0.5j * phi[2] - hq) / np.abs(hq)
+        residuals = np.maximum(np.maximum(proj, iso), np.maximum(harm, lift))
     return _report("surface_properties", params, SURFACE_GRID, z, residuals,
                    1e-11)
 

@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -12,10 +14,10 @@ import shearlift
 from shearlift._kernels import fallback
 from shearlift.cli import build_parser, main
 from shearlift.families import FamilyParams, evaluate
-from shearlift.render import fmt9
+from shearlift.render import fmt9, report_document
 from shearlift.shear import grid_points
 from shearlift.surface import GridSpec, build_mesh, lift_sample
-from shearlift.verify import default_check_set
+from shearlift.verify import default_check_set, run_checks
 
 
 def run(*argv):
@@ -121,7 +123,8 @@ def test_surface_of_a_mobius_family_exits_two(tmp_path, capsys):
     assert "no power dilatation" in err
 
 
-@pytest.mark.parametrize("argv", [
+# one small job of each command that writes --out
+OUT_JOBS = pytest.mark.parametrize("argv", [
     ("map", "--family", "F_a", "--rings", "2", "--spokes", "4",
      "--samples", "16"),
     ("surface", "--family", "f_2n", "--n", "2", "--rings", "2",
@@ -130,6 +133,9 @@ def test_surface_of_a_mobius_family_exits_two(tmp_path, capsys):
      "prevertex_identity"),
     ("coeffs", "--family", "f_1n", "--n", "3"),
 ], ids=lambda argv: argv[0])
+
+
+@OUT_JOBS
 def test_unwritable_output_exits_two(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "x.out"
     assert run(*argv, "--out", str(out)) == 2
@@ -138,6 +144,53 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv):
     assert str(out) in err
     assert "Traceback" not in err
     assert not out.parent.exists()
+
+
+@OUT_JOBS
+@pytest.mark.parametrize("size", [2 ** 20, 10], ids=("1MB", "10B"))
+def test_overwrite_gives_the_bytes_of_a_fresh_write(tmp_path, argv, size):
+    # the old file is written over in place and cut to the new length:
+    # none of its bytes may survive, whether it was longer or shorter
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    assert run(*argv, "--out", str(fresh)) == 0
+    old.write_bytes(b"\xff" * size)
+    assert run(*argv, "--out", str(old)) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+@OUT_JOBS
+def test_output_to_devnull(argv):
+    # a character device cannot be truncated; it is only written
+    assert run(*argv, "--out", os.devnull) == 0
+
+
+@OUT_JOBS
+def test_output_through_links(tmp_path, argv):
+    fresh, target = tmp_path / "fresh.out", tmp_path / "target.out"
+    assert run(*argv, "--out", str(fresh)) == 0
+    target.write_bytes(b"\xff" * 2 ** 16)
+    symlink, hardlink = tmp_path / "sym.out", tmp_path / "hard.out"
+    try:
+        symlink.symlink_to(target)
+        os.link(target, hardlink)
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"no links here: {exc}")
+    assert run(*argv, "--out", str(symlink)) == 0
+    assert symlink.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+    target.write_bytes(b"\xff" * 10)
+    assert run(*argv, "--out", str(hardlink)) == 0
+    assert os.path.samefile(hardlink, target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@OUT_JOBS
+def test_output_to_a_directory_exits_two(tmp_path, capsys, argv):
+    assert run(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shearlift {argv[0]}: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
+    assert tmp_path.is_dir()
 
 
 def test_out_of_memory_exits_two(tmp_path):
@@ -168,9 +221,10 @@ def test_out_of_memory_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("option", [("--tol", "-1"), ("--tol", "nan"),
-                                    ("--tol", "abc"), ("--checks", ",")],
-                         ids=("tol-negative", "tol-nan", "tol-text",
-                              "checks-empty"))
+                                    ("--tol", "inf"), ("--tol", "abc"),
+                                    ("--checks", ",")],
+                         ids=("tol-negative", "tol-nan", "tol-inf",
+                              "tol-text", "checks-empty"))
 def test_verify_bad_arguments_exit_two(tmp_path, capsys, option):
     out = tmp_path / "r.json"
     assert run("verify", "--family", "f_0n", "--n", "2", *option,
@@ -339,6 +393,42 @@ def test_verify_report_of_fallback_lift_is_plain_json(tmp_path):
     for report in json.loads(out.read_text()):
         assert report["passed"] is True
         assert isinstance(report["max_residual"], float)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise AssertionError(f"{name} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_non_finite_residual_is_null_and_named(tmp_path, capsys):
+    # at n = 1024, h' z^(n/2) underflows to 0 on the ring |z| = 0.2 and
+    # the lift residual divides by it: the check fails, the report stays
+    # strict JSON, and no floating-point warning is printed
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", "--family", "f_2n", "--n", "1024", "--checks",
+                   "surface_properties", "--out", str(out)) == 1
+    (report,) = _strict_json(out.read_text())
+    assert report["max_residual"] is None
+    assert report["passed"] is False
+    assert report["worst_point"] == [0.2, 0.0]
+    assert capsys.readouterr().err == (
+        "shearlift verify: surface_properties: residual inf at "
+        "z = (0.2+0j)\n")
+
+
+def test_report_document_refuses_non_finite_numbers():
+    (report,) = run_checks(FamilyParams(family="f_0n", n=2),
+                           ["prevertex_identity"])
+    assert _strict_json(report_document([report]))[0]["passed"] is True
+    for field in ("tolerance", "worst_point"):
+        bad = dataclasses.replace(report, **{field: math.nan})
+        with pytest.raises(ValueError):
+            report_document([bad])
+    nan = dataclasses.replace(report, max_residual=math.nan, passed=False)
+    assert _strict_json(report_document([nan]))[0]["max_residual"] is None
 
 
 def test_map_accepts_its_own_grid_at_rmax_limit(tmp_path, capsys):
