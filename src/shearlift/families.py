@@ -4,8 +4,9 @@ Each family is the shear of a prevertex map phi (identity or generalized
 Koebe k_c) by a dilatation omega (z*(z+a)/(1+a*z) or z^n).  The closed
 forms store the analytic parts: either h directly or the analytic sum
 P = h + g with h = (P + phi)/2, g = (P - phi)/2 recovered from the
-prevertex relation h - g = phi.  Near z = 0 the power families take one
-Taylor series instead.
+prevertex relation h - g = phi.  Each form returns phi with h and g, and
+the image takes v = Im phi from it (shear.coordinates).  Near z = 0 the
+power families take one Taylor series instead.
 
 Families:
 
@@ -122,13 +123,13 @@ def derivatives_array(params, z):
 # number (evaluate) or an array (evaluate_array) alike, and takes its
 # logarithms from analytic.clog, which does the same.  A form takes the
 # family parameters p, the point z and the prevertex function phi, which
-# it evaluates at z, and returns (h, g); _FORMS below registers them by
-# family name, and _closed_form is the one caller of them.  _F_ca and
-# _f_cn take phi from a term of their own instead: _F_ca is called
-# without phi, and _f_cn leaves it to the near-origin series.
+# it evaluates at z, and returns (h, g, phi), phi at z; _FORMS below
+# registers them by family name, and _closed_form is the one caller of
+# them.  _F_ca and _f_cn take phi from a term of their own instead: _F_ca
+# is called without phi, and _f_cn leaves it to the near-origin series.
 #
 # The four power-dilatation forms take lift=True from the lifts in surface
-# (even n) and then return (h, g, F3), with
+# (even n) and then return (h, g, phi, F3), with
 #
 #     F3 = 2 Im T,   T(z) = int_0^z h'(s) q(s) ds,
 #
@@ -144,7 +145,7 @@ def derivatives_array(params, z):
 
 def _from_sum(p, phi):
     # h + g = P and h - g = phi pin both analytic parts.
-    return 0.5 * (p + phi), 0.5 * (p - phi)
+    return 0.5 * (p + phi), 0.5 * (p - phi), phi
 
 
 def _F_a(p, z, phi):
@@ -175,7 +176,8 @@ def _F_ca(p, z):
     h = 0.125 * ((a + 1.0) * _powm1_over(c + 1.0, log_w)
                  + 2.0 * k
                  - (a - 1.0) * _powm1_over(c - 1.0, log_w))
-    return h, h - 0.5 * k
+    phi = 0.5 * k
+    return h, h - phi, phi
 
 
 @lru_cache(maxsize=64)
@@ -211,11 +213,11 @@ def _f_0n(p, z, phi, lift=False):
     n = int(p.n)
     roots, roots_t = _root_pairs(0, n, z, lift)
     s = z / (1.0 - z) if n % 2 else 2.0 * z / (1.0 - z * z)
-    h, g = _from_sum(s / n + 2.0 * roots, phi(z))
+    hgk = _from_sum(s / n + 2.0 * roots, phi(z))
     if not lift:
-        return h, g
+        return hgk
     t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
-    return h, g, (t / n + 2.0 * roots_t).imag
+    return (*hgk, (t / n + 2.0 * roots_t).imag)
 
 
 def _f_1n(p, z, phi, lift=False):
@@ -229,13 +231,13 @@ def _f_1n(p, z, phi, lift=False):
         log_1pz = clog(1.0 + z)
         h += log_1pz / (4.0 * n)
     h += roots
-    g = h - phi(z)
+    k = phi(z)
     if not lift:
-        return h, g
+        return h, h - k, k
     t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
          + (n * n + 2.0) / 12.0 * log_1mz
          + (-1.0) ** (n // 2) / 2.0 * log_1pz)
-    return h, g, (t / n + 2.0 * roots_t).imag
+    return h, h - k, k, (t / n + 2.0 * roots_t).imag
 
 
 def _f_2n(p, z, phi, lift=False):
@@ -245,13 +247,13 @@ def _f_2n(p, z, phi, lift=False):
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
          + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
     h += roots
-    g = h - phi(z)
+    k = phi(z)
     if not lift:
-        return h, g
+        return h, h - k, k
     t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
          - 2.0 / n * z * (2.0 - z) / (1.0 - z) ** 2
          + 4.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
-    return h, g, (t + 2.0 * roots_t).imag
+    return h, h - k, k, (t + 2.0 * roots_t).imag
 
 
 # Bound here only so that perfbench/spans.py can wrap
@@ -261,7 +263,8 @@ def _oracle_sample(params, z):
         sample = shear_at(family_phi(params), family_omega(params), z)
     except ConvergenceError as exc:
         raise ConvergenceError(f"shear quadrature at z={z}: {exc}") from exc
-    return MapSample.from_hg(sample.z, sample.h, sample.g, fallback=True)
+    return MapSample.from_hg(sample.z, sample.h, sample.g,
+                             family_phi(params).phi(sample.z), fallback=True)
 
 
 # --- partial fraction coefficients of h' ----------------------------------
@@ -443,7 +446,7 @@ def fcn_h_and_lift(c, n, z):
 
 def _f_cn(p, z, phi, lift=False):
     h, t, k = fcn_h_and_lift(float(p.c), int(p.n), z)
-    return (h, h - k, 2.0 * t.imag) if lift else (h, h - k)
+    return (h, h - k, k, 2.0 * t.imag) if lift else (h, h - k, k)
 
 
 # --- the near-origin series of every power family --------------------------
@@ -491,10 +494,10 @@ def _near_origin(p, z, phi, lift=False):
     n = int(p.n)
     p_coeffs, t_coeffs = _series(family_phi(p).c, n)
     # h - g = phi, so phi's roundoff cancels in u = Re P
-    h, g = _from_sum(z * _horner(p_coeffs, z), phi(z))
+    hgk = _from_sum(z * _horner(p_coeffs, z), phi(z))
     if not lift:
-        return h, g
-    return h, g, 2.0 * (z ** (n // 2 + 1) * _horner(t_coeffs, z)).imag
+        return hgk
+    return (*hgk, 2.0 * (z ** (n // 2 + 1) * _horner(t_coeffs, z)).imag)
 
 
 _FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a,
@@ -515,9 +518,9 @@ def resolve_family(params):
 
 
 def _closed_form(params, z, lift=False):
-    """(h, g) of the family at checked disk points from one call of its
-    closed form, and with lift=True (power families only) (h, g, F3).  A
-    power family takes the near-origin series at |z| <= _series_radius(n)."""
+    """(h, g, phi) of the family at checked disk points from one call of its
+    closed form, and with lift=True (power families only) (h, g, phi, F3).
+    A power family takes its near-origin series inside _series_radius(n)."""
     params = resolve_family(params)
     if params.family == "F_ca":
         return _F_ca(params, z)
@@ -528,10 +531,10 @@ def _closed_form(params, z, lift=False):
     near = abs(z) <= _series_radius(int(params.n))
     if not isinstance(near, bool):
         if near.any() and not near.all():
-            out = np.empty((2 + lift,) + z.shape, complex)
+            out = np.empty((3 + lift,) + z.shape, complex)
             for mask, f in ((near, _near_origin), (~near, form)):
                 out[:, mask] = f(params, z[mask], phi, lift)
-            return (*out[:2], out[2].real.copy()) if lift else tuple(out)
+            return (*out[:3], out[3].real.copy()) if lift else tuple(out)
         near = near.all()
     return (_near_origin if near else form)(params, z, phi, lift)
 
@@ -539,8 +542,7 @@ def _closed_form(params, z, lift=False):
 def evaluate(params, z):
     """The family's closed form at a disk point, as a MapSample."""
     z = require_disk_point(z, r_max=1.0)
-    h, g = _closed_form(params, z)
-    return MapSample.from_hg(z, h, g)
+    return MapSample.from_hg(z, *_closed_form(params, z))
 
 
 def evaluate_array(params, z):
@@ -548,7 +550,7 @@ def evaluate_array(params, z):
     ndarrays of z's shape: the closed form, and a power family's series,
     run once on their points with numpy (for f_cn, one hyp2f1_1c call
     routes every root term of every point by mask)."""
-    return _closed_form(params, require_disk_points(z, r_max=1.0))
+    return _closed_form(params, require_disk_points(z, r_max=1.0))[:2]
 
 
 # --- shorthands: evaluate of one family ------------------------------------

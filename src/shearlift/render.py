@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .analytic import R_MAX, unit_roots
+from .analytic import R_MAX, require_disk_points, unit_roots
+from .shear import coordinates
 
 
 # SVG width in pixels (the height follows the figure's aspect ratio, at
@@ -265,16 +266,16 @@ def map_curves(params, cfg):
 
     Returns (rings, spokes) of shapes (rings, samples + 1, 2) and
     (spokes, samples, 2); rings are closed by repeating the first sample.
-    All points go through one families.evaluate_array call, whose errors
-    name the offending point.
+    All points go through one call of the family's closed form, whose
+    errors name the offending point, and shear.coordinates.
     """
     s = cfg.samples_per_curve
     radii = cfg.r_max * np.arange(1, cfg.rings + 1) / cfg.rings
     rings = radii[:, None] * unit_roots(s)
     steps = cfg.r_max * np.arange(1, s + 1) / s
     spokes = steps * unit_roots(cfg.spokes)[:, None]
-    h, g = families.evaluate_array(params, np.concatenate([rings, spokes]))
-    uv = np.stack([(h + g).real, (h - g).imag], axis=-1)
+    z = require_disk_points(np.concatenate([rings, spokes]), r_max=1.0)
+    uv = np.stack(coordinates(*families._closed_form(params, z)), axis=-1)
     rings = uv[:cfg.rings]
     return np.concatenate([rings, rings[:, :1]], axis=1), uv[cfg.rings:]
 

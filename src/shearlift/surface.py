@@ -6,7 +6,8 @@ the harmonic map lifts to a minimal graph
     X(z) = (u, v, F3),   F3 = 2 Im int_0^z h'(s) q(s) ds.
 
 The closed forms of h and F3 live together in families: a lift makes one
-call of the family's form, which returns h, g and F3 from the same terms.
+call of the family's form, which returns h, g, phi and F3 from the same
+terms, and shear.coordinates turns them into (u, v, F3).
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .families import _POWER_FAMILIES, FamilyParams, _closed_form
 # Bound here only so that perfbench/spans.py can wrap surface.appell_f1;
 # the lift no longer calls it.
 from .special import appell_f1  # noqa: F401
-from .shear import grid_array
+from .shear import coordinates, grid_array
 
 
 @dataclass(frozen=True)
@@ -86,24 +87,23 @@ def slit_surface_reference(z):
 
 def lift_sample(params, z):
     """Lift of a power-dilatation family with even n at a disk point:
-    u, v and F3 from one call of the family's closed form, u and v
-    exactly those of evaluate."""
+    u, v and F3 from one call of the family's closed form through
+    shear.coordinates, which gives evaluate its u and v too."""
     _liftable(params)
     z = require_disk_point(z, r_max=1.0)
-    h, g, f3 = _closed_form(params, z, lift=True)
-    h, g = complex(h), complex(g)
-    return SurfaceSample(z=z, u=(h + g).real, v=(h - g).imag, f3=float(f3))
+    h, g, phi, f3 = _closed_form(params, z, lift=True)
+    return SurfaceSample(z, *coordinates(complex(h), complex(g),
+                                         complex(phi), float(f3)))
 
 
 def lift_array(params, z):
     """u, v and F3 of the lift at an array of disk points, as float
     ndarrays of z's shape: the closed form runs once on the whole array,
     the same that lift_sample runs for one point, and u, v are exactly
-    those of evaluate_array."""
+    those of the planar map (shear.coordinates of h, g and phi)."""
     _liftable(params)
     z = require_disk_points(z, r_max=1.0)
-    h, g, f3 = _closed_form(params, z, lift=True)
-    return (h + g).real, (h - g).imag, f3
+    return coordinates(*_closed_form(params, z, lift=True))
 
 
 def build_mesh(params, grid):

@@ -3,8 +3,9 @@
 Every check walks a deterministic ring/spoke lattice, reduces per-point
 residuals with max (order-independent), and returns a VerificationReport
 with the worst offending point, so failures are reproducible bit for bit.
-Every check evaluates all of its points at once through the array entry
-points of families and surface.
+Every check evaluates all of its points at once through the array paths
+of families and surface, and takes the image (u, v) of h, g and phi from
+shear.coordinates.
 """
 
 import math
@@ -19,7 +20,7 @@ from .analytic import (cauchy_derivatives, circle_derivative, circle_nodes,
 # verify.cauchy_derivative; the checks call cauchy_derivatives.
 from .analytic import cauchy_derivative  # noqa: F401
 from .errors import UnsupportedParameterError
-from .shear import grid_array, shear_grid
+from .shear import coordinates, grid_array, shear_grid
 # Bound here only so that perfbench/spans.py can wrap verify.shear_at;
 # oracle_equivalence calls shear_grid.
 from .shear import shear_at  # noqa: F401
@@ -70,11 +71,6 @@ def _report(name, params, grid, points, residuals, tol):
                               passed=math.isfinite(worst) and worst <= tol,
                               worst_point=complex(points[i]),
                               n_points=int(residuals.size))
-
-
-def _uv(params, z):
-    h, g = families.evaluate_array(params, z)
-    return (h + g).real, (h - g).imag
 
 
 def check_oracle_equivalence(params, grid=DEFAULT_GRID, tol=1e-8):
@@ -132,7 +128,7 @@ def check_strip_bound(a):
     confined to a half strip (u > -1/2 resp. u < 1/2)."""
     params = families.FamilyParams(family="F_0a", a=a)
     z = grid_array(DEFAULT_GRID)
-    u, v = _uv(params, z)
+    u, v = coordinates(*families._closed_form(params, z))
     residuals = np.abs(v) - math.pi / 4.0
     if a == 1.0:
         residuals = np.maximum(residuals, -0.5 - u)
@@ -149,12 +145,13 @@ def check_symmetry(params):
         raise UnsupportedParameterError(
             f"no symmetry contract registered for family {params.family!r}")
     z = grid_array(DEFAULT_GRID)
-    su, sv = _uv(params, z)
+    su, sv = coordinates(*families._closed_form(params, z))
     if params.family == "F_a":
-        mu, mv = _uv(families.FamilyParams(family="F_a", a=-params.a), -z)
+        mirror = families.FamilyParams(family="F_a", a=-params.a)
+        mu, mv = coordinates(*families._closed_form(mirror, -z))
         residuals = np.maximum(np.abs(mu + su), np.abs(mv + sv))
     else:
-        mu, mv = _uv(params, z.conj())
+        mu, mv = coordinates(*families._closed_form(params, z.conj()))
         residuals = np.hypot(mu - su, mv + sv)
     return _report("symmetry", params, DEFAULT_GRID, z, residuals, 1e-12)
 
@@ -179,7 +176,7 @@ def check_slit_limit(params):
             "slit limit applies to F_ca with c=2 and f_2n with n in {1, 2}")
     target = -(2.0 - a) / 6.0
     z = 0.9999 * unit_roots(4)[1:]
-    u, v = _uv(params, z)
+    u, v = coordinates(*families._closed_form(params, z))
     residuals = np.hypot(u - target, v)
     return _report("slit_limit", params, None, z, residuals, 0.02)
 
@@ -187,7 +184,8 @@ def check_slit_limit(params):
 def boundary_curve(params, samples=512):
     """Sampled image of the circle |z| = CHD_RADIUS, as a (samples, 2)
     float array of (u, v) rows."""
-    return np.column_stack(_uv(params, CHD_RADIUS * unit_roots(samples)))
+    z = CHD_RADIUS * unit_roots(samples)
+    return np.column_stack(coordinates(*families._closed_form(params, z)))
 
 
 def chd_crossing_excess(points):
@@ -246,7 +244,7 @@ def check_surface(params):
         (z[:, None], circle_nodes(z, rho)), axis=1)))
     # (u, v, F3) at the grid points and on their circles
     centre, circle = x[:, :, 0], x[:, :, 1:]
-    u, v = _uv(params, z)
+    u, v = coordinates(*families._closed_form(params, z))
     hq = families.derivatives_array(params, z)[0] * z ** (int(params.n) // 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi = 2.0 * circle_derivative(circle, rho)

@@ -62,6 +62,12 @@ SVG_JOBS = {
     "F_ca_band": (["--family", "F_ca", "--c", "1.0005", "--a", "0.5",
                    "--rings", "2", "--spokes", "4", "--samples", "16"],
         "5fee7a7a92512a706149fa555cdfcb518be934e91d6160c941b6f9708eb5457e"),
+    # every v is Im z, written the same at every SIMD level of numpy; as
+    # Im(h - g), a few 9-digit ties came out differently at its baseline
+    "F_a_a0.5": (["--family", "F_a", "--a", "0.5"],
+        "dececa346c6b5c57dc44fe541b9939c25992b6a2f63d83c43eb43af337280d9d"),
+    "F_a_a0.9": (["--family", "F_a", "--a", "0.9"],
+        "1636cdeb4841abb7b3cf65d07812f212aa93a6117e0b6c942308061fec7cdd2f"),
 }
 
 OBJ_JOBS = {

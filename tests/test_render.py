@@ -47,9 +47,9 @@ def ref_map_curves(params, cfg):
     rings = radii[:, None] * unit_roots(s)
     steps = cfg.r_max * np.arange(1, s + 1) / s
     spokes = steps * unit_roots(cfg.spokes)[:, None]
-    h, g = families.evaluate_array(params, np.concatenate([rings, spokes]))
+    h, g, phi = families._closed_form(params, np.concatenate([rings, spokes]))
     curves = [list(zip(u, v)) for u, v in zip((h + g).real.tolist(),
-                                               (h - g).imag.tolist())]
+                                               phi.imag.tolist())]
     return ([c + c[:1] for c in curves[:cfg.rings]], curves[cfg.rings:])
 
 
@@ -341,6 +341,22 @@ def test_svg_matches_reference_writer():
         assert spokes.shape == (cfg.spokes, cfg.samples_per_curve, 2)
         assert_same_text(svg_document((rings, spokes), m),
                          ref_svg_document(ref_map_curves(params, cfg), m))
+
+
+def test_map_curves_take_v_from_phi():
+    # F_a has phi = z, so every v that map_curves writes is Im z exactly;
+    # Im(h - g) missed it by the rounding of h and g
+    cfg = RenderConfig()
+    s = cfg.samples_per_curve
+    radii = cfg.r_max * np.arange(1, cfg.rings + 1) / cfg.rings
+    steps = cfg.r_max * np.arange(1, s + 1) / s
+    ring_z = radii[:, None] * unit_roots(s)
+    spoke_z = steps * unit_roots(cfg.spokes)[:, None]
+    for a in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        rings, spokes = map_curves(FamilyParams("F_a", a=a), cfg)
+        assert np.array_equal(rings[:, :-1, 1], ring_z.imag), a
+        assert np.array_equal(rings[:, -1, 1], ring_z[:, 0].imag), a
+        assert np.array_equal(spokes[..., 1], spoke_z.imag), a
 
 
 def test_obj_matches_reference_writer():

@@ -166,7 +166,11 @@ def test_sample_grid_matches_f2n_closed_form():
 
 
 def test_map_sample_from_hg():
-    s = MapSample.from_hg(0.1, 1.0 + 2.0j, 0.5 - 1.0j)
+    s = MapSample.from_hg(0.1, 1.0 + 2.0j, 0.5 - 1.0j, 0.5 + 3.0j)
     assert s.u == 1.5
     assert s.v == 3.0
     assert s.f == 1.5 + 3.0j
+    # v is Im phi itself, not Im(h - g), which carries the rounding of g
+    h, phi = 0.1 + 0.7j, 0.1j
+    assert (h - (h - phi)).imag != 0.1
+    assert MapSample.from_hg(0.1, h, h - phi, phi).v == 0.1

@@ -8,7 +8,7 @@ from shearlift import families, shear, special
 from shearlift.analytic import clog
 from shearlift.errors import DilatationNotSquareError
 from shearlift.families import FamilyParams, evaluate, evaluate_array
-from shearlift.shear import (grid_points, koebe_phi_prime,
+from shearlift.shear import (coordinates, grid_points, koebe_phi_prime,
                              lift_third_coordinate)
 from shearlift.surface import (GridSpec, build_mesh, lift_array, lift_f2n,
                                lift_sample, slit_surface_reference)
@@ -114,16 +114,19 @@ def test_slit_reference_real_axis():
 
 def test_lift_projects_onto_planar_map():
     # a lift runs the family's closed form with its F3 terms switched on;
-    # its planar part must be the planar map's, bit for bit
+    # its planar part must be the planar map's, bit for bit: u of
+    # evaluate_array's h and g, v of the planar closed form's phi
     z = np.array(grid_points(GridSpec(rings=6, spokes=11, r_max=0.999)))
     for p in ([FamilyParams(family=f, n=n) for f in ("f_0n", "f_1n", "f_2n")
                for n in (2, 4, 6, 8)]
               + [FamilyParams(family="f_cn", c=c, n=n)
                  for c in (0.1, 0.5, 1.5) for n in (2, 4, 8)]):
         h, g = evaluate_array(p, z)
+        planar_u, planar_v = coordinates(*families._closed_form(p, z))
         u, v, _ = lift_array(p, z)
         assert np.array_equal(u, (h + g).real), p
-        assert np.array_equal(v, (h - g).imag), p
+        assert np.array_equal(u, planar_u), p
+        assert np.array_equal(v, planar_v), p
         for point in TEST_POINTS:
             s = lift_sample(p, point)
             planar = evaluate(p, point)

@@ -167,15 +167,15 @@ def test_surface_check_fails_on_a_broken_lift(monkeypatch, defect, residual):
 def test_surface_check_fails_on_a_stretched_map(monkeypatch):
     # u stretched by 1.1 in the planar map and in the lift alike: the
     # projection, the circle means and T' hold, and only the metric fails
-    lift, uv = verify.lift_array, verify._uv
+    lift, coordinates = verify.lift_array, verify.coordinates
 
     def stretch(u, v, *f3):
         return (1.1 * u, v, *f3)
 
     monkeypatch.setattr(verify, "lift_array",
                         lambda params, z: stretch(*lift(params, z)))
-    monkeypatch.setattr(verify, "_uv",
-                        lambda params, z: stretch(*uv(params, z)))
+    monkeypatch.setattr(verify, "coordinates",
+                        lambda *hgk: stretch(*coordinates(*hgk)))
     r = check_surface(FamilyParams(family="f_2n", n=2))
     assert not r.passed
     assert r.max_residual == pytest.approx(9.502e-2, rel=1e-3)
