@@ -23,8 +23,8 @@ call's nodes are the constants ``_FIRST_PANELS``, built by the rule's own
 ``_panel_nodes``.  Each panel's K15 and K15 - G7 sums come from one
 row-wise reduction against ``_RULE``, so a panel's values depend on its
 own 15 integrand values only, not on the batch it is in.  A one-point
-``shear_at`` costs ~33-48 us at |z| <= 0.95 (F_a, F_ca, f_1n, f_2n on a
-2-core x86-64 host).
+``shear_at`` costs ~32-52 us at |z| <= 0.95 (median per family F_a,
+F_ca, f_1n, f_2n on a 2-core x86-64 host with numpy 2.4).
 """
 
 import numpy as np

@@ -104,13 +104,19 @@ def integrate_segment(integrand, z0, z1):
     batched call carries the flat index of the first failing segment.
     """
     fvec = vectorize(integrand)
-    if np.ndim(z0) == 0 and np.ndim(z1) == 0:
+    if _is_point(z0) and _is_point(z1):
         return fallback.adaptive_segment(fvec, z0, z1, DEFAULT_ABS_TOL,
                                          DEFAULT_REL_TOL,
                                          DEFAULT_MAX_SUBDIVISIONS)
     return fallback.adaptive_segments(fvec, z0, z1, DEFAULT_ABS_TOL,
                                       DEFAULT_REL_TOL,
                                       DEFAULT_MAX_SUBDIVISIONS)
+
+
+def _is_point(z):
+    """Whether a segment end is one point, as np.ndim(z) == 0 says; a
+    Python or numpy number is one without that call (~1 us)."""
+    return isinstance(z, (complex, float, int, np.generic)) or np.ndim(z) == 0
 
 
 def vectorize(f):

@@ -95,16 +95,15 @@ def hprime(params, z):
     """Closed-form h'(z) = phi'(z)/(1 - omega(z)) of the family at a disk
     point."""
     z = require_disk_point(z, r_max=1.0)
-    phi = family_phi(params)
-    omega = family_omega(params)
-    return complex(phi.derivative(z)) / (1.0 - complex(omega(z)))
+    plan = _plan(params)
+    return complex(plan.derivative(z)) / (1.0 - complex(plan.omega(z)))
 
 
 def gprime(params, z):
     """Closed-form g'(z) = omega(z) * h'(z) of the family at a disk
     point."""
     hp = hprime(params, z)
-    return complex(family_omega(params)(complex(z))) * hp
+    return complex(_plan(params).omega(complex(z))) * hp
 
 
 def derivatives_array(params, z):
@@ -112,8 +111,9 @@ def derivatives_array(params, z):
     ndarrays of z's shape: the formulas of hprime and gprime, run once
     through numpy."""
     z = require_disk_points(z, r_max=1.0)
-    omega = family_omega(params)(z)
-    hp = family_phi(params).derivative(z) / (1.0 - omega)
+    plan = _plan(params)
+    omega = plan.omega(z)
+    hp = plan.derivative(z) / (1.0 - omega)
     return hp, omega * hp
 
 
@@ -125,8 +125,9 @@ def derivatives_array(params, z):
 # family parameters p, the point z and the prevertex function phi, which
 # it evaluates at z, and returns (h, g, phi), phi at z; _FORMS below
 # registers them by family name, and _closed_form is the one caller of
-# them.  _F_ca and _f_cn take phi from a term of their own instead: _F_ca
-# is called without phi, and _f_cn leaves it to the near-origin series.
+# them.  _F_ca and _f_cn take phi from a term of their own instead and
+# leave the phi they are given unused (_f_cn leaves it to the near-origin
+# series).
 #
 # The four power-dilatation forms take lift=True from the lifts in surface
 # (even n) and then return (h, g, phi, F3), with
@@ -166,7 +167,7 @@ def _F_1a(p, z, phi):
                      + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi(z))
 
 
-def _F_ca(p, z):
+def _F_ca(p, z, phi):
     # the w-plane form with (w^p - 1)/p terms, so that nothing cancels as
     # c nears 0 or 1; its middle term is 4 k_c, so it also gives phi, with
     # the operations of shear.koebe_phi at a non-integer c
@@ -191,20 +192,31 @@ def _residues(c, n):
                  for k, e in roots)
 
 
-def _root_pairs(c, n, z, lift=False):
-    """The root terms of h, and with lift=True of T, at integer c: each pair
-    w_k log(1 - z conj(e_k)) + conj(w_k) log(1 - z e_k), w_k = -e_k alpha_k,
-    exactly real on the real axis (T weighs it by (-1)^k).  w_k is real for
-    odd c and imaginary for even c: its other part is rounding, dropped."""
-    h = t = 0.0
+@lru_cache(maxsize=64)
+def _root_weights(c, n):
+    """((-1)^k, e_k, conj(e_k), w_k, conj(w_k)) for each root of
+    _residues(c, n) at integer c, w_k = -e_k alpha_k, once per (c, n).
+    w_k is real for odd c and imaginary for even c: its other part is
+    rounding, dropped."""
+    weights = []
     for k, e, alpha in _residues(c, n):
         w = -e * alpha
         w = w.real if c % 2 else 1j * w.imag
-        pair = (w * clog(1.0 - z * e.conjugate())
-                + w.conjugate() * clog(1.0 - z * e))
+        weights.append(((-1.0) ** k, e, e.conjugate(), w, w.conjugate()))
+    return tuple(weights)
+
+
+def _root_pairs(c, n, z, lift=False):
+    """The root terms of h, and with lift=True of T, at integer c: each pair
+    w_k log(1 - z conj(e_k)) + conj(w_k) log(1 - z e_k) of
+    _root_weights(c, n), exactly real on the real axis (T weighs it by
+    (-1)^k)."""
+    h = t = 0.0
+    for sign, e, e_bar, w, w_bar in _root_weights(c, n):
+        pair = w * clog(1.0 - z * e_bar) + w_bar * clog(1.0 - z * e)
         h += pair
         if lift:
-            t += (-1.0) ** k * pair
+            t += sign * pair
     return h, t
 
 
@@ -500,7 +512,7 @@ def _near_origin(p, z, phi, lift=False):
     return (*hgk, 2.0 * (z ** (n // 2 + 1) * _horner(t_coeffs, z)).imag)
 
 
-_FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a,
+_FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a, "F_ca": _F_ca,
           "f_0n": _f_0n, "f_1n": _f_1n, "f_2n": _f_2n, "f_cn": _f_cn}
 
 _DELEGATES = {general: family for family, general in _FIXED_C.items()}
@@ -517,18 +529,41 @@ def resolve_family(params):
     return FamilyParams(family=family, a=params.a, n=params.n)
 
 
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """What a parameter set fixes for every call of its closed form and
+    derivatives: the parameters of its closed form (resolve_family), the
+    form, phi and phi' (family_phi), omega (family_omega), and a power
+    family's near-origin radius (_series_radius; None otherwise)."""
+
+    params: FamilyParams
+    form: object
+    phi: object
+    derivative: object
+    omega: object
+    radius: object
+
+
+@lru_cache(maxsize=64)
+def _plan(params):
+    """The _Plan of params, built once per parameter set."""
+    resolved = resolve_family(params)
+    prevertex = family_phi(params)
+    radius = (_series_radius(int(resolved.n))
+              if resolved.family in _POWER_FAMILIES else None)
+    return _Plan(resolved, _FORMS[resolved.family], prevertex.phi,
+                 prevertex.derivative, family_omega(params).omega, radius)
+
+
 def _closed_form(params, z, lift=False):
     """(h, g, phi) of the family at checked disk points from one call of its
     closed form, and with lift=True (power families only) (h, g, phi, F3).
     A power family takes its near-origin series inside _series_radius(n)."""
-    params = resolve_family(params)
-    if params.family == "F_ca":
-        return _F_ca(params, z)
-    form = _FORMS[params.family]
-    phi = family_phi(params).phi
-    if params.family not in _POWER_FAMILIES:
+    plan = _plan(params)
+    params, form, phi = plan.params, plan.form, plan.phi
+    if plan.radius is None:
         return form(params, z, phi)
-    near = abs(z) <= _series_radius(int(params.n))
+    near = abs(z) <= plan.radius
     if not isinstance(near, bool):
         if near.any() and not near.all():
             out = np.empty((3 + lift,) + z.shape, complex)

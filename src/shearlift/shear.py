@@ -44,10 +44,17 @@ def koebe_phi(c, z):
 
 
 def koebe_phi_prime(c, z):
-    """k_c'(z) = (1+z)^(c-1) (1-z)^(-(c+1)) for c in [0, 2].  A
-    non-integer c takes one power, w^(c-1)/(1-z)^2 with w = (1+z)/(1-z),
-    which is the same value on the principal branch: arg(1+z) - arg(1-z)
-    lies in (-pi, pi) on the disk."""
+    """k_c'(z) = (1+z)^(c-1) (1-z)^(-(c+1)) for c in [0, 2].  An integer
+    c takes the two powers, except that numpy's (1+z)^0 is exactly 1 + 0j
+    and its (1+z)^1 is 1 + z, so c = 1 and 2 multiply by these and take
+    the (1-z) power alone, with the same bits.  A non-integer c takes one
+    power, w^(c-1)/(1-z)^2 with w = (1+z)/(1-z), which is the same value
+    on the principal branch: arg(1+z) - arg(1-z) lies in (-pi, pi) on the
+    disk."""
+    if c == 1.0:
+        return (1.0 + 0j) * np.power(1.0 - z, -2.0)
+    if c == 2.0:
+        return (1.0 + z) * np.power(1.0 - z, -3.0)
     if float(c).is_integer():
         return np.power(1.0 + z, c - 1.0) * np.power(1.0 - z, -(c + 1.0))
     one_minus_z = 1.0 - z
@@ -220,11 +227,19 @@ def shear_grid(phi, omega, grid):
     ConvergenceError names the grid point at the outer end of the first
     failing segment, in ring-major order, and carries its flat index.
     """
+    _, h, k = _grid_h_phi(phi, omega, grid)
+    return h, h - k
+
+
+def _grid_h_phi(phi, omega, grid):
+    """The lattice grid_array(grid), h on it as shear_grid integrates it,
+    and phi on it from one call, all flat in ring-major order."""
     z = require_disk_points(grid_array(grid)).reshape(grid.rings,
                                                       grid.spokes)
     inner = np.concatenate([np.zeros((1, grid.spokes), complex), z[:-1]])
     h = np.cumsum(_integrate_h(phi, omega, inner, z), axis=0).ravel()
-    return h, h - vectorize(phi.phi)(z.ravel())
+    z = z.ravel()
+    return z, h, vectorize(phi.phi)(z)
 
 
 def _integrate_h(phi, omega, z0, z):
@@ -268,9 +283,9 @@ def grid_points(grid):
 
 
 def sample_grid(phi, omega, grid):
-    """One MapSample per grid node, ring-major then spoke order, from one
-    shear_grid call: the lattice is integrated ring to ring."""
-    z = grid_array(grid)
-    h, g = shear_grid(phi, omega, grid)
+    """One MapSample per grid node, ring-major then spoke order, from the
+    quadrature of shear_grid: the lattice is integrated ring to ring, and
+    phi evaluated on it once, for g = h - phi and for v."""
+    z, h, k = _grid_h_phi(phi, omega, grid)
     return [MapSample.from_hg(*p) for p in zip(
-        z.tolist(), h.tolist(), g.tolist(), vectorize(phi.phi)(z).tolist())]
+        z.tolist(), h.tolist(), (h - k).tolist(), k.tolist())]

@@ -131,11 +131,11 @@ def _terms(r, growth=0.0, degree=1.0):
 _HORNER_BLOCK = 2 ** 12
 
 
-def _horner(coeffs, y):
+def _horner(coeffs, y, acc=0.0):
     """The polynomial with coeffs, highest order first, at y: the one
     Horner loop of the package.  A Python complex y stays in Python
-    arithmetic; on an ndarray the sum accumulates in place."""
-    acc = 0.0
+    arithmetic; on an ndarray the sum accumulates in place.  acc carries
+    the sum of the higher-order coefficients, when they came before."""
     for a in coeffs:
         acc *= y
         acc += a
@@ -144,14 +144,16 @@ def _horner(coeffs, y):
 
 def _horner_many(series):
     """The sums sum_{k<m} coeffs[k] y^k of several series (coeffs, m, y),
-    with y a complex ndarray, in one _horner pass over all their points:
-    the series are stacked in one table, zero-padded to the longest, and
-    each coefficient is repeated over its series' points, as many terms
-    at a time as fit in _HORNER_BLOCK numbers (all of them on a small
-    batch, in one numpy call).  A value can move in the last bit with the
-    batch it is in, since numpy may round an in-place complex multiply
-    differently with the length of the arrays."""
-    sizes = np.array([y.size for _, _, y in series])
+    with coeffs a complex ndarray and y a complex ndarray, in one _horner
+    pass over all their points: the series are stacked in one table,
+    zero-padded to the longest, and each coefficient is repeated over its
+    series' points, as many terms at a time as fit in _HORNER_BLOCK
+    numbers (all of them on a small batch, in one numpy call); _horner
+    runs on each block in turn.  Returns one view of the sums per series.
+    A value can move in the last bit with the batch it is in, since numpy
+    may round an in-place complex multiply differently with the length of
+    the arrays."""
+    sizes = [y.size for _, _, y in series]
     table = np.zeros((len(series), max(m for _, m, _ in series)),
                      dtype=complex)
     for row, (coeffs, m, _) in zip(table, series):
@@ -159,13 +161,12 @@ def _horner_many(series):
     y = np.concatenate([y for _, _, y in series])
     columns = table.T[::-1]
     step = max(1, _HORNER_BLOCK // max(1, y.size))
-
-    def repeated():
-        for j in range(0, len(columns), step):
-            yield from columns[j:j + step].repeat(sizes, axis=1)
-
-    acc = _horner(repeated(), y)
-    return np.split(acc, np.cumsum(sizes)[:-1])
+    counts = np.array(sizes)
+    acc = 0.0
+    for j in range(0, len(columns), step):
+        acc = _horner(columns[j:j + step].repeat(counts, axis=1), y, acc)
+    bounds = np.cumsum([0] + sizes).tolist()
+    return [acc[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _terms_at_most(coeffs, y, growth=0.0, degree=1.0):
@@ -209,17 +210,27 @@ def _log_sinc_pi(eps):
 
 @dataclass(frozen=True)
 class _F1cTables:
-    """Series coefficients of hyp2f1_1c for one c, lowest order first."""
+    """Series coefficients of hyp2f1_1c for one c, lowest order first, as
+    read-only complex ndarrays, the type of _horner_many's table."""
 
-    power: tuple  # c/(c+m)
-    inverse: tuple  # c/(j-c) for j >= 1, 0 at j = round(c)
-    pfaff: tuple  # k!/(c+1)_k
-    log_b: tuple  # (c)_k/k!
-    log_a: tuple  # (c)_k/k! (psi(k+1) - psi(c+k))
+    power: np.ndarray  # c/(c+m)
+    inverse: np.ndarray  # c/(j-c) for j >= 1, 0 at j = round(c)
+    pfaff: np.ndarray  # k!/(c+1)_k
+    log_b: np.ndarray  # (c)_k/k!
+    log_a: np.ndarray  # (c)_k/k! (psi(k+1) - psi(c+k))
+
+
+def _constant(values):
+    """values as a read-only complex ndarray."""
+    out = np.array(values, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=64)
 def _f1c_tables(c):
+    """The _F1cTables of c, built once per c: each coefficient in float
+    arithmetic, then the tables as complex ndarrays."""
     near = round(c)
     m = _terms(_PFAFF_RADIUS)
     pfaff = [1.0]
@@ -235,10 +246,11 @@ def _f1c_tables(c):
         gap += 1.0 / (k + 1.0) - 1.0 / (c + k)
         coeff *= (c + k) / (k + 1.0)
     return _F1cTables(
-        power=tuple(c / (c + k) for k in range(_terms(_POWER_RADIUS))),
-        inverse=tuple(0.0 if j == near else c / (j - c)
-                      for j in range(1, _terms(1.0 / _INVERSE_RADIUS) + 1)),
-        pfaff=tuple(pfaff), log_b=tuple(log_b), log_a=tuple(log_a))
+        power=_constant([c / (c + k) for k in range(_terms(_POWER_RADIUS))]),
+        inverse=_constant([0.0 if j == near else c / (j - c) for j in
+                           range(1, _terms(1.0 / _INVERSE_RADIUS) + 1)]),
+        pfaff=_constant(pfaff), log_b=_constant(log_b),
+        log_a=_constant(log_a))
 
 
 def _f1c_inverse(c, log_mx, y, series):

@@ -9,6 +9,7 @@ from shearlift.analytic import (cauchy_derivative, cauchy_derivatives,
                                 circle_derivative, circle_nodes, clog,
                                 integrate_segment, require_disk_point,
                                 unit_roots)
+from shearlift._kernels import fallback
 from shearlift.errors import DomainError
 
 
@@ -45,6 +46,34 @@ def test_integrate_against_antiderivative():
     # oracle: d/dz (1-z)^(-1) = (1-z)^(-2), so the integral is 1/(1-z) - 1
     val = integrate_segment(lambda z: (1.0 - z) ** -2, 0j, 0.5)
     assert abs(val - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("z0, z1, kernel", [
+    (0j, 0.5, "adaptive_segment"),
+    (0, 0.5 + 0.25j, "adaptive_segment"),
+    (np.complex128(0.0), np.float64(0.5), "adaptive_segment"),
+    (np.array(0j), np.array(0.5 + 0.1j), "adaptive_segment"),
+    (0j, np.array(0.5), "adaptive_segment"),
+    (0j, [0.5], "adaptive_segments"),
+    ([0j, 0.1], [0.5, 0.6], "adaptive_segments"),
+    (0j, np.array([0.5, 0.25j]), "adaptive_segments"),
+    (np.zeros((2, 1), complex), np.array([[0.5], [0.6]]),
+     "adaptive_segments"),
+])
+def test_integrate_segment_picks_the_kernel_by_the_ends(monkeypatch, z0, z1,
+                                                        kernel):
+    # numbers and 0-d arrays are one segment, lists and arrays of ndim >= 1
+    # a batch, as np.ndim of the ends says; the call goes through the
+    # module, where a tracer can wrap it
+    ran = []
+    for name in ("adaptive_segment", "adaptive_segments"):
+        real = getattr(fallback, name)
+        monkeypatch.setattr(fallback, name,
+                            lambda *args, name=name, real=real: (
+                                ran.append(name), real(*args))[1])
+    val = integrate_segment(lambda z: np.ones_like(z), z0, z1)
+    assert ran == [kernel]
+    assert np.allclose(val, np.subtract(z1, z0), rtol=0, atol=1e-15)
 
 
 def test_integrate_scalar_integrand_fallback():

@@ -314,6 +314,7 @@ def test_mobius_spec_is_validated_once_per_parameter_set(monkeypatch):
 
     monkeypatch.setattr(DilatationSpec, "_validate_samples", counting)
     family_omega.cache_clear()
+    families._plan.cache_clear()
     p = FamilyParams(family="F_ca", c=1.5, a=0.37)
     for z in SAMPLE_POINTS:
         hprime(p, z)
@@ -322,6 +323,32 @@ def test_mobius_spec_is_validated_once_per_parameter_set(monkeypatch):
     assert built == [0.37]
     hprime(FamilyParams(family="F_a", a=-0.2), 0.2j)
     assert built == [0.37, -0.2]
+
+
+def test_one_point_calls_build_their_plan_once(monkeypatch):
+    # what a parameter set fixes (its closed form, phi, omega, the
+    # near-origin radius, the root-pair weights) is built on its first
+    # call, not on every one-point call
+    resolved = []
+    resolve = families.resolve_family
+
+    def counting(params):
+        resolved.append(params)
+        return resolve(params)
+
+    monkeypatch.setattr(families, "resolve_family", counting)
+    families._plan.cache_clear()
+    families._root_weights.cache_clear()
+    p = FamilyParams(family="f_1n", n=6)
+    points = [0.9 * cmath.exp(2j * math.pi * k / 100) * (k + 1) / 100
+              for k in range(100)]
+    for z in points:
+        evaluate(p, z)
+        lift_sample(p, z)
+        hprime(p, z)
+    assert resolved == [p]
+    assert families._plan.cache_info().misses == 1
+    assert families._root_weights.cache_info().misses == 1
 
 
 def test_rejects_points_outside_disk():

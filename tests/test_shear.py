@@ -13,7 +13,7 @@ from shearlift.families import FamilyParams, evaluate
 from shearlift.shear import (DilatationSpec, MapSample, PrevertexSpec,
                              grid_array, grid_points, koebe_phi, koebe_phi_prime,
                              lift_third_coordinate, sample_grid, shear_array,
-                             shear_at)
+                             shear_at, shear_grid)
 from shearlift.surface import GridSpec, slit_surface_reference
 
 
@@ -163,6 +163,57 @@ def test_sample_grid_matches_f2n_closed_form():
     for s in samples:
         ref = evaluate(FamilyParams("f_2n", n=2), s.z)
         assert abs(s.f - ref.f) < 1e-9
+
+
+def test_sample_grid_evaluates_phi_once():
+    # phi over the whole lattice is one array call, whose values give both
+    # g = h - phi and v; the samples are those of shear_grid's h and g and
+    # of phi on grid_array, bit for bit
+    calls = []
+
+    def phi(z):
+        if np.ndim(z):
+            calls.append(np.shape(z))
+        return z + z * z / 4
+
+    spec = PrevertexSpec.custom(phi, lambda z: 1 + z / 2)
+    omega = DilatationSpec.power(3)
+    grid = GridSpec(rings=3, spokes=5, r_max=0.9)
+    samples = sample_grid(spec, omega, grid)
+    assert calls == [(15,)]
+    z = grid_array(grid)
+    h, g = shear_grid(spec, omega, grid)
+    expected = [MapSample.from_hg(*p) for p in zip(
+        z.tolist(), h.tolist(), g.tolist(), phi(z).tolist())]
+    assert [repr(s) for s in samples] == [repr(s) for s in expected]
+
+
+def _bits(x):
+    return np.array(x, dtype=complex).reshape(-1).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_integer_koebe_derivative_is_the_two_powers_bit_for_bit(c):
+    # c = 1 and 2 take the (1 - z) power alone: the (1 + z) power is
+    # exactly 1 + 0j and 1 + z there, signs of zeros included
+    def two_powers(z):
+        return np.power(1.0 + z, c - 1.0) * np.power(1.0 - z, -(c + 1.0))
+
+    rng = np.random.default_rng(33)
+    r = 0.99 * np.sqrt(rng.random(400))
+    z = r * np.exp(2j * np.pi * rng.random(400))
+    axis = rng.uniform(-0.99, 0.99, 40)
+    zero = np.zeros(40)
+    z = np.concatenate([z, axis + 1j * zero, axis - 1j * zero,
+                        1j * axis, [0j, complex(0.0, -0.0), complex(-0.0, 0.0),
+                                    complex(-0.0, -0.0), 0.5 - 0.5j,
+                                    0.5 + 0.5j]])
+    assert np.signbit(z.imag).sum() >= 40
+    assert _bits(koebe_phi_prime(c, z)) == _bits(two_powers(z))
+    for p in (0.3 - 0.2j, 0.5 - 0.5j, complex(-0.4, -0.0), 0.7 + 0j):
+        value = koebe_phi_prime(c, p)
+        assert type(value) is type(two_powers(p))
+        assert _bits(value) == _bits(two_powers(p))
 
 
 def test_map_sample_from_hg():

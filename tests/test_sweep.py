@@ -1,12 +1,13 @@
-"""tools/sweep.py on a tiny subset of its jobs: a directory compared with
-itself reads no difference, and one perturbed number is reported with its
-relative move."""
+"""tools/sweep.py on a tiny subset of its jobs and dumps: a directory
+compared with itself reads no difference, one perturbed number is reported
+with its relative move, and one changed dump word is counted."""
 
 import importlib.util
 import io
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
@@ -72,3 +73,43 @@ def test_main_refuses_an_unknown_command(sweep, tmp_path):
     with pytest.raises(SystemExit) as exc:
         sweep.main(["write", str(tmp_path), "--commands", "map,nope"])
     assert exc.value.code == 2
+
+
+DUMP_SUBSET = ("python/evaluate_F_ca_c1.5_a-0.4", "python/lift_sample_f_2n_n6",
+               "numpy/shear_at_f_1n_n4", "numpy/hyp2f1_1c_c1.5")
+
+
+def test_dump_compare_reads_a_changed_word(sweep, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    sweep.dump(a, DUMP_SUBSET)
+    assert sorted(p.relative_to(a).as_posix() for p in a.rglob("*.u64")) \
+        == sorted(f"{name}.u64" for name in DUMP_SUBSET)
+    out = io.StringIO()
+    assert sweep.compare(a, a, out) == 0
+    assert out.getvalue().splitlines()[-1] == "0 of 4 files differ"
+    # a dump writes the same words alone as among others
+    sweep.dump(b, DUMP_SUBSET[2:3])
+    name = f"{DUMP_SUBSET[2]}.u64"
+    assert (b / name).read_bytes() == (a / name).read_bytes()
+    shutil.rmtree(b)
+
+    shutil.copytree(a, b)
+    path = b / "numpy" / "shear_at_f_1n_n4.u64"
+    words = np.fromfile(path, dtype="<u8")
+    # 48 samples of h, g, u and v, six float64 words each
+    assert words.size == 6 * 48
+    words[7] ^= 1
+    words.tofile(path)
+    out = io.StringIO()
+    assert sweep.compare(a, b, out) == 1
+    report = out.getvalue().splitlines()
+    assert ("numpy/shear_at_f_1n_n4.u64: DIFFERS, 1 of 288 words differ"
+            in report)
+    assert report[-1] == "1 of 4 files differ"
+    assert sweep.main(["compare", str(a), str(b)]) == 1
+
+    words[:-1].tofile(path)
+    out = io.StringIO()
+    assert sweep.compare(a, b, out) == 1
+    assert ("numpy/shear_at_f_1n_n4.u64: DIFFERS, 288 against 287 words"
+            in out.getvalue())

@@ -1,7 +1,9 @@
-"""Write the command-line outputs of a fixed list of parameter sets, and
-compare two such directories number by number.
+"""Write the command-line outputs of a fixed list of parameter sets, dump
+the bits of seeded library results, and compare two such directories
+number by number.
 
     PYTHONPATH=src python tools/sweep.py write DIR [--commands map,surface]
+    PYTHONPATH=src python tools/sweep.py dump DIR
     python tools/sweep.py compare DIR_A DIR_B
 
 write runs shearlift's map, surface, verify and coeffs commands in this
@@ -12,17 +14,33 @@ code is part of the output.  The shearlift package is the one Python
 imports, so pointing PYTHONPATH at another checkout's src/ sweeps that
 checkout with the same job list.
 
-compare prints one line per file of either directory: whether it
-differs, how many of its numbers have other texts, and the largest
-relative move |b - a| / max(|a|, |b|) among them.  A file whose text
-differs outside its numbers, or that only one directory holds, is
-reported as such.  It exits 1 when any file differs, and 0 otherwise.
+dump writes the results of DUMPS at seeded points as raw little-endian
+uint64 words, the bits of their float64 parts (real then imaginary part
+of a complex number), one .u64 file each, in two subdirectories of DIR:
+python/ holds the one-point closed forms of the seven catalog families,
+which run in Python complex arithmetic and numpy scalar functions;
+numpy/ holds every result whose last bits follow numpy's array loops
+(the quadrature shear_at, the one-point f_cn, the array entry points and
+hyp2f1_1c), which can move with numpy's SIMD level.
+
+compare prints one line per file of either directory (subdirectories
+included): whether it differs; for a text file, how many of its numbers
+have other texts and the largest relative move |b - a| / max(|a|, |b|)
+among them; for a dump, how many of its words differ.  A text that
+differs outside its numbers, a dump of another length, and a file that
+only one directory holds are reported as such.  It exits 1 when any file
+differs, and 0 otherwise.
 """
 
 import argparse
+import cmath
+import math
+import random
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 MOBIUS_A = (-0.9, -0.5, 0.0, 0.5, 0.9)
 F_CA = ((0.5, -0.5), (0.5, 0.7), (1.5, -0.4), (1.5, 0.5), (2.0, 0.2),
@@ -96,6 +114,151 @@ def write(directory, names=None):
     (directory / "index.txt").write_text("".join(index))
 
 
+# --- dumps of library results --------------------------------------------
+
+DUMP_SEED = 1508
+DUMP_POINTS = 40
+# the seven catalog families, and f_cn, whose one-point calls run numpy's
+# array loops
+CATALOG_SETS = (("F_a", (("a", -0.5),)), ("F_a", (("a", 0.9),)),
+                ("F_0a", (("a", -0.9),)), ("F_0a", (("a", 0.3),)),
+                ("F_1a", (("a", -0.7),)), ("F_1a", (("a", 0.2),)),
+                ("F_ca", (("c", 0.5), ("a", 0.1))),
+                ("F_ca", (("c", 1.0), ("a", -0.3))),
+                ("F_ca", (("c", 1.5), ("a", -0.4))),
+                ("F_ca", (("c", 2.0), ("a", 0.2))),
+                ("f_0n", (("n", 3),)), ("f_0n", (("n", 4),)),
+                ("f_1n", (("n", 4),)), ("f_1n", (("n", 7),)),
+                ("f_2n", (("n", 2),)), ("f_2n", (("n", 6),)),
+                ("f_2n", (("n", 16),)))
+FCN_SETS = tuple(("f_cn", (("c", c), ("n", n)))
+                 for c in (0.5, 1.5) for n in (3, 4, 8))
+# hyp2f1_1c runs at c + 1 for the f_cn family's c
+HYP_C = (1.5, 2.5)
+
+
+def _set_name(family, kwargs):
+    return "_".join([family] + [f"{k}{_g(v)}" for k, v in kwargs])
+
+
+def _disk_points(rng, count, r_max=0.95):
+    """count seeded points up to |z| = r_max, one per equal-area annulus,
+    then eight on the real axis, four with -0.0 as their imaginary part."""
+    pts = [r_max * math.sqrt((i + rng.random()) / count)
+           * cmath.exp(2j * math.pi * rng.random()) for i in range(count)]
+    axis = [r_max * (2.0 * rng.random() - 1.0) for _ in range(8)]
+    return pts + [complex(x, 0.0) for x in axis[:4]] + [
+        complex(x, -0.0) for x in axis[4:]]
+
+
+def _hyp_points(rng, count):
+    """count seeded x on each route of hyp2f1_1c: the power disc, the 1/x
+    region, the Pfaff disc (x = y/(y - 1), |y| <= 0.6), the log disc about
+    1 and the Taylor zone, then the real axis below 1 with both signs of
+    zero."""
+    def disc(radius):
+        return radius * math.sqrt(rng.random()) * cmath.exp(
+            2j * math.pi * rng.random())
+
+    xs = [disc(0.5) for _ in range(count)]
+    xs += [(5.0 / 3.0 + 3.0 * rng.random()) * cmath.exp(
+        2j * math.pi * rng.random()) for _ in range(count)]
+    xs += [y / (y - 1.0) for y in (disc(0.6) for _ in range(count))]
+    xs += [1.0 - disc(0.5) for _ in range(count)]
+    xs += [(0.55 + rng.random()) * cmath.exp(1j * math.pi * (
+        0.1 + 0.8 * rng.random())) for _ in range(count)]
+    xs = [x.conjugate() if rng.random() < 0.5 else x for x in xs]
+    axis = [-3.0 + 3.9 * rng.random() for _ in range(8)]
+    return xs + [complex(x, 0.0) for x in axis[:4]] + [
+        complex(x, -0.0) for x in axis[4:]]
+
+
+def _words(values):
+    """The float64 parts of numbers or arrays, in order, as uint64."""
+    parts = []
+    for v in values:
+        v = np.asarray(v)
+        parts.append(np.stack([v.real, v.imag], axis=-1).ravel()
+                     if np.iscomplexobj(v) else v.astype(float).ravel())
+    return np.concatenate(parts).astype("<f8").view("<u8")
+
+
+def _dumps():
+    """{name: (kind, family, kwargs)} of every dump."""
+    dumps = {}
+
+    def add(sub, kinds, family, kwargs):
+        for kind in kinds:
+            dumps[f"{sub}/{kind}_{_set_name(family, kwargs)}"] = (
+                kind, family, kwargs)
+
+    for family, kwargs in CATALOG_SETS + FCN_SETS:
+        lift = family.startswith("f_") and dict(kwargs)["n"] % 2 == 0
+        one_point = ("evaluate", "hprime", "gprime") + (
+            ("lift_sample",) if lift else ())
+        if family == "f_cn":
+            add("numpy", one_point, family, kwargs)
+        else:
+            add("python", one_point, family, kwargs)
+            add("numpy", ("shear_at",), family, kwargs)
+        add("numpy", ("evaluate_array",) + (("lift_array",) if lift else ()),
+            family, kwargs)
+    for c in HYP_C:
+        for kind in ("hyp2f1_1c", "hyp2f1_1c_points"):
+            dumps[f"numpy/{kind}_c{_g(c)}"] = (kind, None, (("c", c),))
+    return dumps
+
+
+DUMPS = _dumps()
+
+
+# the fields written of each sample
+SAMPLE_FIELDS = {"evaluate": ("h", "g", "u", "v"),
+                 "shear_at": ("h", "g", "u", "v"),
+                 "lift_sample": ("u", "v", "f3")}
+
+
+def _results(kind, family, kwargs):
+    """The results of one dump, in the order they are written."""
+    from shearlift import families, shear, special, surface
+
+    # each dump draws its points from a seed of its own, so that a subset
+    # of DUMPS writes the same words
+    rng = random.Random(f"{DUMP_SEED} {kind} {family} {kwargs}")
+    if kind.startswith("hyp2f1_1c"):
+        xs = _hyp_points(rng, DUMP_POINTS)
+        c = dict(kwargs)["c"]
+        if kind == "hyp2f1_1c":
+            return [special.hyp2f1_1c(c, np.array(xs))]
+        return [special.hyp2f1_1c(c, x) for x in xs]
+    params = families.FamilyParams(family, **dict(kwargs))
+    zs = _disk_points(rng, DUMP_POINTS)
+    if kind.endswith("_array"):
+        call = getattr(families if kind == "evaluate_array" else surface,
+                       kind)
+        return call(params, np.array(zs))
+    if kind == "shear_at":
+        phi, omega = (families.family_phi(params),
+                      families.family_omega(params))
+        results = [shear.shear_at(phi, omega, z) for z in zs]
+    else:
+        call = getattr(surface if kind == "lift_sample" else families, kind)
+        results = [call(params, z) for z in zs]
+    fields = SAMPLE_FIELDS.get(kind)
+    if fields is None:
+        return results
+    return [getattr(s, f) for s in results for f in fields]
+
+
+def dump(directory, names=None):
+    """Write the dumps named (default: all of DUMPS) into directory."""
+    directory = Path(directory)
+    for name in DUMPS if names is None else names:
+        path = directory / f"{name}.u64"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _words(_results(*DUMPS[name])).tofile(path)
+
+
 # a number of the outputs, with its sign and exponent
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -120,18 +283,38 @@ def compare_text(a, b):
                                  default=0.0)
 
 
+def compare_words(a, b):
+    """(None, count) of the words that differ between two dumps of one
+    length, or (reason, 0) when their lengths differ."""
+    if a.size != b.size:
+        return f"{a.size} against {b.size} words", 0
+    return None, int((a != b).sum())
+
+
+def _files(directory):
+    return {p.relative_to(directory).as_posix()
+            for p in directory.rglob("*") if p.is_file()}
+
+
 def compare(dir_a, dir_b, out=sys.stdout):
-    """Print one line per file of dir_a or dir_b and return the number of
-    files that differ."""
+    """Print one line per file of dir_a or dir_b, subdirectories included,
+    and return the number of files that differ."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    names = sorted({p.name for p in dir_a.iterdir()}
-                   | {p.name for p in dir_b.iterdir()})
+    names = sorted(_files(dir_a) | _files(dir_b))
     differ = 0
     for name in names:
         a, b = dir_a / name, dir_b / name
         if not (a.exists() and b.exists()):
             where = dir_a if a.exists() else dir_b
             line = f"only in {where}"
+        elif name.endswith(".u64"):
+            words_a = np.fromfile(a, dtype="<u8")
+            reason, count = compare_words(words_a,
+                                          np.fromfile(b, dtype="<u8"))
+            if not (reason or count):
+                print(f"{name}: same", file=out)
+                continue
+            line = reason or f"{count} of {words_a.size} words differ"
         else:
             text_a, text_b = a.read_text(), b.read_text()
             if text_a == text_b:
@@ -155,12 +338,19 @@ def main(argv=None):
     p_write.add_argument("--commands", default=",".join(EXTENSION),
                          help="comma-separated commands to sweep "
                               "(default: all)")
-    p_compare = sub.add_parser("compare", help="compare two sweeps")
+    p_dump = sub.add_parser("dump", help="dump the bits of seeded library "
+                                         "results")
+    p_dump.add_argument("directory")
+    p_compare = sub.add_parser("compare", help="compare two sweeps or "
+                                               "dumps")
     p_compare.add_argument("dir_a")
     p_compare.add_argument("dir_b")
     args = parser.parse_args(argv)
     if args.mode == "compare":
         return 1 if compare(args.dir_a, args.dir_b) else 0
+    if args.mode == "dump":
+        dump(args.directory)
+        return 0
     commands = args.commands.split(",")
     unknown = set(commands) - set(EXTENSION)
     if unknown:
