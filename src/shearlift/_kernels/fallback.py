@@ -77,6 +77,10 @@ _RULE = np.array([WGK, WGK], dtype=complex)
 _RULE[1, 1::2] -= WG
 
 
+# The narrowest panel a segment splits, as a fraction of the segment.
+MIN_PANEL_WIDTH = 2e-15
+
+
 def _stalled(splits, err):
     return (f"segment quadrature stalled after {splits} subdivisions "
             f"(error {err:.3e})")
@@ -117,7 +121,7 @@ def adaptive_segment(f, z0, z1, abs_tol, rel_tol, max_subdivisions):
                 kept.append(p)
                 continue
             splits += 1
-            if splits > max_subdivisions or t1 - t0 < 2e-15:
+            if splits > max_subdivisions or t1 - t0 < MIN_PANEL_WIDTH:
                 raise ConvergenceError(_stalled(splits, error))
             mid = 0.5 * (t0 + t1)
             new_t0 += (t0, mid)
@@ -201,7 +205,7 @@ def adaptive_segments(f, z0, z1, abs_tol, rel_tol, max_subdivisions):
         total[done] = est[done]
         splits += count
         bad = live & ~done & (splits > max_subdivisions)
-        bad[owner[split & (t1 - t0 < 2e-15)]] = True
+        bad[owner[split & (t1 - t0 < MIN_PANEL_WIDTH)]] = True
         failed |= bad
         stalled[bad] = error[bad]
         live &= ~(done | bad)

@@ -14,7 +14,7 @@ import stat
 import sys
 
 from . import __version__, families, render, verify
-from .errors import ConvergenceError, DilatationNotSquareError, DomainError
+from .errors import ConvergenceError
 from .surface import GridSpec, build_mesh
 
 EXIT_OK = 0
@@ -199,8 +199,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, DilatationNotSquareError, ValueError,
-            ConvergenceError) as exc:
+    # DomainError and DilatationNotSquareError are ValueErrors
+    except (ValueError, ConvergenceError) as exc:
         print(f"shearlift {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

@@ -71,24 +71,17 @@ class FamilyParams:
             raise UnsupportedParameterError("c must lie in [0, 2]")
 
 
-@lru_cache(maxsize=64)
 def family_phi(params):
-    """PrevertexSpec of the family (phi = z or k_c), built once per
-    parameter set."""
-    if params.family == "F_a":
-        return PrevertexSpec.identity()
-    _, c = _FIXED_C.get(params.family, (params.family, params.c))
-    return PrevertexSpec.koebe(c)
+    """PrevertexSpec of the family (phi = z or k_c), the one its _plan
+    holds."""
+    return _plan(params).prevertex
 
 
-@lru_cache(maxsize=64)
 def family_omega(params):
-    """DilatationSpec of the family (Mobius-type or z^n), built once per
-    parameter set: the Mobius spec checks |omega| < 1 on a 48-point
-    lattice when it is built."""
-    if params.family in _MOBIUS_FAMILIES:
-        return DilatationSpec.mobius(params.a)
-    return DilatationSpec.power(params.n)
+    """DilatationSpec of the family (Mobius-type or z^n), the one its
+    _plan holds: the Mobius spec checks |omega| < 1 on a 48-point lattice
+    once per parameter set, when the plan is built."""
+    return _plan(params).dilatation
 
 
 def hprime(params, z):
@@ -100,10 +93,12 @@ def hprime(params, z):
 
 
 def gprime(params, z):
-    """Closed-form g'(z) = omega(z) * h'(z) of the family at a disk
-    point."""
-    hp = hprime(params, z)
-    return complex(_plan(params).omega(complex(z))) * hp
+    """Closed-form g'(z) = omega(z) * h'(z) of the family at a disk point,
+    with omega(z) evaluated once for both factors."""
+    z = require_disk_point(z, r_max=1.0)
+    plan = _plan(params)
+    w = complex(plan.omega(z))
+    return w * (complex(plan.derivative(z)) / (1.0 - w))
 
 
 def derivatives_array(params, z):
@@ -122,12 +117,11 @@ def derivatives_array(params, z):
 # Each closed form is written once with numpy, whose functions take a
 # number (evaluate) or an array (evaluate_array) alike, and takes its
 # logarithms from analytic.clog, which does the same.  A form takes the
-# family parameters p, the point z and the prevertex function phi, which
-# it evaluates at z, and returns (h, g, phi), phi at z; _FORMS below
-# registers them by family name, and _closed_form is the one caller of
-# them.  _F_ca and _f_cn take phi from a term of their own instead and
-# leave the phi they are given unused (_f_cn leaves it to the near-origin
-# series).
+# _Plan of its parameter set and the point z, reads a, c, n and the
+# prevertex function phi from the plan, and returns (h, g, phi), phi at
+# z; _FORMS below registers them by family name, _plan picks one per
+# parameter set, and _closed_form is the one caller of them.  _F_ca and
+# _f_cn take phi from a term of their own instead of plan.phi.
 #
 # The four power-dilatation forms take lift=True from the lifts in surface
 # (even n) and then return (h, g, phi, F3), with
@@ -149,29 +143,29 @@ def _from_sum(p, phi):
     return 0.5 * (p + phi), 0.5 * (p - phi), phi
 
 
-def _F_a(p, z, phi):
-    a = float(p.a)
+def _F_a(plan, z):
+    a = plan.a
     return _from_sum(-z + (1.0 - a) * clog(1.0 + z)
-                     - (1.0 + a) * clog(1.0 - z), phi(z))
+                     - (1.0 + a) * clog(1.0 - z), plan.phi(z))
 
 
-def _F_0a(p, z, phi):
-    a = float(p.a)
+def _F_0a(plan, z):
+    a = plan.a
     return _from_sum(0.5 * (1.0 + a) * z / (1.0 - z)
-                     + 0.5 * (1.0 - a) * z / (1.0 + z), phi(z))
+                     + 0.5 * (1.0 - a) * z / (1.0 + z), plan.phi(z))
 
 
-def _F_1a(p, z, phi):
-    a = float(p.a)
+def _F_1a(plan, z):
+    a = plan.a
     return _from_sum(0.25 * (1.0 - a) * clog((1.0 + z) / (1.0 - z))
-                     + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, phi(z))
+                     + 0.5 * (1.0 + a) * z / (1.0 - z) ** 2, plan.phi(z))
 
 
-def _F_ca(p, z, phi):
+def _F_ca(plan, z):
     # the w-plane form with (w^p - 1)/p terms, so that nothing cancels as
     # c nears 0 or 1; its middle term is 4 k_c, so it also gives phi, with
     # the operations of shear.koebe_phi at a non-integer c
-    c, a = float(p.c), float(p.a)
+    c, a = plan.c, plan.a
     log_w = clog((1.0 + z) / (1.0 - z))
     k = _powm1_over(c, log_w)
     h = 0.125 * ((a + 1.0) * _powm1_over(c + 1.0, log_w)
@@ -220,20 +214,20 @@ def _root_pairs(c, n, z, lift=False):
     return h, t
 
 
-def _f_0n(p, z, phi, lift=False):
+def _f_0n(plan, z, lift=False):
     # P' = (1 + z^n) h' has twice the root terms of h'
-    n = int(p.n)
+    n = plan.n
     roots, roots_t = _root_pairs(0, n, z, lift)
     s = z / (1.0 - z) if n % 2 else 2.0 * z / (1.0 - z * z)
-    hgk = _from_sum(s / n + 2.0 * roots, phi(z))
+    hgk = _from_sum(s / n + 2.0 * roots, plan.phi(z))
     if not lift:
         return hgk
     t = z / (1.0 - z) + (-1.0) ** (n // 2) * z / (1.0 + z)
     return (*hgk, (t / n + 2.0 * roots_t).imag)
 
 
-def _f_1n(p, z, phi, lift=False):
-    n = int(p.n)
+def _f_1n(plan, z, lift=False):
+    n = plan.n
     roots, roots_t = _root_pairs(1, n, z, lift)
     log_1mz = clog(1.0 - z)
     h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
@@ -243,7 +237,7 @@ def _f_1n(p, z, phi, lift=False):
         log_1pz = clog(1.0 + z)
         h += log_1pz / (4.0 * n)
     h += roots
-    k = phi(z)
+    k = plan.phi(z)
     if not lift:
         return h, h - k, k
     t = (-z / (1.0 - z) + z * (2.0 - z) / (1.0 - z) ** 2
@@ -252,14 +246,14 @@ def _f_1n(p, z, phi, lift=False):
     return h, h - k, k, (t / n + 2.0 * roots_t).imag
 
 
-def _f_2n(p, z, phi, lift=False):
-    n = int(p.n)
+def _f_2n(plan, z, lift=False):
+    n = plan.n
     roots, roots_t = _root_pairs(2, n, z, lift)
     h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
          + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
     h += roots
-    k = phi(z)
+    k = plan.phi(z)
     if not lift:
         return h, h - k, k
     t = ((4.0 - n * n) / (6.0 * n) * z / (1.0 - z)
@@ -456,8 +450,8 @@ def fcn_h_and_lift(c, n, z):
     return h, t, phi
 
 
-def _f_cn(p, z, phi, lift=False):
-    h, t, k = fcn_h_and_lift(float(p.c), int(p.n), z)
+def _f_cn(plan, z, lift=False):
+    h, t, k = fcn_h_and_lift(plan.c, plan.n, z)
     return (h, h - k, k, 2.0 * t.imag) if lift else (h, h - k, k)
 
 
@@ -502,11 +496,11 @@ def _series(c, n):
             [b[j] / (j + n / 2 + 1) for j in reversed(range(m))])
 
 
-def _near_origin(p, z, phi, lift=False):
-    n = int(p.n)
-    p_coeffs, t_coeffs = _series(family_phi(p).c, n)
+def _near_origin(plan, z, lift=False):
+    n = plan.n
+    p_coeffs, t_coeffs = _series(plan.c, n)
     # h - g = phi, so phi's roundoff cancels in u = Re P
-    hgk = _from_sum(z * _horner(p_coeffs, z), phi(z))
+    hgk = _from_sum(z * _horner(p_coeffs, z), plan.phi(z))
     if not lift:
         return hgk
     return (*hgk, 2.0 * (z ** (n // 2 + 1) * _horner(t_coeffs, z)).imag)
@@ -518,26 +512,19 @@ _FORMS = {"F_a": _F_a, "F_0a": _F_0a, "F_1a": _F_1a, "F_ca": _F_ca,
 _DELEGATES = {general: family for family, general in _FIXED_C.items()}
 
 
-def resolve_family(params):
-    """The parameters whose closed form evaluates params: F_ca at c = 0
-    and 1 is F_0a and F_1a, f_cn at c = 0, 1 and 2 is f_0n, f_1n and
-    f_2n.  Every other c in [0, 2] takes the general form, which stays
-    accurate as c nears these values."""
-    family = _DELEGATES.get((params.family, params.c))
-    if family is None:
-        return params
-    return FamilyParams(family=family, a=params.a, n=params.n)
-
-
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """What a parameter set fixes for every call of its closed form and
-    derivatives: the parameters of its closed form (resolve_family), the
-    form, phi and phi' (family_phi), omega (family_omega), and a power
-    family's near-origin radius (_series_radius; None otherwise)."""
+    """What a parameter set fixes, held once for every call of its closed
+    form and derivatives: the form, c (of k_c; unused by F_a), a, n, the
+    PrevertexSpec and DilatationSpec with their functions phi, phi' and
+    omega, and a power family's near-origin radius (None otherwise)."""
 
-    params: FamilyParams
     form: object
+    c: float
+    a: float
+    n: int
+    prevertex: PrevertexSpec
+    dilatation: DilatationSpec
     phi: object
     derivative: object
     omega: object
@@ -546,13 +533,21 @@ class _Plan:
 
 @lru_cache(maxsize=64)
 def _plan(params):
-    """The _Plan of params, built once per parameter set."""
-    resolved = resolve_family(params)
-    prevertex = family_phi(params)
-    radius = (_series_radius(int(resolved.n))
-              if resolved.family in _POWER_FAMILIES else None)
-    return _Plan(resolved, _FORMS[resolved.family], prevertex.phi,
-                 prevertex.derivative, family_omega(params).omega, radius)
+    """The _Plan of params, built once per parameter set.  F_ca at c = 0,
+    1 and f_cn at c = 0, 1, 2 take the forms of their fixed-c families;
+    every other c takes the general form, which stays accurate near them."""
+    family = _DELEGATES.get((params.family, params.c), params.family)
+    c = _FIXED_C[family][1] if family in _FIXED_C else float(params.c)
+    prevertex = (PrevertexSpec.identity() if family == "F_a"
+                 else PrevertexSpec.koebe(c))
+    dilatation = (DilatationSpec.mobius(params.a)
+                  if family in _MOBIUS_FAMILIES
+                  else DilatationSpec.power(params.n))
+    n = int(params.n)
+    radius = _series_radius(n) if family in _POWER_FAMILIES else None
+    return _Plan(_FORMS[family], c, float(params.a), n, prevertex,
+                 dilatation, prevertex.phi, prevertex.derivative,
+                 dilatation.omega, radius)
 
 
 def _closed_form(params, z, lift=False):
@@ -560,18 +555,18 @@ def _closed_form(params, z, lift=False):
     closed form, and with lift=True (power families only) (h, g, phi, F3).
     A power family takes its near-origin series inside _series_radius(n)."""
     plan = _plan(params)
-    params, form, phi = plan.params, plan.form, plan.phi
+    form = plan.form
     if plan.radius is None:
-        return form(params, z, phi)
+        return form(plan, z)
     near = abs(z) <= plan.radius
     if not isinstance(near, bool):
         if near.any() and not near.all():
             out = np.empty((3 + lift,) + z.shape, complex)
             for mask, f in ((near, _near_origin), (~near, form)):
-                out[:, mask] = f(params, z[mask], phi, lift)
+                out[:, mask] = f(plan, z[mask], lift)
             return (*out[:3], out[3].real.copy()) if lift else tuple(out)
         near = near.all()
-    return (_near_origin if near else form)(params, z, phi, lift)
+    return (_near_origin if near else form)(plan, z, lift)
 
 
 def evaluate(params, z):

@@ -63,42 +63,37 @@ def koebe_phi_prime(c, z):
 
 @dataclass(frozen=True)
 class DilatationSpec:
-    """Analytic dilatation omega with |omega| < 1 and omega(0) = 0."""
+    """Analytic dilatation omega (of a number or an array) with
+    |omega| < 1 and omega(0) = 0; custom, and so mobius and square_of,
+    check both on a 48-point lattice."""
 
-    kind: str
-    n: int = 0
-    a: float = 0.0
-    omega: object = None
+    omega: object
 
     @classmethod
     def zero(cls):
-        return cls(kind="zero", omega=lambda z: np.zeros_like(np.asarray(z)))
+        return cls(lambda z: np.zeros_like(np.asarray(z)))
 
     @classmethod
     def power(cls, n):
         if n < 1 or n != int(n):
             raise ValueError("power dilatation requires integer n >= 1")
-        return cls(kind="power_n", n=int(n), omega=lambda z: z**int(n))
+        n = int(n)
+        return cls(lambda z: z**n)
 
     @classmethod
     def mobius(cls, a):
         a = float(a)
         if not -1.0 <= a <= 1.0:
             raise ValueError("mobius dilatation requires a in [-1, 1]")
-        spec = cls(kind="mobius_a", a=a,
-                   omega=lambda z: z * (z + a) / (1.0 + a * z))
-        spec._validate_samples()
-        return spec
+        return cls.custom(lambda z: z * (z + a) / (1.0 + a * z))
 
     @classmethod
     def square_of(cls, q):
-        spec = cls(kind="square_of_q", omega=lambda z: q(z) ** 2)
-        spec._validate_samples()
-        return spec
+        return cls.custom(lambda z: q(z) ** 2)
 
     @classmethod
     def custom(cls, omega):
-        spec = cls(kind="custom", omega=omega)
+        spec = cls(omega)
         spec._validate_samples()
         return spec
 
@@ -116,30 +111,26 @@ class DilatationSpec:
 
 @dataclass(frozen=True)
 class PrevertexSpec:
-    """Conformal prevertex map phi with nonvanishing derivative."""
+    """Conformal prevertex map phi with nonvanishing derivative phi', both
+    of a number or an array."""
 
-    kind: str
-    c: float = 0.0
-    phi: object = None
-    derivative: object = None
+    phi: object
+    derivative: object
 
     @classmethod
     def identity(cls):
-        return cls(kind="identity", phi=lambda z: z,
-                   derivative=lambda z: np.ones_like(np.asarray(z)))
+        return cls(lambda z: z, lambda z: np.ones_like(np.asarray(z)))
 
     @classmethod
     def koebe(cls, c):
         c = float(c)
         if not 0.0 <= c <= 2.0:
             raise ValueError("koebe prevertex requires c in [0, 2]")
-        return cls(kind="koebe_c", c=c,
-                   phi=lambda z: koebe_phi(c, z),
-                   derivative=lambda z: koebe_phi_prime(c, z))
+        return cls(lambda z: koebe_phi(c, z), lambda z: koebe_phi_prime(c, z))
 
     @classmethod
     def custom(cls, phi, derivative):
-        spec = cls(kind="custom", phi=phi, derivative=derivative)
+        spec = cls(phi, derivative)
         for z in _check_points():
             if abs(complex(derivative(z))) == 0.0:
                 raise ValueError(

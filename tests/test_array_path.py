@@ -133,11 +133,10 @@ def test_lift_array_matches_lift_sample(params):
     ids=lambda p: f"{p.family}-c{p.c}-n{p.n}")
 def test_series_meets_the_closed_form_at_its_radius(params):
     z = np.array(seam(params.n))
-    params = families.resolve_family(params)
-    phi = family_phi(params).phi
+    plan = families._plan(params)
     lift = params.n % 2 == 0
-    for a, b in zip(families._near_origin(params, z, phi, lift),
-                    families._FORMS[params.family](params, z, phi, lift)):
+    for a, b in zip(families._near_origin(plan, z, lift),
+                    plan.form(plan, z, lift)):
         assert_close(a, b, z)
 
 

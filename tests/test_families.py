@@ -1,18 +1,19 @@
 import cmath
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from shearlift import families
+from shearlift import families, verify
 from shearlift.analytic import cauchy_derivative, clog
 from shearlift.errors import DomainError, UnsupportedParameterError
 from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
-                                coeffs_f2n, eval_F_0a, eval_F_1a, eval_F_ca,
-                                evaluate, evaluate_array,
-                                family_omega, family_phi, fcn_h_and_lift,
-                                gprime, hprime)
+                                coeffs_f2n, derivatives_array, eval_F_0a,
+                                eval_F_1a, eval_F_ca, evaluate,
+                                evaluate_array, family_omega, family_phi,
+                                fcn_h_and_lift, gprime, hprime)
 from shearlift.shear import DilatationSpec, grid_array, koebe_phi, shear_at
 from shearlift.special import _powm1_over
 from shearlift.surface import GridSpec, lift_array, lift_sample
@@ -212,14 +213,18 @@ def test_fcn_delegations_are_continuous():
 
 def test_fixed_c_families_are_the_general_ones_at_their_c():
     # F_ca at c = 0, 1 and f_cn at c = 0, 1, 2 are these families bit for
-    # bit, and share their prevertex map
+    # bit: their plans hold the same c, form and prevertex map k_c
     for fam, general, c in (("F_0a", "F_ca", 0.0), ("F_1a", "F_ca", 1.0),
                             ("f_0n", "f_cn", 0.0), ("f_1n", "f_cn", 1.0),
                             ("f_2n", "f_cn", 2.0)):
         fixed = FamilyParams(family=fam, a=0.3 * (fam[0] == "F"), n=4)
         p = FamilyParams(family=general, c=c, a=fixed.a, n=4)
-        for spec in (family_phi(fixed), family_phi(p)):
-            assert (spec.kind, spec.c) == ("koebe_c", c)
+        for q in (fixed, p):
+            plan = families._plan(q)
+            assert plan.c == c and plan.form is families._FORMS[fam]
+            for z in SAMPLE_POINTS:
+                z = complex(z)
+                assert family_phi(q).phi(z) == koebe_phi(c, z), (q, z)
         for z in SAMPLE_POINTS:
             assert evaluate(p, z) == evaluate(fixed, z), (fam, z)
 
@@ -293,50 +298,39 @@ def test_oracle_equivalence_sampled():
             assert abs(s.g - o.g) < 1e-10, (p, z)
 
 
-def test_hprime_gprime_relation():
-    for fam, kw in (("f_1n", dict(n=3)), ("F_ca", dict(c=1.5, a=0.5))):
-        p = FamilyParams(family=fam, **kw)
-        omega = family_omega(p)
-        for z in SAMPLE_POINTS[:4]:
-            assert abs(gprime(p, z)
-                       - complex(omega(z)) * hprime(p, z)) < 1e-13
-
-
 def test_mobius_spec_is_validated_once_per_parameter_set(monkeypatch):
     # the Mobius spec checks |omega| < 1 on a 48-point lattice when built;
-    # hprime/gprime must not rebuild it for every point
+    # the plan of a parameter set builds it once, and no entry point
+    # rebuilds it, for a point or for an array
     built = []
     validate = DilatationSpec._validate_samples
 
     def counting(spec):
-        built.append(spec.a)
+        built.append(spec)
         validate(spec)
 
     monkeypatch.setattr(DilatationSpec, "_validate_samples", counting)
-    family_omega.cache_clear()
     families._plan.cache_clear()
     p = FamilyParams(family="F_ca", c=1.5, a=0.37)
+    family_phi(p)
+    family_omega(p)
     for z in SAMPLE_POINTS:
+        evaluate(p, z)
         hprime(p, z)
         gprime(p, z)
-    hprime(FamilyParams(family="F_ca", c=1.5, a=0.37), 0.2j)
-    assert built == [0.37]
+    evaluate_array(p, np.array(SAMPLE_POINTS))
+    derivatives_array(p, np.array(SAMPLE_POINTS))
+    verify.run_checks(FamilyParams(family="F_ca", c=1.5, a=0.37))
+    assert built == [family_omega(p)]
     hprime(FamilyParams(family="F_a", a=-0.2), 0.2j)
-    assert built == [0.37, -0.2]
+    assert len(built) == 2
+    assert built[1] is family_omega(FamilyParams(family="F_a", a=-0.2))
 
 
-def test_one_point_calls_build_their_plan_once(monkeypatch):
-    # what a parameter set fixes (its closed form, phi, omega, the
+def test_one_point_calls_build_their_plan_once():
+    # what a parameter set fixes (its closed form, c, n, phi, omega, the
     # near-origin radius, the root-pair weights) is built on its first
     # call, not on every one-point call
-    resolved = []
-    resolve = families.resolve_family
-
-    def counting(params):
-        resolved.append(params)
-        return resolve(params)
-
-    monkeypatch.setattr(families, "resolve_family", counting)
     families._plan.cache_clear()
     families._root_weights.cache_clear()
     p = FamilyParams(family="f_1n", n=6)
@@ -346,9 +340,40 @@ def test_one_point_calls_build_their_plan_once(monkeypatch):
         evaluate(p, z)
         lift_sample(p, z)
         hprime(p, z)
-    assert resolved == [p]
+        gprime(p, z)
     assert families._plan.cache_info().misses == 1
     assert families._root_weights.cache_info().misses == 1
+
+
+def test_hprime_gprime_relation(monkeypatch):
+    # g' = omega h' evaluates omega(z) once per call, through a plan whose
+    # omega counts its calls, and is complex(omega(z)) * hprime(z) bit for
+    # bit on seeded points of every family
+    calls = []
+    plan_of = families._plan
+
+    def counting_plan(params):
+        plan = plan_of(params)
+
+        def omega(z):
+            calls.append(z)
+            return plan.omega(z)
+
+        return dataclasses.replace(plan, omega=omega)
+
+    rng = random.Random(5)
+    for fam in FAMILY_NAMES:
+        p = FamilyParams(family=fam, c=0.7, a=-0.4, n=5)
+        omega = family_omega(p)
+        for _ in range(20):
+            z = cmath.rect(0.95 * math.sqrt(rng.random()),
+                           2.0 * math.pi * rng.random())
+            with monkeypatch.context() as m:
+                m.setattr(families, "_plan", counting_plan)
+                calls.clear()
+                gp = gprime(p, z)
+            assert len(calls) == 1, (fam, z)
+            assert gp == complex(omega(z)) * hprime(p, z), (fam, z)
 
 
 def test_rejects_points_outside_disk():
