@@ -19,6 +19,7 @@ from .errors import DomainError
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_SUBDIVISIONS = 2000
+CIRCLE_NODES = 32  # the nodes of every Cauchy-circle rule
 
 
 # The near-boundary cutoff of the quadrature oracle, and the largest grid
@@ -157,43 +158,43 @@ def unit_roots(count):
     return roots
 
 
-def cauchy_derivative(f, z, radius, order=32):
+def cauchy_derivative(f, z, radius):
     """Derivative of an analytic function by trapezoidal Cauchy quadrature
     on a circle of the given radius: cauchy_derivatives at one centre.
 
-    Converges geometrically in ``order`` as long as f is analytic on the
-    closed circle, so the radius can be a fixed fraction of the distance
-    to the nearest singularity; this reaches near machine precision where
-    finite differences top out around sqrt(eps).
+    Converges geometrically in the number of nodes, CIRCLE_NODES, as long
+    as f is analytic on the closed circle, so the radius can be a fixed
+    fraction of the distance to the nearest singularity; this reaches near
+    machine precision where finite differences top out around sqrt(eps).
     """
     f = vectorize(f)
     return complex(cauchy_derivatives(lambda nodes: (f(nodes),), complex(z),
-                                      radius, order)[0])
+                                      radius)[0])
 
 
-def cauchy_derivatives(f, z, radius, order=32):
+def cauchy_derivatives(f, z, radius):
     """cauchy_derivative at an array of centres z with radii of the same
     shape, for several analytic functions at once.
 
     f takes an array of points and returns a tuple of value arrays of its
-    shape; it is called once, on all order * z.size circle nodes.  Returns
-    one derivative array per function.
+    shape; it is called once, on all CIRCLE_NODES * z.size circle nodes.
+    Returns one derivative array per function.
     """
     radius = np.asarray(radius, dtype=float)
-    values = np.stack(f(circle_nodes(z, radius, order)))
+    values = np.stack(f(circle_nodes(z, radius)))
     return tuple(circle_derivative(values, radius))
 
 
-def circle_nodes(z, radius, order=32):
-    """The order nodes z + radius * w_k, w_k the order-th roots of unity,
+def circle_nodes(z, radius):
+    """The CIRCLE_NODES nodes z + radius * w_k, w_k the roots of unity,
     on the circle about each centre of the array z (radius of z's shape),
-    as an array of shape z.shape + (order,): the nodes of every
+    as an array of shape z.shape + (CIRCLE_NODES,): the nodes of every
     Cauchy-circle rule in the package."""
     z = np.asarray(z, dtype=complex)
     radius = np.asarray(radius, dtype=float)
     if np.any(radius <= 0):
         raise ValueError("radius must be positive")
-    return z[..., None] + radius[..., None] * unit_roots(order)
+    return z[..., None] + radius[..., None] * unit_roots(CIRCLE_NODES)
 
 
 def circle_derivative(values, radius):
@@ -201,5 +202,5 @@ def circle_derivative(values, radius):
     along the last axis: the trapezoidal Cauchy integral, which is the
     first Fourier coefficient c_1 of the samples over the radius.  For a
     real X = Re A (A analytic) it gives A'/2 = (X_x - i X_y)/2."""
-    order = values.shape[-1]
-    return (values / unit_roots(order)).sum(axis=-1) / (order * radius)
+    return ((values / unit_roots(CIRCLE_NODES)).sum(axis=-1)
+            / (CIRCLE_NODES * radius))

@@ -63,8 +63,8 @@ class FamilyParams:
             raise UnsupportedParameterError(f"unknown family {self.family!r}")
         if self.family in _MOBIUS_FAMILIES and not -1.0 <= self.a <= 1.0:
             raise UnsupportedParameterError("a must lie in [-1, 1]")
-        if self.family in _POWER_FAMILIES and (self.n < 1
-                                               or self.n != int(self.n)):
+        if self.family in _POWER_FAMILIES and not (self.n >= 1
+                                                   and self.n % 1 == 0):
             raise UnsupportedParameterError("n must be a positive integer")
         if (self.family in PARAMETER_FAMILIES["c"]
                 and not 0.0 <= self.c <= 2.0):
@@ -117,11 +117,12 @@ def derivatives_array(params, z):
 # Each closed form is written once with numpy, whose functions take a
 # number (evaluate) or an array (evaluate_array) alike, and takes its
 # logarithms from analytic.clog, which does the same.  A form takes the
-# _Plan of its parameter set and the point z, reads a, c, n and the
-# prevertex function phi from the plan, and returns (h, g, phi), phi at
-# z; _FORMS below registers them by family name, _plan picks one per
-# parameter set, and _closed_form is the one caller of them.  _F_ca and
-# _f_cn take phi from a term of their own instead of plan.phi.
+# _Plan of its parameter set and the point z, reads a, c, n, the
+# prevertex function phi and its tables from the plan, and returns
+# (h, g, phi), phi at z; _FORMS below registers them by family name, _plan
+# picks one per parameter set, and _closed_form is the one caller of
+# them.  _F_ca and _f_cn take phi from a term of their own instead of
+# plan.phi.
 #
 # The four power-dilatation forms take lift=True from the lifts in surface
 # (even n) and then return (h, g, phi, F3), with
@@ -175,7 +176,6 @@ def _F_ca(plan, z):
     return h, h - phi, phi
 
 
-@lru_cache(maxsize=64)
 def _residues(c, n):
     """(k, e_k, alpha_k) for k = 1, ..., ceil(n/2) - 1, one root e_k of
     each conjugate pair of n-th roots of unity other than +-1: h' has the
@@ -186,12 +186,11 @@ def _residues(c, n):
                  for k, e in roots)
 
 
-@lru_cache(maxsize=64)
 def _root_weights(c, n):
     """((-1)^k, e_k, conj(e_k), w_k, conj(w_k)) for each root of
-    _residues(c, n) at integer c, w_k = -e_k alpha_k, once per (c, n).
-    w_k is real for odd c and imaginary for even c: its other part is
-    rounding, dropped."""
+    _residues(c, n) at integer c, w_k = -e_k alpha_k: the roots table of
+    the plan of f_0n, f_1n and f_2n.  w_k is real for odd c and imaginary
+    for even c: its other part is rounding, dropped."""
     weights = []
     for k, e, alpha in _residues(c, n):
         w = -e * alpha
@@ -200,13 +199,13 @@ def _root_weights(c, n):
     return tuple(weights)
 
 
-def _root_pairs(c, n, z, lift=False):
+def _root_pairs(plan, z, lift=False):
     """The root terms of h, and with lift=True of T, at integer c: each pair
-    w_k log(1 - z conj(e_k)) + conj(w_k) log(1 - z e_k) of
-    _root_weights(c, n), exactly real on the real axis (T weighs it by
+    w_k log(1 - z conj(e_k)) + conj(w_k) log(1 - z e_k) of the plan's
+    _root_weights, exactly real on the real axis (T weighs it by
     (-1)^k)."""
     h = t = 0.0
-    for sign, e, e_bar, w, w_bar in _root_weights(c, n):
+    for sign, e, e_bar, w, w_bar in plan.roots:
         pair = w * clog(1.0 - z * e_bar) + w_bar * clog(1.0 - z * e)
         h += pair
         if lift:
@@ -217,7 +216,7 @@ def _root_pairs(c, n, z, lift=False):
 def _f_0n(plan, z, lift=False):
     # P' = (1 + z^n) h' has twice the root terms of h'
     n = plan.n
-    roots, roots_t = _root_pairs(0, n, z, lift)
+    roots, roots_t = _root_pairs(plan, z, lift)
     s = z / (1.0 - z) if n % 2 else 2.0 * z / (1.0 - z * z)
     hgk = _from_sum(s / n + 2.0 * roots, plan.phi(z))
     if not lift:
@@ -228,7 +227,7 @@ def _f_0n(plan, z, lift=False):
 
 def _f_1n(plan, z, lift=False):
     n = plan.n
-    roots, roots_t = _root_pairs(1, n, z, lift)
+    roots, roots_t = _root_pairs(plan, z, lift)
     log_1mz = clog(1.0 - z)
     h = ((n - 1.0) / (2.0 * n) * z / (1.0 - z)
          + z * (2.0 - z) / (2.0 * n * (1.0 - z) ** 2)
@@ -248,7 +247,7 @@ def _f_1n(plan, z, lift=False):
 
 def _f_2n(plan, z, lift=False):
     n = plan.n
-    roots, roots_t = _root_pairs(2, n, z, lift)
+    roots, roots_t = _root_pairs(plan, z, lift)
     h = ((n - 1.0) * (n - 2.0) / (6.0 * n) * z / (1.0 - z)
          + (n - 2.0) / (2.0 * n) * z * (2.0 - z) / (1.0 - z) ** 2
          + 2.0 * z * (z * z - 3.0 * z + 3.0) / (3.0 * n * (1.0 - z) ** 3))
@@ -390,12 +389,12 @@ PARTIAL_FRACTIONS = {"f_1n": coeffs_f1n, "f_2n": coeffs_f2n}
 # same numbers, so h and T come out exactly real there and F3 exactly 0.
 
 
-@lru_cache(maxsize=64)
 def _fcn_roots(c, n):
-    """The constants of the roots e_k of _residues(c, n), one of each
-    conjugate pair other than +-1, once per (c, n), as arrays over these
-    roots: (-1)^k, 1/(1 - conj(e_k)), the weight (1 - beta_k)/(beta_k
-    (1 - conj(e_k))) of D_k, x_1 and x_1 G(x_1)/(c+1)."""
+    """The roots table of the plan of f_cn: the constants of the roots e_k
+    of _residues(c, n), one of each conjugate pair other than +-1, as
+    arrays over these roots: (-1)^k, 1/(1 - conj(e_k)), the weight
+    (1 - beta_k)/(beta_k (1 - conj(e_k))) of D_k, x_1 and
+    x_1 G(x_1)/(c+1)."""
     roots = _residues(c, n)
     k = np.array([k for k, _, _ in roots], dtype=int)
     ebar = np.array([e for _, e, _ in roots], dtype=complex).conj()
@@ -406,16 +405,15 @@ def _fcn_roots(c, n):
             x_1 * hyp2f1_1c(c + 1.0, x_1) / (c + 1.0))
 
 
-def fcn_h_and_lift(c, n, z):
-    """h(z) of f_cn, T(z) = int_0^z h'(s) s^(n/2) ds, and phi = k_c, for c
-    in (0, 2) (T is None for odd n): Python complex values at a disk point
-    z, complex ndarrays of z's shape at an array of disk points.  The
-    minimal-surface height is F3 = 2 Im T, and phi is half the (w^c - 1)/c
-    term of h, in the operations of the expm1 form of shear.koebe_phi.
-    The roots e_k = +-1 give elementary terms; the others go through one
-    hyp2f1_1c call over (points, one root of each conjugate pair at z and
-    at conj z).  Each point sums its roots along a row of its own, in the
-    same order alone as in an array."""
+def _f_cn(plan, z, lift=False):
+    # h, g = h - phi, phi = k_c (half the (w^c - 1)/c term of h, in the
+    # operations of the expm1 form of shear.koebe_phi) for c in (0, 2),
+    # and with lift=True F3 = 2 Im T.  The roots e_k = +-1 give elementary
+    # terms; the others go through one hyp2f1_1c call over (points, one
+    # root of each conjugate pair at z and at conj z), and each point sums
+    # its roots along a row of its own, in the same order alone as in an
+    # array.
+    c, n = plan.c, plan.n
     number = np.isscalar(z)
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.reshape(-1, 1)
@@ -432,7 +430,7 @@ def fcn_h_and_lift(c, n, z):
         i_k = 0.5 * (base[:, :1] + _powm1_over(c - 1.0, log_w[:, :1]))
         h = h + i_k
         t = t + (-1.0) ** (n // 2) * i_k
-    sign, scale, weight, x_1, at_one = _fcn_roots(c, n)
+    sign, scale, weight, x_1, at_one = plan.roots
     # one hyp2f1_1c call over (points, the roots at z then at conj z)
     x = (w[..., None] * x_1).reshape(len(z), 2 * x_1.size)
     x_g = (x * hyp2f1_1c(c + 1.0, x) / (c + 1.0)).reshape(len(z), 2, -1)
@@ -441,18 +439,14 @@ def fcn_h_and_lift(c, n, z):
     i_k = scale * base + weight * d
     # e_k at z plus e_(n-k) = conj(e_k) at z, which is conj(e_k at conj z)
     pair = i_k[:, 0] + i_k[:, 1].conj()
-    h = h + pair.sum(axis=1, keepdims=True)
-    t = t + (sign * pair).sum(axis=1, keepdims=True)
-    h = (0.5 / n * h).reshape(shape)
-    t = (0.5 / n * t).reshape(shape) if n % 2 == 0 else None
+    h = (0.5 / n * (h + pair.sum(axis=1, keepdims=True))).reshape(shape)
     if number:
-        return h.item(), None if t is None else t.item(), phi.item()
-    return h, t, phi
-
-
-def _f_cn(plan, z, lift=False):
-    h, t, k = fcn_h_and_lift(plan.c, plan.n, z)
-    return (h, h - k, k, 2.0 * t.imag) if lift else (h, h - k, k)
+        h, phi = h.item(), phi.item()
+    if not lift:
+        return h, h - phi, phi
+    t = (0.5 / n * (t + (sign * pair).sum(axis=1, keepdims=True))
+         ).reshape(shape)
+    return h, h - phi, phi, 2.0 * (t.item() if number else t).imag
 
 
 # --- the near-origin series of every power family --------------------------
@@ -482,7 +476,6 @@ def _series_radius(n):
     return min(_SERIES_CAP, max(_SERIES_RADIUS, _SERIES_LOSS ** (-2.0 / n)))
 
 
-@lru_cache(maxsize=64)
 def _series(c, n):
     """The coefficients of P/z and of T/z^(n/2+1), highest order first."""
     m = _terms(_series_radius(n), 1.0, c + 1.0)
@@ -498,7 +491,7 @@ def _series(c, n):
 
 def _near_origin(plan, z, lift=False):
     n = plan.n
-    p_coeffs, t_coeffs = _series(plan.c, n)
+    p_coeffs, t_coeffs = plan.series
     # h - g = phi, so phi's roundoff cancels in u = Re P
     hgk = _from_sum(z * _horner(p_coeffs, z), plan.phi(z))
     if not lift:
@@ -517,7 +510,8 @@ class _Plan:
     """What a parameter set fixes, held once for every call of its closed
     form and derivatives: the form, c (of k_c; unused by F_a), a, n, the
     PrevertexSpec and DilatationSpec with their functions phi, phi' and
-    omega, and a power family's near-origin radius (None otherwise)."""
+    omega, and a power family's near-origin radius, _series and roots
+    table (_root_weights, or _fcn_roots for f_cn), None otherwise."""
 
     form: object
     c: float
@@ -529,6 +523,8 @@ class _Plan:
     derivative: object
     omega: object
     radius: object
+    series: object
+    roots: object
 
 
 @lru_cache(maxsize=64)
@@ -544,10 +540,14 @@ def _plan(params):
                   if family in _MOBIUS_FAMILIES
                   else DilatationSpec.power(params.n))
     n = int(params.n)
-    radius = _series_radius(n) if family in _POWER_FAMILIES else None
+    radius = series = roots = None
+    if family in _POWER_FAMILIES:
+        radius, series = _series_radius(n), _series(c, n)
+        roots = (_fcn_roots(c, n) if family == "f_cn"
+                 else _root_weights(int(c), n))
     return _Plan(_FORMS[family], c, float(params.a), n, prevertex,
                  dilatation, prevertex.phi, prevertex.derivative,
-                 dilatation.omega, radius)
+                 dilatation.omega, radius, series, roots)
 
 
 def _closed_form(params, z, lift=False):

@@ -75,7 +75,7 @@ class DilatationSpec:
 
     @classmethod
     def power(cls, n):
-        if n < 1 or n != int(n):
+        if not (n >= 1 and n % 1 == 0):
             raise ValueError("power dilatation requires integer n >= 1")
         n = int(n)
         return cls(lambda z: z**n)

@@ -223,20 +223,21 @@ def check_chd_heuristic(params):
 
 
 def check_surface(params):
-    """Minimal-surface evidence from the lift on Cauchy circles: projection
-    onto the planar map, an isothermal metric, harmonic coordinates and
-    the lift identity T' = h' z^(n/2), F3 = 2 Im T.  One lift_array call
-    takes the points of SURFACE_GRID (none at z = 0) and their circles.
-    phi_k = 2 c_1(X_k)/rho = X_x - i X_y gives the metric, isothermal when
-    sum phi_k^2 = E - G - 2iF vanishes against E + G = sum |phi_k|^2, and
+    """Minimal-surface evidence from the lift on Cauchy circles: an
+    isothermal metric, harmonic coordinates and the lift identity
+    T' = h' z^(n/2), F3 = 2 Im T (its u, v are the planar map's by
+    construction).  One lift_array call takes the points of SURFACE_GRID
+    (none at z = 0) and their circles.  phi_k = 2 c_1(X_k)/rho =
+    X_x - i X_y gives the metric, isothermal when sum phi_k^2 =
+    E - G - 2iF vanishes against E + G = sum |phi_k|^2, and
     T' = i c_1(F3)/rho; a harmonic coordinate's circle mean is its centre
-    value.  The projection and the mean are measured against
-    rho sqrt(E + G), the size of the circle's image, and T' against
-    h' z^(n/2) from derivatives_array: near 0 at large n, F3 is too small
-    for the metric to see its error.  The tolerance is 1e-11, 45 times
-    the worst residual at n <= 8 (2.2e-13).  Where h' z^(n/2) underflows
-    to 0 (|z| = 0.2 at n = 1024) the residual is inf or NaN, and the check
-    fails without a floating-point warning.
+    value.  The mean is measured against rho sqrt(E + G), the size of the
+    circle's image, and T' against h' z^(n/2) from derivatives_array:
+    near 0 at large n, F3 is too small for the metric to see its error.
+    The tolerance is 1e-11, 45 times the worst residual at n <= 8
+    (2.2e-13).  Where h' z^(n/2) underflows to 0 (|z| = 0.2 at n = 1024)
+    the residual is inf or NaN, and the check fails without a
+    floating-point warning.
     """
     z = grid_array(SURFACE_GRID)
     rho = _circle_radius(z)
@@ -244,18 +245,15 @@ def check_surface(params):
         (z[:, None], circle_nodes(z, rho)), axis=1)))
     # (u, v, F3) at the grid points and on their circles
     centre, circle = x[:, :, 0], x[:, :, 1:]
-    u, v = coordinates(*families._closed_form(params, z))
     hq = families.derivatives_array(params, z)[0] * z ** (int(params.n) // 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi = 2.0 * circle_derivative(circle, rho)
         metric = (np.abs(phi) ** 2).sum(axis=0)
         scale = rho * np.sqrt(metric)
-        proj = np.maximum(np.abs(centre[0] - u),
-                          np.abs(centre[1] - v)) / scale
         iso = np.abs((phi * phi).sum(axis=0)) / metric
         harm = np.abs(circle.mean(axis=-1) - centre).max(axis=0) / scale
         lift = np.abs(0.5j * phi[2] - hq) / np.abs(hq)
-        residuals = np.maximum(np.maximum(proj, iso), np.maximum(harm, lift))
+        residuals = np.maximum(np.maximum(iso, harm), lift)
     return _report("surface_properties", params, SURFACE_GRID, z, residuals,
                    1e-11)
 

@@ -31,7 +31,7 @@ from shearlift.errors import (ConvergenceError, DilatationNotSquareError,
                               DomainError, UnsupportedParameterError)
 from shearlift.families import (FamilyParams, derivatives_array, evaluate,
                                 evaluate_array, family_omega, family_phi,
-                                fcn_h_and_lift, gprime, hprime)
+                                gprime, hprime)
 from shearlift.shear import (DilatationSpec, PrevertexSpec, grid_array,
                              grid_points, sample_grid, shear_array, shear_at,
                              shear_grid)
@@ -153,8 +153,9 @@ def test_fcn_arrays_do_not_go_point_by_point(monkeypatch):
     def scalar(*args):
         raise AssertionError("a one-point f_cn call on the array path")
 
-    # the constants of the roots come from hyp2f1_1c, once per (c, n)
-    families._fcn_roots(0.7, 6)
+    # the constants of the roots come from hyp2f1_1c, once per plan
+    params = FamilyParams(family="f_cn", c=0.7, n=6)
+    families._plan(params)
     calls = []
 
     def counted(c, x):
@@ -164,7 +165,6 @@ def test_fcn_arrays_do_not_go_point_by_point(monkeypatch):
     monkeypatch.setattr(families, "hyp2f1_1c", counted)
     for module, name in ((families, "evaluate"), (surface, "lift_sample")):
         monkeypatch.setattr(module, name, scalar)
-    params = FamilyParams(family="f_cn", c=0.7, n=6)
     z = np.array(grid_points(GridSpec(rings=3, spokes=4, r_max=0.8)))
     h, g = evaluate_array(params, z)
     assert len(calls) == 1
@@ -198,8 +198,9 @@ def test_one_point_calls_give_python_numbers():
             assert [type(x) for x in (lift.u, lift.v, lift.f3)] == [
                 float] * 3, params
     assert type(hyp2f1_1c(0.7, 0.3 - 0.2j)) is complex
-    assert [type(x) for x in fcn_h_and_lift(0.7, 6, z)] == [complex] * 3
-    assert fcn_h_and_lift(0.7, 3, z)[1] is None
+    plan = families._plan(FamilyParams(family="f_cn", c=0.7, n=6))
+    assert [type(x) for x in families._f_cn(plan, z, True)] == [
+        complex] * 3 + [float]
 
 
 def test_array_domain_error_names_first_offending_point():

@@ -13,7 +13,7 @@ from shearlift.families import (FAMILY_NAMES, FamilyParams, coeffs_f1n,
                                 coeffs_f2n, derivatives_array, eval_F_0a,
                                 eval_F_1a, eval_F_ca, evaluate,
                                 evaluate_array, family_omega, family_phi,
-                                fcn_h_and_lift, gprime, hprime)
+                                gprime, hprime)
 from shearlift.shear import DilatationSpec, grid_array, koebe_phi, shear_at
 from shearlift.special import _powm1_over
 from shearlift.surface import GridSpec, lift_array, lift_sample
@@ -31,6 +31,18 @@ def test_family_params_validation():
         FamilyParams(family="F_a", a=1.2)
     with pytest.raises(UnsupportedParameterError):
         FamilyParams(family="f_0n", n=0)
+
+
+@pytest.mark.parametrize("n", [math.inf, math.nan])
+def test_n_that_is_no_positive_integer_is_refused(n):
+    # int() raises OverflowError on inf and ValueError on nan, so both
+    # must be refused before n reaches it
+    with pytest.raises(UnsupportedParameterError,
+                       match="n must be a positive integer"):
+        FamilyParams(family="f_2n", n=n)
+    with pytest.raises(ValueError,
+                       match="power dilatation requires integer n >= 1"):
+        DilatationSpec.power(n)
 
 
 def test_all_families_vanish_at_origin():
@@ -231,18 +243,21 @@ def test_fixed_c_families_are_the_general_ones_at_their_c():
 
 def test_fcn_is_real_on_the_real_axis():
     # the conjugate root terms are summed as term(z) + conj(term(conj z)),
-    # so h and the lift integral T have no roundoff imaginary part there
+    # so h and the lift integral T have no roundoff imaginary part there:
+    # F3 = 2 Im T is exactly 0
     x = np.linspace(-0.999, 0.999, 37)
     for c in (0.3, 0.5, 1.5, 1.999):
         for n in (3, 4, 8):
-            h, t, _ = fcn_h_and_lift(c, n, x)
-            assert (h.imag == 0).all(), (c, n)
-            assert (t is None) == (n % 2 == 1)
-            if t is not None:
-                assert (t.imag == 0).all(), (c, n)
+            plan = families._plan(FamilyParams(family="f_cn", c=c, n=n))
+            lift = n % 2 == 0
+            out = families._f_cn(plan, x, lift)
+            assert len(out) == 3 + lift
+            assert (out[0].imag == 0).all(), (c, n)
+            if lift:
+                assert (out[3] == 0).all(), (c, n)
             for z in (-0.95, -0.3, 0.01, 0.5, 0.999):
-                h, t, _ = fcn_h_and_lift(c, n, z)
-                assert h.imag == 0 and (t is None or t.imag == 0), (c, n, z)
+                out = families._f_cn(plan, z, lift)
+                assert out[0].imag == 0 and out[3:] in ((), (0.0,)), (c, n, z)
 
 
 @pytest.mark.parametrize("family", ("f_0n", "f_1n", "f_2n"))
@@ -327,12 +342,18 @@ def test_mobius_spec_is_validated_once_per_parameter_set(monkeypatch):
     assert built[1] is family_omega(FamilyParams(family="F_a", a=-0.2))
 
 
-def test_one_point_calls_build_their_plan_once():
+def test_one_point_calls_build_their_plan_once(monkeypatch):
     # what a parameter set fixes (its closed form, c, n, phi, omega, the
-    # near-origin radius, the root-pair weights) is built on its first
-    # call, not on every one-point call
+    # near-origin radius and series, the root-pair weights) is built on its
+    # first call, not on every one-point call
+    built = []
+    for name in ("_series", "_root_weights"):
+        def counting(*args, build=getattr(families, name), name=name):
+            built.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(families, name, counting)
     families._plan.cache_clear()
-    families._root_weights.cache_clear()
     p = FamilyParams(family="f_1n", n=6)
     points = [0.9 * cmath.exp(2j * math.pi * k / 100) * (k + 1) / 100
               for k in range(100)]
@@ -342,7 +363,34 @@ def test_one_point_calls_build_their_plan_once():
         hprime(p, z)
         gprime(p, z)
     assert families._plan.cache_info().misses == 1
-    assert families._root_weights.cache_info().misses == 1
+    assert built == ["_series", "_root_weights"]
+
+
+def test_forms_read_their_tables_from_the_plan(monkeypatch):
+    # the root tables and the near-origin series are built with the plan,
+    # and no form builds or looks them up again, for a point or an array
+    params = (FamilyParams(family="f_1n", n=6),
+              FamilyParams(family="f_cn", c=0.7, n=6))
+    # inside and outside the series radius 1/4
+    z = np.array([0.1, -0.2j, 0.3 + 0.4j, -0.7j, 0.9])
+
+    def outputs(p):
+        return (evaluate_array(p, z), lift_array(p, z),
+                [evaluate(p, x) for x in z.tolist()],
+                [lift_sample(p, x) for x in z.tolist()])
+
+    before = [outputs(p) for p in params]
+
+    def table(*args):
+        raise AssertionError("a table built or looked up after its plan")
+
+    for name in ("_root_weights", "_fcn_roots", "_series"):
+        monkeypatch.setattr(families, name, table)
+    for p, ref in zip(params, before):
+        out = outputs(p)
+        for a, b in zip(out[:2], ref[:2]):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), p
+        assert out[2:] == ref[2:], p
 
 
 def test_hprime_gprime_relation(monkeypatch):
