@@ -5,7 +5,7 @@ residuals with max (order-independent), and returns a VerificationReport
 with the worst offending point, so failures are reproducible bit for bit.
 Every check evaluates all of its points at once through the array paths
 of families and surface, and takes the image (u, v) of h, g and phi from
-shear.coordinates.
+shear.coordinates; chd_heuristic reads phi alone.
 """
 
 import math
@@ -106,7 +106,9 @@ def check_dilatation(params, grid=DEFAULT_GRID):
 
 
 def check_prevertex(params, grid=DEFAULT_GRID):
-    """|h - g - phi| (the defining shear relation holds exactly)."""
+    """|h - g - phi|: roundoff by construction wherever the form returns
+    g = h - phi with the plan's phi; it compares two k_c only for F_ca (at
+    c = 2, expm1 k_2 against z/(1 - z)^2) and f_cn outside its series."""
     z = grid_array(grid)
     h, g = families.evaluate_array(params, z)
     residuals = np.abs(h - g - families.family_phi(params).phi(z))
@@ -114,7 +116,9 @@ def check_prevertex(params, grid=DEFAULT_GRID):
 
 
 def check_jacobian_positive(params):
-    """min(|h'|^2 - |g'|^2) > 0 on r <= 0.95 (Lewy's criterion, sampled)."""
+    """min(|h'|^2 - |g'|^2) > 0 on r <= 0.95 (Lewy's criterion, sampled).
+    h' and g' come from phi'/(1 - omega), not from the closed forms, so
+    the residual -|h'|^2 (1 - |omega|^2) fails only where |omega| >= 1."""
     z = grid_array(JACOBIAN_GRID)
     hp, gp = families.derivatives_array(params, z)
     # negated so that "residual <= 0" means a positive Jacobian
@@ -125,7 +129,8 @@ def check_jacobian_positive(params):
 
 def check_strip_bound(a):
     """F_0a images stay in |v| < pi/4; for a = +-1 the image is further
-    confined to a half strip (u > -1/2 resp. u < 1/2)."""
+    confined to a half strip (u > -1/2 resp. u < 1/2).  For |a| < 1 the
+    residual reads v = Im k_0 alone, which no error of h or g reaches."""
     params = families.FamilyParams(family="F_0a", a=a)
     z = grid_array(DEFAULT_GRID)
     u, v = coordinates(*families._closed_form(params, z))
@@ -181,13 +186,6 @@ def check_slit_limit(params):
     return _report("slit_limit", params, None, z, residuals, 0.02)
 
 
-def boundary_curve(params, samples=512):
-    """Sampled image of the circle |z| = CHD_RADIUS, as a (samples, 2)
-    float array of (u, v) rows."""
-    z = CHD_RADIUS * unit_roots(samples)
-    return np.column_stack(coordinates(*families._closed_form(params, z)))
-
-
 def chd_crossing_excess(points):
     """Largest number of polygon/horizontal-line crossings beyond 2.
 
@@ -211,15 +209,16 @@ def chd_crossing_excess(points):
 
 def check_chd_heuristic(params):
     """Sampled necessary condition for a CHD image (never a proof): the
-    image of |z| = CHD_RADIUS crosses each horizontal line at most
-    twice."""
-    points = boundary_curve(params)
-    excess, level = chd_crossing_excess(points)
+    image of |z| = CHD_RADIUS crosses each horizontal line at most twice.
+    v = Im phi, and f is CHD exactly when phi is (the Clunie-Sheil-Small
+    shear), so 512 samples of phi alone decide it."""
+    w = families.family_phi(params).phi(CHD_RADIUS * unit_roots(512))
+    excess, level = chd_crossing_excess(np.column_stack((w.real, w.imag)))
     return VerificationReport(check_name="chd_heuristic", family=params,
                               grid=None, max_residual=float(excess),
                               tolerance=0.0, passed=excess <= 0,
                               worst_point=complex(0.0, level),
-                              n_points=len(points))
+                              n_points=w.size)
 
 
 def check_surface(params):

@@ -4,6 +4,7 @@ with its relative move, and one changed dump word is counted."""
 
 import importlib.util
 import io
+import json
 import shutil
 from pathlib import Path
 
@@ -28,8 +29,19 @@ SUBSET = ("map_F_a_a0.5", "surface_f_2n_n2", "verify_f_2n_n1",
 def test_job_list(sweep):
     commands = [command for command, _ in sweep.JOBS.values()]
     assert [commands.count(c) for c in ("map", "surface", "verify",
-                                        "coeffs")] == [44, 18, 33, 6]
+                                        "coeffs")] == [49, 23, 68, 6]
     assert set(SUBSET) <= set(sweep.JOBS)
+
+
+def test_a_large_n_job_records_its_exit_code(sweep, tmp_path):
+    # f_0n n = 18 still passes surface_properties, which fails from
+    # n = 26 on
+    sweep.write(tmp_path, ["verify_f_0n_n18"])
+    assert (tmp_path / "index.txt").read_text() == (
+        "verify_f_0n_n18 0 verify --family f_0n --n 18\n")
+    reports = json.loads((tmp_path / "verify_f_0n_n18.json").read_text())
+    assert [r["check_name"] for r in reports][-1] == "surface_properties"
+    assert all(r["passed"] for r in reports)
 
 
 def test_compare_reads_a_perturbed_number(sweep, tmp_path):

@@ -1,4 +1,4 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from shearlift.errors import UnsupportedParameterError
 from shearlift.families import FamilyParams
 from shearlift.shear import grid_points
 from shearlift.surface import GridSpec
-from shearlift.verify import (boundary_curve, check_chd_heuristic,
-                              check_dilatation, check_jacobian_positive,
+from shearlift.verify import (check_chd_heuristic, check_dilatation,
+                              check_jacobian_positive,
                               check_oracle_equivalence, check_prevertex,
                               check_slit_limit, check_strip_bound,
                               check_surface, check_symmetry,
@@ -98,10 +98,101 @@ def test_chd_convex_fixture_passes():
     assert chd_crossing_excess(square)[0] == 0
 
 
-def test_boundary_curve_shape():
-    pts = boundary_curve(FamilyParams(family="F_0a", a=0.0), samples=64)
-    assert len(pts) == 64
-    assert max(abs(v) for _, v in pts) < math.pi / 4.0
+@pytest.mark.parametrize("params", [
+    FamilyParams(family="F_ca", c=2.0, a=0.2),
+    FamilyParams(family="f_cn", c=0.5, n=4)], ids=("F_ca", "f_cn"))
+def test_chd_heuristic_reads_phi_alone(monkeypatch, params):
+    # f is CHD exactly when phi is (the Clunie-Sheil-Small shear), and v is
+    # Im phi, so the check needs no closed form
+    def closed_form(*args, **kwargs):
+        raise AssertionError("chd_heuristic evaluated the closed form")
+
+    for name in ("_closed_form", "evaluate_array"):
+        monkeypatch.setattr(families, name, closed_form)
+    r = check_chd_heuristic(params)
+    assert r.check_name == "chd_heuristic"
+    assert r.passed and r.n_points == 512
+
+
+# --- the defect matrix: which check catches which defect ------------------
+#
+# Each defect goes into the closed form that the plan of its parameter set
+# holds, so that every caller of the form (evaluate_array, the lifts and
+# the checks) sees it; a power family's near-origin series keeps the
+# right values inside its radius.  Each defect is a function of
+# (z, h, g, phi[, F3]), the form's output:
+#
+# - "h+z3": h + 1e-6 z^3, with g = h - phi;
+# - "F3":   F3 (1 + 1e-9), on the lifts of the power families;
+# - "log":  the stray term 0.05 log(1 - z^2) in h, with g = h - phi;
+# - "phi":  phi (1 + 1e-9), with g = h - phi, for F_ca and f_cn, whose
+#           forms take phi from a term of their own.
+
+
+def _shift_h(term):
+    return lambda z, h, g, phi, *f3: (h + term(z), g + term(z), phi, *f3)
+
+
+DEFECTS = {
+    "h+z3": _shift_h(lambda z: 1e-6 * z ** 3),
+    "F3": lambda z, h, g, phi, *f3: (h, g, phi,
+                                     *((1.0 + 1e-9) * x for x in f3)),
+    "log": _shift_h(lambda z: 0.05 * np.log(1.0 - z * z)),
+    "phi": lambda z, h, g, phi, *f3: (h, g - 1e-9 * phi, (1.0 + 1e-9) * phi,
+                                      *f3),
+}
+MATRIX_FAMILIES = {"F_a": FamilyParams(family="F_a", a=0.5),
+                   "F_ca": FamilyParams(family="F_ca", c=0.5, a=0.5),
+                   "f_1n": FamilyParams(family="f_1n", n=6),
+                   "f_cn": FamilyParams(family="f_cn", c=0.5, n=4)}
+# the columns of MATRIX
+MATRIX_CHECKS = ("oracle_equivalence", "dilatation_identity",
+                 "prevertex_identity", "jacobian_positive", "chd_heuristic",
+                 "symmetry", "surface_properties")
+# the verdict of every check on every (family, defect): x fails, . passes,
+# - is not a check of the family; "none" is the form as it is
+MATRIX = """
+#             oracle dilat prever jacob chd symm surface
+F_a    none   .      .     .      .     .   .    -
+F_a    h+z3   x      x     .      .     .   .    -
+F_a    log    x      x     .      .     .   x    -
+F_ca   none   .      .     .      .     .   -    -
+F_ca   h+z3   x      x     .      .     .   -    -
+F_ca   log    x      x     .      .     .   -    -
+F_ca   phi    .      x     x      .     .   -    -
+f_1n   none   .      .     .      .     .   -    .
+f_1n   h+z3   x      x     .      .     .   -    x
+f_1n   F3     .      .     .      .     .   -    x
+f_1n   log    x      x     .      .     .   -    x
+f_cn   none   .      .     .      .     .   -    .
+f_cn   h+z3   x      x     .      .     .   -    x
+f_cn   F3     .      .     .      .     .   -    x
+f_cn   log    x      x     .      .     .   -    x
+f_cn   phi    .      x     x      .     .   -    x
+"""
+MATRIX_ROWS = [line.split() for line in MATRIX.strip().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("row", MATRIX_ROWS,
+                         ids=["-".join(row[:2]) for row in MATRIX_ROWS])
+def test_defect_matrix(monkeypatch, row):
+    family, defect, verdicts = row[0], row[1], row[2:]
+    params = MATRIX_FAMILIES[family]
+    if defect != "none":
+        build = families._plan
+
+        def broken_plan(p):
+            form = build(p).form
+
+            def broken(plan, z, *lift):
+                return DEFECTS[defect](z, *form(plan, z, *lift))
+
+            return dataclasses.replace(build(p), form=broken)
+
+        monkeypatch.setattr(families, "_plan", broken_plan)
+    got = {r.check_name: "." if r.passed else "x" for r in run_checks(params)}
+    want = {name: v for name, v in zip(MATRIX_CHECKS, verdicts) if v != "-"}
+    assert got == want
 
 
 def _surface_id(p):

@@ -47,6 +47,10 @@ F_CA = ((0.5, -0.5), (0.5, 0.7), (1.5, -0.4), (1.5, 0.5), (2.0, 0.2),
         (2.0, 1.0))
 POWER_N = (2, 3, 6, 16, 32)
 FCN = tuple((c, n) for c in (0.5, 1.5) for n in (3, 4, 8, 16))
+# the large n of the five power families: each is verified, the last one
+# mapped and MESH_N lifted
+LARGE_N = (18, 24, 32, 48, 64, 256, 1024)
+MESH_N = 64
 EXTENSION = {"map": "svg", "surface": "obj", "verify": "json",
              "coeffs": "json"}
 
@@ -56,8 +60,8 @@ def _g(x):
 
 
 def _jobs():
-    """{name: (command, arguments)} of every output of the sweep: 62 maps
-    and surfaces, 33 verify reports and 6 coefficient tables, each at the
+    """{name: (command, arguments)} of every output of the sweep: 72 maps
+    and surfaces, 68 verify reports and 6 coefficient tables, each at the
     command's default grid."""
     planar = [("F_a", ["--a", _g(a)]) for a in MOBIUS_A]
     planar += [(f, ["--a", _g(a)]) for f in ("F_0a", "F_1a")
@@ -79,12 +83,17 @@ def _jobs():
     checked += [("f_cn", ["--c", c, "--n", n])
                 for c, n in (("0.5", "3"), ("0.5", "4"), ("1.5", "4"),
                              ("1.5", "8"), ("1.5", "16"))]
+    large = {n: [(f, ["--n", str(n)]) for f in ("f_0n", "f_1n", "f_2n")]
+             + [("f_cn", ["--c", c, "--n", str(n)]) for c in ("0.5", "1.5")]
+             for n in LARGE_N}
+    checked += [job for n in LARGE_N for job in large[n]]
     coeffs = [(f, ["--n", n]) for f in ("f_1n", "f_2n")
               for n in ("3", "7", "16")]
     jobs = {}
-    for command, sets in (("map", planar + power),
+    for command, sets in (("map", planar + power + large[LARGE_N[-1]]),
                           ("surface", [(f, args) for f, args in power
-                                       if int(args[-1]) % 2 == 0]),
+                                       if int(args[-1]) % 2 == 0]
+                           + large[MESH_N]),
                           ("verify", checked), ("coeffs", coeffs)):
         for family, args in sets:
             name = "_".join([command, family] + [
