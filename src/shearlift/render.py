@@ -257,7 +257,8 @@ def _lines(template, rows):
 
 def fmt9(x):
     """9-significant-digit decimal text of one number, locale independent."""
-    return NUM % _flushed(x).item()
+    x = float(x)
+    return NUM % (0.0 if abs(x) < FLUSH else x)
 
 
 def map_curves(params, cfg):

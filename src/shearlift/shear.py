@@ -157,8 +157,13 @@ class MapSample:
     def from_hg(cls, z, h, g, phi, fallback=False):
         h, g = complex(h), complex(g)
         u, v = coordinates(h, g, complex(phi))
-        # positional: keyword arguments cost ~0.4 us more a sample
-        return cls(complex(z), h, g, u, v, fallback)
+        # straight into the instance dict, in field order: the frozen
+        # __init__'s object.__setattr__ per field costs ~1 us a sample
+        s = object.__new__(cls)
+        d = s.__dict__
+        d["z"], d["h"], d["g"], d["u"], d["v"], d["fallback"] = (
+            complex(z), h, g, u, v, fallback)
+        return s
 
 
 def coordinates(h, g, phi, *f3):

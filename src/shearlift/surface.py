@@ -92,8 +92,11 @@ def lift_sample(params, z):
     _liftable(params)
     z = require_disk_point(z, r_max=1.0)
     h, g, phi, f3 = _closed_form(params, z, lift=True)
-    return SurfaceSample(z, *coordinates(complex(h), complex(g),
-                                         complex(phi), float(f3)))
+    s = object.__new__(SurfaceSample)  # as MapSample.from_hg builds one
+    d = s.__dict__
+    d["z"], d["u"], d["v"], d["f3"], d["fallback"] = (z, *coordinates(
+        complex(h), complex(g), complex(phi), float(f3)), False)
+    return s
 
 
 def lift_array(params, z):

@@ -9,7 +9,7 @@ shear.coordinates; chd_heuristic reads phi alone.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +51,14 @@ class VerificationReport:
     n_points: int  # the number of points the residual is the max over
 
     def to_dict(self):
-        d = asdict(self)
+        d = dict(vars(self), worst_point=[self.worst_point.real,
+                                          self.worst_point.imag])
+        for key in ("family", "grid"):  # asdict would deep-copy them
+            if d[key] is not None:
+                d[key] = dict(vars(d[key]))
         # JSON has no inf or NaN: a non-finite residual is written as null
         if not math.isfinite(self.max_residual):
             d["max_residual"] = None
-        d["worst_point"] = [self.worst_point.real, self.worst_point.imag]
         return d
 
 

@@ -28,8 +28,9 @@ from hypothesis import given, strategies as st
 from shearlift import __version__, families, render
 from shearlift.analytic import unit_roots
 from shearlift.families import FamilyParams
-from shearlift.render import (KERNEL_MIN, NUM, RenderConfig, RunManifest,
-                              fmt9, map_curves, obj_document, svg_document)
+from shearlift.render import (FLUSH, KERNEL_MIN, NUM, RenderConfig,
+                              RunManifest, fmt9, map_curves, obj_document,
+                              svg_document)
 from shearlift.shear import grid_points
 from shearlift.surface import GridSpec, SurfaceMesh, build_mesh, lift_array
 
@@ -222,6 +223,32 @@ def kernel_mismatches(count, seed, chunk=10**6):
 
 def float_cells(x):
     return render._number_cells(x)[0].T
+
+
+def fmt9_mismatches(count, seed):
+    """(x, fmt9 text, text of NUM % _flushed(x).item()) of every number
+    whose fmt9 text differs from _flushed's, among count seeded
+    kernel_sample numbers and the special values: +-0, +-FLUSH and their
+    neighbours, +-inf, NaN and subnormals.  Each number is formatted as
+    a Python float, an np.float64 and a 0-d array."""
+    edge = [FLUSH, math.nextafter(FLUSH, 0.0), math.nextafter(FLUSH, 1.0),
+            0.0, 5e-324, 1e-310, math.nextafter(2.2250738585072014e-308,
+                                                0.0), math.inf]
+    specials = np.array(edge + [-x for x in edge] + [math.nan])
+    x = np.concatenate([kernel_sample(np.random.default_rng(seed), count),
+                        specials])
+    bad = []
+    for v, flushed in zip(x.tolist(), render._flushed(x).tolist()):
+        want = NUM % flushed
+        for form in (v, np.float64(v), np.array(v)):
+            if fmt9(form) != want:
+                bad.append((v, fmt9(form), want))
+    return bad
+
+
+def test_fmt9_matches_flushed_percent_format():
+    bad = fmt9_mismatches(200_000, 20261022)
+    assert not bad, f"{len(bad)} mismatches, the first {bad[:5]}"
 
 
 def test_kernel_matches_percent_format():

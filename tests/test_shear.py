@@ -1,11 +1,13 @@
 import cmath
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from shearlift import verify
+from shearlift import families, verify
 from shearlift.analytic import unit_roots
 from shearlift.errors import (DilatationNotSquareError, DomainError,
                               InvalidDilatationError)
@@ -14,7 +16,8 @@ from shearlift.shear import (DilatationSpec, MapSample, PrevertexSpec,
                              grid_array, grid_points, koebe_phi, koebe_phi_prime,
                              lift_third_coordinate, sample_grid, shear_array,
                              shear_at, shear_grid)
-from shearlift.surface import GridSpec, slit_surface_reference
+from shearlift.surface import (GridSpec, SurfaceSample, lift_sample,
+                               slit_surface_reference)
 
 
 def test_koebe_endpoints():
@@ -225,3 +228,42 @@ def test_map_sample_from_hg():
     h, phi = 0.1 + 0.7j, 0.1j
     assert (h - (h - phi)).imag != 0.1
     assert MapSample.from_hg(0.1, h, h - phi, phi).v == 0.1
+
+
+def test_one_point_results_skip_the_frozen_init(monkeypatch):
+    # evaluate, shear_at and lift_sample store the fields without the
+    # dataclass __init__, and give the same frozen dataclasses it gives
+    fcn = FamilyParams("f_cn", c=0.7, n=6)
+    near, far = 0.15 + 0.1j, 0.5 - 0.4j
+    assert abs(near) <= families._plan(fcn).radius < abs(far)
+    cases = [(FamilyParams("F_a", a=0.3), far),
+             (FamilyParams("F_0a", a=-0.6), far),
+             (FamilyParams("F_1a", a=0.45), far),
+             (FamilyParams("F_ca", c=0.5, a=-0.3), far),
+             (FamilyParams("f_0n", n=6), far),
+             (FamilyParams("f_1n", n=6), near),
+             (FamilyParams("f_2n", n=6), far),
+             (fcn, near), (fcn, far)]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ called")
+
+    monkeypatch.setattr(MapSample, "__init__", refuse)
+    monkeypatch.setattr(SurfaceSample, "__init__", refuse)
+    results = []
+    for params, z in cases:
+        results.append(evaluate(params, z))
+        results.append(shear_at(families.family_phi(params),
+                                families.family_omega(params), z))
+        if params.family.startswith("f_"):
+            results.append(lift_sample(params, z))
+    monkeypatch.undo()
+    for s in results:
+        names = [f.name for f in dataclasses.fields(s)]
+        assert list(vars(s)) == names
+        ref = type(s)(*[getattr(s, name) for name in names])
+        assert s == ref and hash(s) == hash(ref) and repr(s) == repr(ref)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.u = 0.0
+        assert dataclasses.replace(s) == s
+        assert pickle.loads(pickle.dumps(s)) == s

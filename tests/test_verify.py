@@ -290,6 +290,16 @@ def test_report_dict_schema():
     assert d["family"]["family"] == "f_0n"
     assert len(d["worst_point"]) == 2
     assert d["n_points"] == 32  # the 4 x 8 points of SMALL
+    # the dict of dataclasses.asdict, with copies of the family and grid
+    want = dataclasses.asdict(r)
+    want["worst_point"] = [r.worst_point.real, r.worst_point.imag]
+    assert d == want
+    d["family"]["n"] = 4
+    assert r.family.n == 2
+    bare = dataclasses.replace(r, family=None, grid=None,
+                               max_residual=float("inf"))
+    assert [bare.to_dict()[k] for k in ("family", "grid", "max_residual")] \
+        == [None] * 3
 
 
 def test_reports_count_their_points():
