@@ -10,9 +10,11 @@ always does, so each round makes progress; ``max_subdivisions`` caps the
 bisections of one segment.
 
 * ``adaptive_segment`` integrates one segment with one integrand call
-  per bisection round.  The first call evaluates the segment and its two
-  halves (45 nodes, even when the whole panel converges), whose estimates
-  serve the first round;
+  per round that needs new panels.  The first call evaluates the
+  segment, its halves and its quarters (7 panels, 105 nodes), which serve
+  the first two rounds: one call up to |z| ~ 0.6 on the catalog shears.
+  An integrand that raises only at the 60 quarter nodes fails even where
+  fewer panels converge; only an invalid custom dilatation can do that;
 * ``adaptive_segments`` integrates an array of segments at once: every
   round evaluates all new panels of all segments in one integrand call.
 
@@ -23,8 +25,9 @@ call's nodes are the constants ``_FIRST_PANELS``, built by the rule's own
 ``_panel_nodes``.  Each panel's K15 and K15 - G7 sums come from one
 row-wise reduction against ``_RULE``, so a panel's values depend on its
 own 15 integrand values only, not on the batch it is in.  A one-point
-``shear_at`` costs ~32-52 us at |z| <= 0.95 (median per family F_a,
-F_ca, f_1n, f_2n on a 2-core x86-64 host with numpy 2.4).
+``shear_at`` costs ~30-50 us at |z| <= 0.95 (median per family F_a,
+F_ca, f_1n, f_2n on a 2-core x86-64 host with numpy 2.4); below 0.6 the
+quarters' nodes add 3-5 us, and 12 us where k_c' takes a complex power.
 """
 
 import numpy as np
@@ -91,30 +94,30 @@ def adaptive_segment(f, z0, z1, abs_tol, rel_tol, max_subdivisions):
 
     ``f`` maps an ndarray of points on the segment to an ndarray of values
     of its shape.  Each bisection round evaluates its new panels in one
-    call of f; the first call takes the whole segment and its two halves,
-    which are used only if the whole panel is split.
+    call of f; the first call takes the whole segment, its halves and its
+    quarters, from which the first two rounds take their panels.
     """
     z0 = complex(z0)
     dz = complex(z1) - z0
     if dz == 0:
         return 0j
 
-    def panels_of(t0, t1, hw, x):
-        # (t0, t1, estimate, error) of the panels [t0, t1], from one call
-        # of f
+    def evaluate(t0, t1, hw, x):
+        # {(t0, t1): (t0, t1, estimate, error)} of the panels [t0, t1],
+        # from one call of f
         ik, err = _panel_estimates(f, z0, dz, hw, x)
-        return list(zip(t0, t1, ik.tolist(), err.tolist()))
+        return {(a, b): (a, b, i, e)
+                for a, b, i, e in zip(t0, t1, ik.tolist(), err.tolist())}
 
-    whole, *halves = panels_of(*_FIRST_PANELS)
-    panels = [whole]
-    total, error = whole[2:]
+    known = evaluate(*_FIRST_PANELS)
+    panels = [known.pop((0.0, 1.0))]
+    total, error = panels[0][2:]
     splits = 0
     # written so that a NaN error counts as not converged
     while not error <= max(abs_tol, rel_tol * abs(total)):
         budget = max(abs_tol, rel_tol * abs(total))
         kept = []
-        new_t0 = []
-        new_t1 = []
+        halves = []
         for p in panels:
             t0, t1, _, err = p
             if err <= budget * (t1 - t0):
@@ -124,17 +127,18 @@ def adaptive_segment(f, z0, z1, abs_tol, rel_tol, max_subdivisions):
             if splits > max_subdivisions or t1 - t0 < MIN_PANEL_WIDTH:
                 raise ConvergenceError(_stalled(splits, error))
             mid = 0.5 * (t0 + t1)
-            new_t0 += (t0, mid)
-            new_t1 += (mid, t1)
-        if not new_t0:
+            halves += ((t0, mid), (mid, t1))
+        if not halves:
             # every panel within its share: the sum exceeds the budget by
             # rounding only
             break
-        # the first round splits the whole panel, whose halves are known
-        panels = kept + (halves or panels_of(
-            new_t0, new_t1,
-            *_panel_nodes(np.array(new_t0), np.array(new_t1))))
-        halves = []
+        # the halves and quarters of the segment come from the first call
+        new = [h for h in halves if h not in known]
+        if new:
+            t0, t1 = zip(*new)
+            known.update(evaluate(t0, t1, *_panel_nodes(np.array(t0),
+                                                        np.array(t1))))
+        panels = kept + [known.pop(h) for h in halves]
         total = sum(p[2] for p in panels)
         error = sum(p[3] for p in panels)
     return total
@@ -159,10 +163,11 @@ def _panel_estimates(f, z0, dz, hw, x):
     return hw * ik, np.abs(hw * diff)
 
 
-# The panels [0, 1], [0, 1/2] and [1/2, 1] of the one-point first call.
-_FIRST_PANELS = ([0.0, 0.0, 0.5], [1.0, 0.5, 1.0],
-                 *_panel_nodes(np.array([0.0, 0.0, 0.5]),
-                               np.array([1.0, 0.5, 1.0])))
+# The seven panels of the one-point first call: the segment, its halves
+# and its quarters, 105 nodes.
+_FIRST_PANELS = ([0.0, 0.0, 0.5, 0.0, 0.25, 0.5, 0.75],
+                 [1.0, 0.5, 1.0, 0.25, 0.5, 0.75, 1.0])
+_FIRST_PANELS += _panel_nodes(*map(np.array, _FIRST_PANELS))
 
 
 def adaptive_segments(f, z0, z1, abs_tol, rel_tol, max_subdivisions):

@@ -104,12 +104,15 @@ def test_gauss_kronod_exactness():
     # (1-z)^-2 on [0, 0.5]: the whole panel is split once, and its halves
     # converge
     (koebe_prime(1.0), 0.5, [30]),
-), ids=("one-panel", "split-once"))
+    # exp(10iz) on [0, 1]: the whole panel and both its halves are split,
+    # and the quarters converge
+    (lambda z: np.exp(10j * z), 1.0, [30, 60]),
+), ids=("one-panel", "split-once", "split-twice"))
 def test_one_call_for_a_segment_split_at_most_once(f, z, rounds):
     one, calls = counted(f)
     fallback.adaptive_segment(one, 0j, z, *TOLS)
-    # the segment and its two halves
-    assert calls == [45]
+    # the segment, its two halves and its four quarters
+    assert calls == [105]
     batch, batch_calls = counted(f)
     fallback.adaptive_segments(batch, 0j, np.array([z]), *TOLS)
     # the batched rule evaluates the new panels of each round
@@ -118,14 +121,14 @@ def test_one_call_for_a_segment_split_at_most_once(f, z, rounds):
 
 def test_one_segment_has_the_rounds_of_the_batched_rule():
     # the same rounds on the same panels as the batched rule on this
-    # segment alone, whose first round the first call covers: one call
-    # fewer
+    # segment alone, whose first two rounds the first call covers: two
+    # calls fewer
     one, calls = counted(boundary_layer)
     fallback.adaptive_segment(one, 0j, 0.999, *TOLS)
     batch, batch_calls = counted(boundary_layer)
     fallback.adaptive_segments(batch, 0j, np.array([0.999]), *TOLS)
-    assert batch_calls[:2] == [15, 30]
-    assert calls == [45] + batch_calls[2:]
+    assert batch_calls[:3] == [15, 30, 30]
+    assert calls == [105] + batch_calls[3:]
 
 
 def test_batched_segments_keep_shape_and_match_one_segment_rule():
@@ -202,9 +205,10 @@ def test_panel_estimates_do_not_depend_on_the_batch(per_panel):
     assert (np.abs(whole[1] - np.abs(k15 - g7)) <= 1e-14 * scale).all()
 
 
-def test_first_call_nodes_are_the_rule_on_the_segment_and_its_halves():
+def test_first_call_nodes_are_the_rule_on_the_segment_its_halves_and_quarters():
     t0, t1, hw, x = fallback._FIRST_PANELS
-    assert (t0, t1) == ([0.0, 0.0, 0.5], [1.0, 0.5, 1.0])
+    assert (t0, t1) == ([0.0, 0.0, 0.5, 0.0, 0.25, 0.5, 0.75],
+                        [1.0, 0.5, 1.0, 0.25, 0.5, 0.75, 1.0])
     t0, t1 = np.array(t0), np.array(t1)
     assert same_bits(hw, 0.5 * (t1 - t0))
     assert same_bits(x, (0.5 * (t0 + t1))[:, None] + hw[:, None] * XGK)

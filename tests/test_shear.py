@@ -104,6 +104,31 @@ def test_shear_rejects_boundary():
         shear_at(PrevertexSpec.koebe(1.0), DilatationSpec.zero(), 0.9999)
 
 
+def test_shear_at_makes_one_integrand_call_up_to_radius_0_6():
+    # the first call evaluates the segment, its halves and its quarters,
+    # which cover every round up to two bisections: on the catalog shears
+    # that is every point up to |z| ~ 0.6
+    shears = [FamilyParams(family, **kwargs)
+              for a in (-0.5, 0.5)
+              for family, kwargs in (("F_a", {"a": a}), ("F_0a", {"a": a}),
+                                     ("F_1a", {"a": a}),
+                                     ("F_ca", {"c": 0.5, "a": a}),
+                                     ("F_ca", {"c": 1.5, "a": a}))]
+    shears += [FamilyParams("f_0n", n=4), FamilyParams("f_1n", n=4),
+               FamilyParams("f_2n", n=6)]
+    calls = {}
+    for p in shears:
+        omega = families.family_omega(p)
+
+        def counted(zs, omega=omega, p=p):
+            calls[p] = calls.get(p, 0) + 1
+            return omega(zs)
+
+        for z in 0.6 * unit_roots(24):
+            shear_at(families.family_phi(p), counted, z)
+    assert calls == dict.fromkeys(shears, 24)
+
+
 def test_lift_trivialities():
     phi = PrevertexSpec.koebe(1.0)
     hp = lambda z: koebe_phi_prime(1.0, z) / (1.0 - z ** 2)

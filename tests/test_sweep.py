@@ -108,14 +108,15 @@ def test_dump_compare_reads_a_changed_word(sweep, tmp_path):
     shutil.copytree(a, b)
     path = b / "numpy" / "shear_at_f_1n_n4.u64"
     words = np.fromfile(path, dtype="<u8")
-    # 48 samples of h, g, u and v, six float64 words each
-    assert words.size == 6 * 48
+    # 58 samples of h, g, u and v (48 up to |z| = 0.95 and 10 in the
+    # band beyond), six float64 words each
+    assert words.size == 6 * 58
     words[7] ^= 1
     words.tofile(path)
     out = io.StringIO()
     assert sweep.compare(a, b, out) == 1
     report = out.getvalue().splitlines()
-    assert ("numpy/shear_at_f_1n_n4.u64: DIFFERS, 1 of 288 words differ"
+    assert ("numpy/shear_at_f_1n_n4.u64: DIFFERS, 1 of 348 words differ"
             in report)
     assert report[-1] == "1 of 4 files differ"
     assert sweep.main(["compare", str(a), str(b)]) == 1
@@ -123,5 +124,5 @@ def test_dump_compare_reads_a_changed_word(sweep, tmp_path):
     words[:-1].tofile(path)
     out = io.StringIO()
     assert sweep.compare(a, b, out) == 1
-    assert ("numpy/shear_at_f_1n_n4.u64: DIFFERS, 288 against 287 words"
+    assert ("numpy/shear_at_f_1n_n4.u64: DIFFERS, 348 against 347 words"
             in out.getvalue())

@@ -21,7 +21,9 @@ python/ holds the one-point closed forms of the seven catalog families,
 which run in Python complex arithmetic and numpy scalar functions;
 numpy/ holds every result whose last bits follow numpy's array loops
 (the quadrature shear_at, the one-point f_cn, the array entry points and
-hyp2f1_1c), which can move with numpy's SIMD level.
+hyp2f1_1c), which can move with numpy's SIMD level.  Points go up to
+|z| = 0.95; shear_at also takes a band out to |z| = 0.999, the largest
+radius the package accepts, where the quadrature bisects deepest.
 
 compare prints one line per file of either directory (subdirectories
 included): whether it differs; for a text file, how many of its numbers
@@ -127,6 +129,11 @@ def write(directory, names=None):
 
 DUMP_SEED = 1508
 DUMP_POINTS = 40
+# shear_at also runs this many points in 0.95 < |z| <= 0.999, then 0.99
+# and 0.999 on the positive real axis, where the quadrature makes its
+# deepest rounds: over the catalog sets 1-5 integrand calls a point in the
+# band and 6-11 on the axis
+BAND_POINTS = 8
 # the seven catalog families, and f_cn, whose one-point calls run numpy's
 # array loops
 CATALOG_SETS = (("F_a", (("a", -0.5),)), ("F_a", (("a", 0.9),)),
@@ -158,6 +165,14 @@ def _disk_points(rng, count, r_max=0.95):
     axis = [r_max * (2.0 * rng.random() - 1.0) for _ in range(8)]
     return pts + [complex(x, 0.0) for x in axis[:4]] + [
         complex(x, -0.0) for x in axis[4:]]
+
+
+def _band_points(rng, count, r_min=0.95, r_max=0.999):
+    """count seeded points in r_min < |z| <= r_max, then 0.99 and r_max on
+    the positive real axis."""
+    pts = [(r_max - (r_max - r_min) * rng.random())
+           * cmath.exp(2j * math.pi * rng.random()) for _ in range(count)]
+    return pts + [complex(0.99, 0.0), complex(r_max, 0.0)]
 
 
 def _hyp_points(rng, count):
@@ -247,6 +262,7 @@ def _results(kind, family, kwargs):
                        kind)
         return call(params, np.array(zs))
     if kind == "shear_at":
+        zs += _band_points(rng, BAND_POINTS)
         phi, omega = (families.family_phi(params),
                       families.family_omega(params))
         results = [shear.shear_at(phi, omega, z) for z in zs]
